@@ -26,8 +26,8 @@ from typing import Optional
 
 from . import __version__
 from .density import DensityParams
-from .fractal import FractalSpec, Stage
-from .solver import CoverCertificate, CoverInstance, ProductProbeReport
+from .fractal import FractalSpec, GammaValue, Stage
+from .solver import CoverCertificate, CoverInstance, ProductProbeReport, is_zero_one_base
 from .solver import product_probe as _probe
 from .solver import verify_complement
 from .ternary import BlockCode, PatternSet, TernaryInt, enumerate_pattern, zero_one_pattern
@@ -179,30 +179,23 @@ class Catalog:
         source: str,
         budget: Optional[dict] = None,
     ) -> str:
-        gamma = {
-            "card": cert.size,
-            "k": cert.instance.k,
-            "value": _gamma_float(cert.size, cert.instance.k),
-        }
+        """Store a complement code.  Entries are re-verified against the {0,1}
+        pattern on load, so a code solved over any other base is refused: it
+        would load as a {0,1} complement carrying another run's optimality."""
+        k = cert.instance.k
+        if not is_zero_one_base(cert.instance):
+            raise CatalogError(f"complement base set is not the {{0,1}} pattern at k={k}")
         entry = {
             "kind": "complement",
-            "k": cert.instance.k,
+            "k": k,
             "range": [cert.instance.lo, cert.instance.hi],
             "values": list(cert.solution.values),
             "method": cert.method,
             "optimal": cert.optimal,
-            "gamma": gamma,
-            "provenance": {
-                "source": source,
-                "solver_version": __version__,
-                "budget": budget,
-                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            },
+            "gamma": {"card": cert.size, "k": k, "value": GammaValue(cert.size, k).value},
+            "provenance": _provenance(source, budget),
         }
         return self.save_entry(entry)
-
-    def complement_certificate(self, entry: dict) -> CoverCertificate:
-        return _rebuild_complement(entry)
 
     def best_complement(self, k: int) -> tuple[dict, CoverCertificate]:
         """Smallest stored code at block length k; proven optimality and then
@@ -248,12 +241,7 @@ class Catalog:
                 }
                 for st in spec.stages
             ],
-            "provenance": {
-                "source": "builder",
-                "solver_version": __version__,
-                "budget": None,
-                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            },
+            "provenance": _provenance("builder"),
         }
         return self.save_entry(entry)
 
@@ -276,12 +264,7 @@ class Catalog:
             "r": r,
             "s": s,
             "encoding_length": length,
-            "provenance": {
-                "source": "density",
-                "solver_version": __version__,
-                "budget": None,
-                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            },
+            "provenance": _provenance("density"),
         }
         return self.save_entry(entry)
 
@@ -296,10 +279,14 @@ class Catalog:
         return _probe(cert1.solution, cert2.solution, ref.solution, ref_entry["optimal"])
 
 
-def _gamma_float(card: int, k: int) -> float:
-    import math
-
-    return math.log(card) / (k * math.log(3))
+def _provenance(source: str, budget: Optional[dict] = None) -> dict:
+    """Where an entry came from; kept out of its id and digest."""
+    return {
+        "source": source,
+        "solver_version": __version__,
+        "budget": budget,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }
 
 
 def _pattern_json(p: PatternSet) -> list[list[int]]:

@@ -12,13 +12,12 @@ Exit codes: 0 success, 2 invalid input, 3 verification/check failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import math
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional, TextIO
 
 from . import __version__, measure
 from .catalog import Catalog, CatalogError, block_string
@@ -31,7 +30,7 @@ from .density import (
     complement_enum,
     description_length,
 )
-from .fractal import build_density_spec, build_uniform_spec, decompose, dimension_ledger
+from .fractal import FractalSpec, GammaValue, build_density_spec, build_uniform_spec, decompose, dimension_ledger
 from .measure import box_dim_estimate, mass_ratio, write_estimates_csv
 from .solver import (
     CoverInstance,
@@ -45,6 +44,7 @@ from .ternary import (
     DEFAULT_ENUMERATION_CAP,
     BlockCode,
     TernaryRational,
+    cantor_dimension,
     enumerate_pattern,
     value_of,
     zero_one_pattern,
@@ -58,65 +58,31 @@ EXIT_BUDGET = 4
 JSON_SCHEMA = "complement-forge/1"
 
 
-@dataclass
-class RunConfig:
-    """Run-wide knobs assembled from flags; all caps must be positive."""
-
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-    precision_cap: int = 2560
-    budget_nodes: Optional[int] = None
-    budget_secs: Optional[float] = 600.0
-    seed: int = 0
-    out: Optional[str] = None
-    fmt: str = "text"
-
-    def __post_init__(self) -> None:
-        if self.enumeration_cap <= 0 or self.precision_cap <= 0:
-            raise ValueError("caps must be positive")
-        if self.budget_nodes is not None and self.budget_nodes <= 0:
-            raise ValueError("node budget must be positive")
-        if self.budget_secs is not None and self.budget_secs <= 0:
-            raise ValueError("time budget must be positive")
-
-
 class _CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_INVALID):
         super().__init__(message)
         self.code = code
 
 
-def _emit(cfg: RunConfig, text_lines: list[str], payload: dict) -> None:
-    """Render to stdout or --out.  JSON output is deterministic: sorted keys
-    and no timestamps (catalog files keep their own provenance)."""
-    if cfg.fmt == "json":
+@contextlib.contextmanager
+def _output(args: argparse.Namespace) -> Iterator[TextIO]:
+    """The stream a command writes to: the --out file, or stdout."""
+    if args.out:
+        with open(args.out, "w") as fh:
+            yield fh
+    else:
+        yield sys.stdout
+
+
+def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict) -> None:
+    """Render as JSON or text.  JSON output is deterministic: sorted keys and
+    no timestamps (catalog files keep their own provenance)."""
+    if args.format == "json":
         body = json.dumps({"schema": JSON_SCHEMA, **payload}, sort_keys=True, indent=2) + "\n"
     else:
         body = "\n".join(text_lines) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    try:
-        cfg = RunConfig(
-            enumeration_cap=args.enumeration_cap,
-            budget_nodes=args.budget_nodes,
-            budget_secs=args.budget_secs,
-            seed=args.seed,
-            out=args.out,
-            fmt=args.format,
-        )
-    except ValueError as exc:
-        raise _CliError(str(exc))
-    measure.PRECISION_CAP = cfg.precision_cap
-    return cfg
-
-
-def _catalog(args: argparse.Namespace) -> Catalog:
-    return Catalog.default()
+    with _output(args) as fh:
+        fh.write(body)
 
 
 def _instance(k: int, rng: str, cap: int) -> CoverInstance:
@@ -150,22 +116,21 @@ def _alpha_params(raw: str) -> DensityParams:
 
 
 def _cmd_complement(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     if args.k < 1:
         raise _CliError("need k >= 1")
-    inst = _instance(args.k, args.range, cfg.enumeration_cap)
-    budget = SolverBudget(max_nodes=cfg.budget_nodes, max_seconds=cfg.budget_secs)
+    inst = _instance(args.k, args.range, args.enumeration_cap)
+    budget = SolverBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_secs)
     if args.method == "greedy":
         cert = greedy_complement(inst)
     else:
         cert = exact_min_complement(inst, budget)
-    cat = _catalog(args)
+    cat = Catalog.default()
     entry_id = cat.add_complement(
         cert,
         source="solver",
-        budget={"nodes": cfg.budget_nodes, "secs": cfg.budget_secs},
+        budget={"nodes": args.budget_nodes, "secs": args.budget_secs},
     )
-    gamma = math.log(cert.size) / (args.k * math.log(3))
+    gamma = GammaValue(cert.size, args.k).value
     lines = [
         f"k={args.k} method={cert.method} size={cert.size} optimal={cert.optimal}",
         f"gamma = {gamma:.6f}",
@@ -182,15 +147,14 @@ def _cmd_complement(args: argparse.Namespace) -> int:
         "values": list(cert.solution.values),
         "catalog_id": entry_id,
     }
-    _emit(cfg, lines, payload)
+    _emit(args, lines, payload)
     if cert.stats.budget_exhausted:
         return EXIT_BUDGET
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    cat = _catalog(args)
+    cat = Catalog.default()
     if args.id:
         entry = cat.load_entry(args.id)
         if entry.get("kind") != "complement":
@@ -202,21 +166,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         code = _parse_values(args.values, k, args.ternary)
     else:
         raise _CliError("need --id, or --k with --values")
-    inst = _instance(k, args.range, cfg.enumeration_cap)
+    inst = _instance(k, args.range, args.enumeration_cap)
     try:
         cert = verify_complement(inst, code)
     except CoverVerificationError as exc:
         lines = [f"FAIL: {len(exc.uncovered)} uncovered values", f"uncovered: {exc.uncovered}"]
-        _emit(cfg, lines, {"command": "verify", "ok": False, "uncovered": exc.uncovered})
+        _emit(args, lines, {"command": "verify", "ok": False, "uncovered": exc.uncovered})
         return EXIT_VERIFY_FAILED
     lines = [f"ok: size {cert.size} covers all {3**k} targets at k={k}"]
-    _emit(cfg, lines, {"command": "verify", "ok": True, "k": k, "size": cert.size})
+    _emit(args, lines, {"command": "verify", "ok": True, "k": k, "size": cert.size})
     return EXIT_OK
 
 
 def _cmd_gamma(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    cat = _catalog(args)
+    cat = Catalog.default()
     if args.id:
         entry = cat.load_entry(args.id)
         if entry.get("kind") != "complement":
@@ -231,33 +194,34 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
         f"k={entry['k']} size={len(entry['values'])} optimal={entry['optimal']}",
         f"gamma = log {g['card']} / log 3^{g['k']} = {g['value']:.6f}",
     ]
-    _emit(cfg, lines, {"command": "gamma", "k": entry["k"], "gamma": g})
+    _emit(args, lines, {"command": "gamma", "k": entry["k"], "gamma": g})
     return EXIT_OK
 
 
-def _resolve_spec(cat: Catalog, name: str, cfg: RunConfig):
+def _uniform_spec(cat: Catalog, k: int) -> FractalSpec:
+    """The uniform spec over the best stored complement code at block length k."""
+    cat.ensure_seeded()
+    _, cert = cat.best_complement(k)
+    return build_uniform_spec(k, cert)
+
+
+def _resolve_spec(cat: Catalog, name: str) -> FractalSpec:
     entry = cat.find_spec(name)
     if entry is not None:
         return cat.spec_from_entry(entry)
     if name.startswith("uniform-k"):
-        k = int(name[len("uniform-k") :])
-        cat.ensure_seeded()
-        _, cert = cat.best_complement(k)
-        spec = build_uniform_spec(k, cert)
+        spec = _uniform_spec(cat, int(name[len("uniform-k") :]))
         cat.add_spec(spec, name)
         return spec
     raise _CliError(f"unknown spec {name!r} (build it with spec-build)")
 
 
 def _cmd_spec_build(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    cat = _catalog(args)
+    cat = Catalog.default()
     if args.kind == "uniform":
         if not args.k:
             raise _CliError("uniform specs need --k")
-        cat.ensure_seeded()
-        _, cert = cat.best_complement(args.k)
-        spec = build_uniform_spec(args.k, cert)
+        spec = _uniform_spec(cat, args.k)
         name = f"uniform-k{args.k}"
         params_desc = None
     else:
@@ -286,14 +250,13 @@ def _cmd_spec_build(args: argparse.Namespace) -> int:
         "gaps": list(led.gaps),
         "description_length": led.description_length,
     }
-    _emit(cfg, lines, payload)
+    _emit(args, lines, payload)
     return EXIT_OK
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    cat = _catalog(args)
-    spec = _resolve_spec(cat, args.spec, cfg)
+    cat = Catalog.default()
+    spec = _resolve_spec(cat, args.spec)
     try:
         x = TernaryRational.from_digit_string(args.x)
     except ValueError as exc:
@@ -311,12 +274,11 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         blocks.append({"stage": i, "block": v, "a": a, "b": b, "n": st.n})
     lines.append(f"reconstruction exact: {cert.is_exact()}")
     payload = {"command": "decompose", "x": str(cert.x), "blocks": blocks, "exact": cert.is_exact()}
-    _emit(cfg, lines, payload)
+    _emit(args, lines, payload)
     return EXIT_OK
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     params = _alpha_params(args.alpha)
     n = args.n
     if n < 2:
@@ -350,32 +312,26 @@ def _cmd_density(args: argparse.Namespace) -> int:
         "bound": dl.bound,
         "t_shift": None if enum is None else enum.t_shift,
     }
-    cat = _catalog(args)
+    cat = Catalog.default()
     cat.add_density(params, n, r, s, dl.length)
-    if cfg.fmt == "csv":
-        body = "position,bit\n" + "".join(
-            f"{m},{1 if prefix.contains(m) else 0}\n" for m in range(1, n + 1)
-        )
-        if cfg.out:
-            with open(cfg.out, "w") as fh:
-                fh.write(body)
-        else:
-            sys.stdout.write(body)
-        return EXIT_OK if agrees else EXIT_VERIFY_FAILED
-    _emit(cfg, lines, payload)
+    if args.format == "csv":
+        with _output(args) as fh:
+            fh.write("position,bit\n")
+            fh.writelines(f"{m},{1 if prefix.contains(m) else 0}\n" for m in range(1, n + 1))
+    else:
+        _emit(args, lines, payload)
     return EXIT_OK if agrees else EXIT_VERIFY_FAILED
 
 
 def _cmd_boxdim(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     depth = args.depth
     if args.set == "cantor":
         est = box_dim_estimate(lambda n: 2**n, range(1, min(depth, 512) + 1))
-        target = math.log(2) / math.log(3)
+        target = cantor_dimension()
         label = "cantor"
     elif args.spec:
-        cat = _catalog(args)
-        spec = _resolve_spec(cat, args.spec, cfg)
+        cat = Catalog.default()
+        spec = _resolve_spec(cat, args.spec)
         st = spec.stage_at(1)
         if spec.kind != "uniform":
             raise _CliError("boxdim over a spec expects a uniform spec")
@@ -400,17 +356,12 @@ def _cmd_boxdim(args: argparse.Namespace) -> int:
             "target": report.target,
             "complement_lower_bound": report.complement_lower_bound,
         }
-        if cfg.fmt == "csv":
-            body = "n,k_n,estimate\n" + "".join(
-                f"{n},{k},{e:.12g}\n" for n, k, e in report.entries
-            )
-            if cfg.out:
-                with open(cfg.out, "w") as fh:
-                    fh.write(body)
-            else:
-                sys.stdout.write(body)
-            return EXIT_OK
-        _emit(cfg, lines, payload)
+        if args.format == "csv":
+            with _output(args) as fh:
+                fh.write("n,k_n,estimate\n")
+                fh.writelines(f"{n},{k},{e:.12g}\n" for n, k, e in report.entries)
+        else:
+            _emit(args, lines, payload)
         return EXIT_OK
     else:
         raise _CliError("need --set cantor, --spec NAME, or --alpha A")
@@ -425,27 +376,19 @@ def _cmd_boxdim(args: argparse.Namespace) -> int:
         "tail_sup": est.tail_sup,
         "target": target,
     }
-    if cfg.fmt == "csv":
-        import io
-
-        buf = io.StringIO()
-        write_estimates_csv(buf, est)
-        if cfg.out:
-            with open(cfg.out, "w") as fh:
-                fh.write(buf.getvalue())
-        else:
-            sys.stdout.write(buf.getvalue())
-        return EXIT_OK
-    _emit(cfg, lines, payload)
+    if args.format == "csv":
+        with _output(args) as fh:
+            write_estimates_csv(fh, est)
+    else:
+        _emit(args, lines, payload)
     return EXIT_OK
 
 
 def _cmd_netcheck(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     exps = []
     for part in args.s.split(","):
         exps.append(Fraction(part.strip()))
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     trials = args.trials
     held = 0
     violations = 0
@@ -465,18 +408,17 @@ def _cmd_netcheck(args: argparse.Namespace) -> int:
         "trials": trials,
         "hypothesis_held": held,
         "violations": violations,
-        "seed": cfg.seed,
+        "seed": args.seed,
     }
-    _emit(cfg, lines, payload)
+    _emit(args, lines, payload)
     return EXIT_OK if violations == 0 else EXIT_VERIFY_FAILED
 
 
 def _cmd_massratio(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     params = _alpha_params(args.alpha)
     lo, _, hi = args.levels.partition(":")
     levels = range(int(lo), int(hi) + 1)
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     worst_ratio = 0.0
     bound = None
     max_meet = 0
@@ -506,15 +448,14 @@ def _cmd_massratio(args: argparse.Namespace) -> int:
         "max_meeting": max_meet,
         "violations": bad,
         "t_shift": enum.t_shift,
-        "seed": cfg.seed,
+        "seed": args.seed,
     }
-    _emit(cfg, lines, payload)
+    _emit(args, lines, payload)
     return EXIT_OK if bad == 0 else EXIT_VERIFY_FAILED
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    cat = _catalog(args)
+    cat = Catalog.default()
     cat.ensure_seeded()
     rows = []
     for k in range(1, 6):
@@ -575,7 +516,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             )
         payload["probes"] = probes
         payload["density"] = dens
-    _emit(cfg, lines, payload)
+    _emit(args, lines, payload)
     return EXIT_OK
 
 
@@ -678,6 +619,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.enumeration_cap <= 0:
+            raise _CliError("caps must be positive")
+        if args.budget_nodes is not None and args.budget_nodes <= 0:
+            raise _CliError("node budget must be positive")
+        if args.budget_secs is not None and args.budget_secs <= 0:
+            raise _CliError("time budget must be positive")
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

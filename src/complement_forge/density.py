@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .ternary import BASE, cantor_dimension
+from .ternary import BASE, cantor_dimension, int_to_ternary
 
 _LOG2_3 = math.log(3) / math.log(2)
 
@@ -70,14 +70,6 @@ def _floor_log_ratio(m: int, n: int) -> int:
     while _pow2_gt_pow3(m, (q + 1) * n):
         q += 1
     return q
-
-
-class PrecisionError(ArithmeticError):
-    """Kept for API stability: raised if a comparison cannot be decided.
-
-    With the integer-power comparisons used here this cannot trigger for the
-    supported parameter forms; the class documents the failure mode anyway.
-    """
 
 
 @dataclass(frozen=True)
@@ -230,9 +222,6 @@ class APrefix:
     def density(self) -> Fraction:
         return Fraction(self.count(), self.n)
 
-    def characteristic_string(self) -> str:
-        return "".join("1" if self.bits >> m & 1 else "0" for m in range(1, self.n + 1))
-
 
 def a_prefix(params: DensityParams, n: int) -> APrefix:
     """A's characteristic prefix on [1, n], computed from the defining floors."""
@@ -334,21 +323,9 @@ def verify_rational_encoding(params: DensityParams, r: int, s: int, n: int) -> R
 # with r recovered as the remainder.  Version 1; see the catalog schema.
 
 
-def _ternary_str(x: int) -> str:
-    if x < 0:
-        raise ValueError("encoding defined for nonnegative integers")
-    if x == 0:
-        return "0"
-    ds = []
-    while x:
-        x, d = divmod(x, BASE)
-        ds.append(str(d))
-    return "".join(reversed(ds))
-
-
 def _field(x: int) -> str:
-    body = _ternary_str(x)
-    length = _ternary_str(len(body))
+    body = int_to_ternary(x)
+    length = int_to_ternary(len(body))
     return "0" * len(length) + "2" + length + body
 
 
@@ -356,7 +333,7 @@ def encode_rsn(r: int, s: int, n: int) -> str:
     """Self-delimiting ternary encoding of (r, s, n); see decode_rsn."""
     if s < 1 or n < 1 or r < 0:
         raise ValueError("need r >= 0, s >= 1, n >= 1")
-    return _field(n) + _field(s) + _ternary_str(r)
+    return _field(n) + _field(s) + int_to_ternary(r)
 
 
 def _read_field(s: str, pos: int) -> tuple[int, int]:
@@ -391,7 +368,7 @@ def decode_rsn(encoded: str) -> tuple[int, int, int]:
 def encoding_constant(params: DensityParams) -> int:
     """The additive constant c0 for these parameters: the format overhead plus
     the ternary width of floor(1/D) (the r field is that much wider than s)."""
-    return ENCODING_CONSTANT + len(_ternary_str(params.floor_div(1)))
+    return ENCODING_CONSTANT + len(int_to_ternary(params.floor_div(1)))
 
 
 @dataclass(frozen=True)

@@ -71,10 +71,6 @@ class GammaValue:
         return math.log(self.card) / (self.n * math.log(BASE))
 
 
-def gamma_of(stage: Stage) -> GammaValue:
-    return stage.gamma
-
-
 @dataclass(frozen=True)
 class FractalSpec:
     """A finite schedule of stages plus the rule that generated it."""
@@ -104,9 +100,6 @@ class FractalSpec:
         """Total ternary digits consumed by the first ``stages`` stages."""
         return sum(self.stage_at(i).n for i in range(1, stages + 1))
 
-    def stage_count(self) -> Optional[int]:
-        return None if self.kind == "uniform" else len(self.stages)
-
 
 def _ensure_zero(cert: CoverCertificate) -> CoverCertificate:
     """Force 0 into the code (keeps 0 and 1 decomposable with no special cases).
@@ -116,15 +109,14 @@ def _ensure_zero(cert: CoverCertificate) -> CoverCertificate:
     """
     if 0 in cert.solution:
         return cert
-    enlarged = BlockCode.from_iterable(cert.instance.k, (0, *cert.solution.values))
-    old = math.log(len(cert.solution))
-    new = math.log(len(enlarged))
+    k = cert.instance.k
+    enlarged = BlockCode.from_iterable(k, (0, *cert.solution.values))
     log.info(
         "adjoined 0 to a size-%d code at k=%d (gamma %.5f -> %.5f)",
         len(cert.solution),
-        cert.instance.k,
-        old / (cert.instance.k * math.log(BASE)),
-        new / (cert.instance.k * math.log(BASE)),
+        k,
+        GammaValue(len(cert.solution), k).value,
+        GammaValue(len(enlarged), k).value,
     )
     return verify_complement(cert.instance, enlarged, method=cert.method, optimal="unknown")
 
@@ -318,7 +310,8 @@ def decompose(x: TernaryRational, spec: FractalSpec, depth: int) -> Decompositio
     cert = DecompositionCertificate(
         x=x, depth=depth, a_blocks=tuple(a_blocks), b_blocks=tuple(b_blocks), stage_offsets=tuple(offsets)
     )
-    assert cert.is_exact()
+    if not cert.is_exact():
+        raise AssertionError(f"decomposition of {x} does not reconstruct it")
     return cert
 
 

@@ -19,11 +19,11 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
-from .ternary import BASE, BlockCode
+from .ternary import BASE, BlockCode, concat_codes, enumerate_pattern, zero_one_pattern
 
 log = logging.getLogger(__name__)
 
@@ -114,10 +114,6 @@ class WitnessTable:
             if v - a in sol:
                 return (a, v - a)
         raise KeyError(f"{v} is not covered")
-
-    def items(self) -> Iterator[tuple[int, tuple[int, int]]]:
-        for v in range(self._instance.target_size):
-            yield v, self[v]
 
 
 @dataclass
@@ -442,7 +438,7 @@ def exact_min_complement(
     cert.stats = stats
 
     known = KNOWN_MIN_SIZES.get(instance.k) or KNOWN_BEST_SIZES.get(instance.k)
-    if known is not None and cert.size < known and _is_zero_one_base(instance):
+    if known is not None and cert.size < known and is_zero_one_base(instance):
         log.error(
             "exact solver found a verified size-%d cover at k=%d, below the published "
             "minimum %d; solution=%s -- this contradicts the reference listings and "
@@ -455,10 +451,9 @@ def exact_min_complement(
     return cert
 
 
-def _is_zero_one_base(instance: CoverInstance) -> bool:
-    """The published minima only apply to the {0,1}-pattern base set."""
-    from .ternary import enumerate_pattern, zero_one_pattern
-
+def is_zero_one_base(instance: CoverInstance) -> bool:
+    """Whether the base set is the {0,1} pattern at block length k, the only
+    base the published minima and the catalog's complement entries refer to."""
     return instance.base_set == enumerate_pattern(zero_one_pattern(instance.k))
 
 
@@ -491,8 +486,6 @@ def product_probe(
 ) -> ProductProbeReport:
     """Compare the concatenation code_a || code_b against the best known code
     at block length k1 + k2, and verify it actually covers."""
-    from .ternary import concat_codes, enumerate_pattern, zero_one_pattern
-
     product = concat_codes(code_a, code_b)
     k = product.k
     if reference.k != k:

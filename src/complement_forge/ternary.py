@@ -313,10 +313,6 @@ class TernaryRational:
             return 0
         return (self.numerator // BASE ** (self.depth - p)) % BASE
 
-    def fractional_digits(self, upto: int) -> tuple[int, ...]:
-        """Digits x_1..x_upto of the fractional part."""
-        return tuple(self.digit(p) for p in range(1, upto + 1))
-
     def truncate(self, depth: int) -> "TernaryRational":
         """Cut the expansion after ``depth`` fractional digits (floor; nonnegative use)."""
         if depth >= self.depth:
@@ -339,14 +335,17 @@ class TernaryRational:
     def __str__(self) -> str:
         sign = "-" if self.numerator < 0 else ""
         ip, fp = divmod(abs(self.numerator), BASE**self.depth)
-        int_digits = _int_to_ternary(ip)
+        int_digits = int_to_ternary(ip)
         if self.depth == 0:
             return sign + int_digits
         frac = "".join(str(d) for d in digits_of_int(fp, self.depth))
         return f"{sign}{int_digits}.{frac}"
 
 
-def _int_to_ternary(n: int) -> str:
+def int_to_ternary(n: int) -> str:
+    """Most-significant-first ternary digits of a nonnegative integer, unpadded."""
+    if n < 0:
+        raise ValueError("ternary strings are defined for nonnegative integers")
     if n == 0:
         return "0"
     ds = []
@@ -356,13 +355,6 @@ def _int_to_ternary(n: int) -> str:
     return "".join(reversed(ds))
 
 
-ZERO = TernaryRational(0, 0)
-ONE = TernaryRational(1, 0)
-TWO = TernaryRational(2, 0)
-
-LOG2_3 = math.log(2) / math.log(3)  # dimension of the middle-third Cantor set
-
-
 def cantor_dimension() -> float:
     """log 2 / log 3, the Hausdorff (= box) dimension of the middle-third Cantor set."""
-    return LOG2_3
+    return math.log(2) / math.log(3)

@@ -2,12 +2,12 @@ import json
 
 import pytest
 
-from complement_forge.catalog import Catalog, CatalogIntegrityError, PAPER_BLOCKS
+from complement_forge.catalog import Catalog, CatalogError, CatalogIntegrityError, PAPER_BLOCKS
 from complement_forge.cli import main
 from complement_forge.density import DensityParams
 from complement_forge.fractal import build_density_spec
 from complement_forge.solver import CoverInstance, exact_min_complement
-from complement_forge.ternary import enumerate_pattern, zero_one_pattern
+from complement_forge.ternary import PatternSet, enumerate_pattern, zero_one_pattern
 
 
 @pytest.fixture()
@@ -40,6 +40,16 @@ def test_round_trip_and_tamper_detection(catalog):
     path.write_text(json.dumps(data))
     with pytest.raises(CatalogIntegrityError):
         catalog.load_entry(entry_id)
+
+
+def test_add_complement_rejects_thinned_base(catalog):
+    # a code solved over a thinner base would re-verify against the {0,1}
+    # pattern on load and keep that run's optimality flag, so it is refused
+    thinned = PatternSet(3, (frozenset((0, 1)), frozenset((0, 1)), frozenset((0,))))
+    cert = exact_min_complement(CoverInstance(3, enumerate_pattern(thinned)))
+    with pytest.raises(CatalogError):
+        catalog.add_complement(cert, source="solver")
+    assert catalog.list_ids() == []
 
 
 def test_spec_round_trip(catalog):

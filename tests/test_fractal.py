@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +15,6 @@ from complement_forge.fractal import (
     build_uniform_spec,
     decompose,
     dimension_ledger,
-    gamma_of,
     measure_bound,
     reflect_decompose,
 )
@@ -30,9 +33,9 @@ def uniform_spec(k):
 def test_gamma_examples():
     from complement_forge.fractal import GammaValue
 
-    assert gamma_of(uniform_spec(3).stage_at(1)).value == pytest.approx(math.log(5) / math.log(27))
-    assert gamma_of(uniform_spec(1).stage_at(1)).value == pytest.approx(math.log(2) / math.log(3))
-    assert gamma_of(uniform_spec(2).stage_at(1)).value == pytest.approx(0.5)
+    assert uniform_spec(3).stage_at(1).gamma.value == pytest.approx(math.log(5) / math.log(27))
+    assert uniform_spec(1).stage_at(1).gamma.value == pytest.approx(math.log(2) / math.log(3))
+    assert uniform_spec(2).stage_at(1).gamma.value == pytest.approx(0.5)
     # singleton code has exponent 0
     assert GammaValue(card=1, n=4).value == 0.0
 
@@ -59,12 +62,12 @@ def test_measure_bound_identity():
         for n in (1, 2, 7, 50):
             mb = measure_bound(spec, n)
             assert mb.log3_coefficient == Fraction(1, k)
-            assert mb.log3_value == pytest.approx(gamma_of(spec.stage_at(1)).value)
+            assert mb.log3_value == pytest.approx(spec.stage_at(1).gamma.value)
 
 
 def test_measure_bound_monotone_above_gamma():
     spec = uniform_spec(3)
-    g = gamma_of(spec.stage_at(1)).value
+    g = spec.stage_at(1).gamma.value
     vals = [measure_bound(spec, n, exponent=g + 0.01).log3_value for n in range(1, 21)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -112,6 +115,36 @@ def test_decompose_depth_guard():
         decompose(TernaryRational(1, 10), spec, 1)  # 10 digits, 3 consumed
     with pytest.raises(ValueError):
         decompose(TernaryRational(-1, 1), spec, 1)
+
+
+_DECOMPOSE_UNDER_O = """
+from complement_forge import fractal
+from complement_forge.solver import CoverInstance, verify_complement
+from complement_forge.ternary import BlockCode, TernaryRational, enumerate_pattern, zero_one_pattern
+
+if __debug__:
+    raise SystemExit("interpreter is not running with -O")
+inst = CoverInstance(3, enumerate_pattern(zero_one_pattern(3)))
+spec = fractal.build_uniform_spec(3, verify_complement(inst, BlockCode(3, (0, 2, 7, 12, 14))))
+fractal.DecompositionCertificate.is_exact = lambda self: False
+try:
+    fractal.decompose(TernaryRational.from_digit_string("0.020"), spec, 1)
+except Exception:
+    print("raised")
+else:
+    print("returned")
+"""
+
+
+def test_decompose_check_survives_optimize_flag():
+    # the reconstruction check must not be an assert statement, which -O strips
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _DECOMPOSE_UNDER_O], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
 
 
 def test_reflect_examples():
@@ -172,4 +205,4 @@ def test_greedy_uniform_gamma_floor():
         inst = CoverInstance(k, enumerate_pattern(zero_one_pattern(k)))
         cert = greedy_complement(inst)
         spec = build_uniform_spec(k, cert)
-        assert gamma_of(spec.stage_at(1)).value >= (1 - DIM_C) - 1e-12
+        assert spec.stage_at(1).gamma.value >= (1 - DIM_C) - 1e-12
