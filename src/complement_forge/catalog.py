@@ -102,8 +102,12 @@ class Catalog:
         entry_id = _hash(_core_fields(entry))[:16]
         entry["id"] = entry_id
         entry["digest"] = self._digest(entry)
-        self.entries_dir.mkdir(parents=True, exist_ok=True)
         path = self._path(entry_id)
+        if path.exists():
+            # The id hashes the core fields, so the stored file already holds
+            # this entry; leaving it keeps the first write's provenance.
+            return entry_id
+        self.entries_dir.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.entries_dir, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:

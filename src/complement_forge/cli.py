@@ -25,7 +25,6 @@ from .density import (
     DensityParams,
     a_prefix,
     a_prefix_from_rational,
-    best_rational,
     box_dim_bound_ca,
     complement_enum,
     description_length,
@@ -41,7 +40,6 @@ from .solver import (
     verify_complement,
 )
 from .ternary import (
-    DEFAULT_ENUMERATION_CAP,
     BlockCode,
     TernaryRational,
     cantor_dimension,
@@ -85,8 +83,8 @@ def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict) -> Non
         fh.write(body)
 
 
-def _instance(k: int, rng: str, cap: int) -> CoverInstance:
-    base = enumerate_pattern(zero_one_pattern(k), cap=cap)
+def _instance(k: int, rng: str) -> CoverInstance:
+    base = enumerate_pattern(zero_one_pattern(k))
     if rng == "signed":
         return CoverInstance.signed(k, base)
     return CoverInstance(k, base)
@@ -116,9 +114,13 @@ def _alpha_params(raw: str) -> DensityParams:
 
 
 def _cmd_complement(args: argparse.Namespace) -> int:
+    if args.budget_nodes is not None and args.budget_nodes <= 0:
+        raise _CliError("node budget must be positive")
+    if args.budget_secs <= 0:
+        raise _CliError("time budget must be positive")
     if args.k < 1:
         raise _CliError("need k >= 1")
-    inst = _instance(args.k, args.range, args.enumeration_cap)
+    inst = _instance(args.k, args.range)
     budget = SolverBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_secs)
     if args.method == "greedy":
         cert = greedy_complement(inst)
@@ -166,7 +168,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         code = _parse_values(args.values, k, args.ternary)
     else:
         raise _CliError("need --id, or --k with --values")
-    inst = _instance(k, args.range, args.enumeration_cap)
+    inst = _instance(k, args.range)
     try:
         cert = verify_complement(inst, code)
     except CoverVerificationError as exc:
@@ -284,10 +286,10 @@ def _cmd_density(args: argparse.Namespace) -> int:
     if n < 2:
         raise _CliError("need --n >= 2")
     prefix = a_prefix(params, n)
-    r, s = best_rational(params, n)
+    dl = description_length(params, n)
+    r, s = dl.r, dl.s
     rebuilt = a_prefix_from_rational(r, s, n)
     agrees = rebuilt.bits == prefix.bits
-    dl = description_length(params, n)
     enum = complement_enum(params, min(n, 10_000)) if params.d_exact != 1 else None
     lines = [
         f"{params.describe()}  n={n}",
@@ -416,8 +418,12 @@ def _cmd_netcheck(args: argparse.Namespace) -> int:
 
 def _cmd_massratio(args: argparse.Namespace) -> int:
     params = _alpha_params(args.alpha)
+    if args.samples < 1:
+        raise _CliError("need --samples >= 1")
     lo, _, hi = args.levels.partition(":")
     levels = range(int(lo), int(hi) + 1)
+    if not levels:
+        raise _CliError(f"--levels {args.levels} is an empty range")
     rng = random.Random(args.seed)
     worst_ratio = 0.0
     bound = None
@@ -523,15 +529,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-nodes", type=int, default=None, help="exact-solver node budget")
-    p.add_argument("--budget-secs", type=float, default=600.0, help="exact-solver time budget (s)")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized harnesses")
+def _add_output(p: argparse.ArgumentParser, formats: tuple[str, ...] = ("text", "json")) -> None:
     p.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument(
-        "--enumeration-cap", type=int, default=DEFAULT_ENUMERATION_CAP, help="pattern enumeration cap"
-    )
+    p.add_argument("--format", choices=formats, default="text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -546,7 +546,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--method", choices=("greedy", "exact"), default="greedy")
     p.add_argument("--range", choices=("nonneg", "signed"), default="nonneg")
-    _add_common(p)
+    p.add_argument("--budget-nodes", type=int, default=None, help="exact-solver node budget")
+    p.add_argument("--budget-secs", type=float, default=600.0, help="exact-solver time budget (s)")
+    _add_output(p)
     p.set_defaults(func=_cmd_complement)
 
     p = sub.add_parser("verify", help="re-verify a stored or inline code")
@@ -555,13 +557,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", default=None, help="comma-separated block values")
     p.add_argument("--ternary", action="store_true", help="parse --values as digit strings")
     p.add_argument("--range", choices=("nonneg", "signed"), default="nonneg")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gamma", help="dimension exponent of a stored code")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--id", default=None)
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_gamma)
 
     p = sub.add_parser("spec-build", help="build and store a fractal spec")
@@ -569,20 +571,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--alpha", default=None)
     p.add_argument("--stages", type=int, default=None)
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_spec_build)
 
     p = sub.add_parser("decompose", help="split x into pattern + code parts")
     p.add_argument("--x", required=True, help="ternary literal, e.g. 0.020")
     p.add_argument("--spec", required=True, help="spec name or id (uniform-kN auto-builds)")
     p.add_argument("--depth", type=int, required=True, help="stages to consume")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("density", help="density set prefix, best rational, encoding")
     p.add_argument("--alpha", required=True, help="rational alpha (or D=p/q for exact density)")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
+    _add_output(p, ("text", "json", "csv"))
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("boxdim", help="box-counting dimension estimates")
@@ -590,26 +592,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", default=None)
     p.add_argument("--alpha", default=None)
     p.add_argument("--depth", type=int, required=True)
-    _add_common(p)
+    _add_output(p, ("text", "json", "csv"))
     p.set_defaults(func=_cmd_boxdim)
 
     p = sub.add_parser("netcheck", help="randomized weighted-cover inequality trials")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--max-level", type=int, default=8)
     p.add_argument("--s", default="1/2,1", help="comma-separated exponents")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized harnesses")
+    _add_output(p)
     p.set_defaults(func=_cmd_netcheck)
 
     p = sub.add_parser("massratio", help="mass-distribution ratio test")
     p.add_argument("--alpha", required=True)
     p.add_argument("--levels", default="5:15", help="inclusive range lo:hi")
     p.add_argument("--samples", type=int, default=50)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized harnesses")
+    _add_output(p)
     p.set_defaults(func=_cmd_massratio)
 
     p = sub.add_parser("report", help="summary tables from the catalog")
     p.add_argument("--all", action="store_true", help="include probes and density tables")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_report)
 
     return ap
@@ -619,12 +623,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if args.enumeration_cap <= 0:
-            raise _CliError("caps must be positive")
-        if args.budget_nodes is not None and args.budget_nodes <= 0:
-            raise _CliError("node budget must be positive")
-        if args.budget_secs is not None and args.budget_secs <= 0:
-            raise _CliError("time budget must be positive")
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .density import DensityParams, a_prefix
 from .solver import CoverCertificate, CoverInstance, greedy_complement, verify_complement
@@ -132,14 +132,7 @@ def build_uniform_spec(k: int, cert: CoverCertificate) -> FractalSpec:
     return FractalSpec(kind="uniform", stages=(Stage(k, pattern, _ensure_zero(cert)),))
 
 
-Solver = Callable[[CoverInstance], CoverCertificate]
-
-
-def build_density_spec(
-    params: DensityParams,
-    stages: int,
-    solver: Solver = greedy_complement,
-) -> FractalSpec:
+def build_density_spec(params: DensityParams, stages: int) -> FractalSpec:
     """Variable-density spec: stage k spans absolute digit positions
     (m_{k-1}, m_k] with m_k = k^2, and its pattern allows digit 1 only at
     positions lying in the density set A.
@@ -162,7 +155,7 @@ def build_density_spec(
         )
         pattern = PatternSet(n_k, allowed)
         inst = CoverInstance(n_k, enumerate_pattern(pattern))
-        built.append(Stage(n_k, pattern, _ensure_zero(solver(inst))))
+        built.append(Stage(n_k, pattern, _ensure_zero(greedy_complement(inst))))
     return FractalSpec(kind="quadratic", stages=tuple(built))
 
 

@@ -22,11 +22,11 @@ from typing import Iterable, Iterator, Sequence
 
 BASE = 3  # fixed for v1; named so a later base-b generalization is mechanical
 
-DEFAULT_ENUMERATION_CAP = 1 << 24
+ENUMERATION_CAP = 1 << 24
 
 
 class EnumerationCapExceeded(ValueError):
-    """A pattern would enumerate more values than the configured cap."""
+    """A pattern would enumerate more than ENUMERATION_CAP values."""
 
 
 def _check_block_length(k: int) -> None:
@@ -173,15 +173,15 @@ def zero_one_pattern(k: int) -> PatternSet:
     return PatternSet.uniform(k, (0, 1))
 
 
-def enumerate_pattern(p: PatternSet, cap: int = DEFAULT_ENUMERATION_CAP) -> BlockCode:
+def enumerate_pattern(p: PatternSet) -> BlockCode:
     """All values generated by a pattern, as a sorted BlockCode.
 
     Guards against accidental blowup: raises EnumerationCapExceeded if the
-    (exactly known) output size would exceed ``cap``.
+    (exactly known) output size would exceed ``ENUMERATION_CAP``.
     """
     n = p.size()
-    if n > cap:
-        raise EnumerationCapExceeded(f"pattern enumerates {n} values, cap is {cap}")
+    if n > ENUMERATION_CAP:
+        raise EnumerationCapExceeded(f"pattern enumerates {n} values, cap is {ENUMERATION_CAP}")
     weights = [BASE**j for j in range(p.k)]
     values = [0]
     for j in range(p.k):

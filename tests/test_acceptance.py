@@ -60,7 +60,7 @@ def _criterion(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-def _instance(k, cap=None):
+def _instance(k):
     return CoverInstance(k, enumerate_pattern(zero_one_pattern(k)))
 
 

@@ -1,9 +1,12 @@
+import argparse
 import json
+import time
 
 import pytest
 
+import complement_forge.catalog as catalog_module
 from complement_forge.catalog import Catalog, CatalogError, CatalogIntegrityError, PAPER_BLOCKS
-from complement_forge.cli import main
+from complement_forge.cli import build_parser, main
 from complement_forge.density import DensityParams
 from complement_forge.fractal import build_density_spec
 from complement_forge.solver import CoverInstance, exact_min_complement
@@ -50,6 +53,15 @@ def test_add_complement_rejects_thinned_base(catalog):
     with pytest.raises(CatalogError):
         catalog.add_complement(cert, source="solver")
     assert catalog.list_ids() == []
+
+
+def test_ensure_seeded_leaves_stored_entries_untouched(catalog, monkeypatch):
+    catalog.ensure_seeded()
+    before = {p.name: p.read_bytes() for p in catalog.entries_dir.iterdir()}
+    later = time.gmtime(time.time() + 86_400)
+    monkeypatch.setattr(catalog_module.time, "gmtime", lambda *_: later)
+    catalog.ensure_seeded()
+    assert {p.name: p.read_bytes() for p in catalog.entries_dir.iterdir()} == before
 
 
 def test_spec_round_trip(catalog):
@@ -157,3 +169,55 @@ def test_cli_spec_build_quadratic(catalog, capsys):
     out = capsys.readouterr().out
     assert "quadratic-a4-5-s3" in out
     assert run_cli("decompose", "--x", "0.2", "--spec", "quadratic-a4-5-s3", "--depth", "2") == 0
+
+
+def test_cli_massratio_rejects_empty_inputs(catalog, capsys):
+    assert run_cli("massratio", "--alpha", "0.8", "--samples", "0") == 2
+    assert "--samples" in capsys.readouterr().err
+    assert run_cli("massratio", "--alpha", "0.8", "--levels", "5:4") == 2
+    assert "--levels" in capsys.readouterr().err
+
+
+# -- parser surface: every flag a subcommand accepts is one it reads -------------
+
+SUBCOMMAND_FLAGS = {
+    "complement": {"--k", "--method", "--range", "--budget-nodes", "--budget-secs", "--out", "--format"},
+    "verify": {"--id", "--k", "--values", "--ternary", "--range", "--out", "--format"},
+    "gamma": {"--k", "--id", "--out", "--format"},
+    "spec-build": {"--kind", "--k", "--alpha", "--stages", "--out", "--format"},
+    "decompose": {"--x", "--spec", "--depth", "--out", "--format"},
+    "density": {"--alpha", "--n", "--out", "--format"},
+    "boxdim": {"--set", "--spec", "--alpha", "--depth", "--out", "--format"},
+    "netcheck": {"--trials", "--max-level", "--s", "--seed", "--out", "--format"},
+    "massratio": {"--alpha", "--levels", "--samples", "--seed", "--out", "--format"},
+    "report": {"--all", "--out", "--format"},
+}
+
+
+def test_cli_flags_per_subcommand():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert flags == SUBCOMMAND_FLAGS
+    assert sum(map(len, flags.values())) == 54
+    formats = {name: p._option_string_actions["--format"].choices for name, p in sub.choices.items()}
+    for name, choices in formats.items():
+        csv = ("csv",) if name in ("density", "boxdim") else ()
+        assert tuple(choices) == ("text", "json", *csv), name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gamma", "--k", "3", "--seed", "1"),
+        ("report", "--format", "csv"),
+        ("verify", "--k", "3", "--values", "0", "--budget-nodes", "5"),
+        ("complement", "--k", "3", "--enumeration-cap", "9"),
+    ],
+)
+def test_cli_rejects_flags_the_command_does_not_read(catalog, argv):
+    with pytest.raises(SystemExit) as ei:
+        run_cli(*argv)
+    assert ei.value.code == 2

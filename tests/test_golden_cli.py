@@ -13,14 +13,16 @@ Regenerate the golden files after an intended output change with
 import contextlib
 import io
 import os
+import shlex
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from complement_forge.cli import main
+from complement_forge.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 README_COMMANDS = [
     ("complement-k3-exact", ["complement", "--k", "3", "--method", "exact"]),
@@ -74,6 +76,20 @@ def test_readme_commands_match_golden(catalog_env, tmp_path, capsys):
     for name, code, out in _run_all(tmp_path, lambda: capsys.readouterr().out):
         assert code == 0, name
         assert out == (GOLDEN / name).read_text(), name
+
+
+def test_readme_command_lines_parse():
+    # README_COMMANDS above is copied by hand; this keeps the README itself
+    # from drifting away from the parser.
+    block = README.read_text().split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("complement-forge ")]
+    assert len(lines) == len(README_COMMANDS)
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def _regenerate() -> None:

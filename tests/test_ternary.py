@@ -62,7 +62,7 @@ def test_enumerate_pattern_size_and_cap():
         assert len(code) == p.size()
         assert all(p.contains(v) for v in code.values)
     with pytest.raises(EnumerationCapExceeded):
-        enumerate_pattern(zero_one_pattern(8), cap=100)
+        enumerate_pattern(zero_one_pattern(25))  # 2^25 values; raises before enumerating
 
 
 def test_sumset_examples():
