@@ -223,12 +223,16 @@ def _cmd_spec_build(args: argparse.Namespace) -> int:
     if args.kind == "uniform":
         if not args.k:
             raise _CliError("uniform specs need --k")
+        if args.alpha is not None or args.stages is not None:
+            raise _CliError("uniform specs take --k, not --alpha or --stages")
         spec = _uniform_spec(cat, args.k)
         name = f"uniform-k{args.k}"
         params_desc = None
     else:
         if not args.alpha or not args.stages:
             raise _CliError("quadratic specs need --alpha and --stages")
+        if args.k is not None:
+            raise _CliError("quadratic specs take --alpha and --stages, not --k")
         params = _alpha_params(args.alpha)
         spec = build_density_spec(params, args.stages)
         frac = params.alpha_fraction
@@ -290,7 +294,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
     r, s = dl.r, dl.s
     rebuilt = a_prefix_from_rational(r, s, n)
     agrees = rebuilt.bits == prefix.bits
-    enum = complement_enum(params, min(n, 10_000)) if params.d_exact != 1 else None
+    enum = complement_enum(params, min(n, 10_000))
     lines = [
         f"{params.describe()}  n={n}",
         f"|A ∩ [1,n]| = {prefix.count()}  density {float(prefix.density()):.6f} (D = {params.d_float:.6f})",
@@ -299,7 +303,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
         f"encoding: {dl.encoded}",
         f"encoding length {dl.length} <= 4 log3 n + c0 = {dl.bound:.2f}",
     ]
-    if enum is not None:
+    if not enum.empty:
         lines.append(f"complement shift t = {enum.t_shift}; n/u_n -> {enum.ratio(len(enum.elements)):.6f}")
     payload = {
         "command": "density",
@@ -312,7 +316,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
         "encoding": dl.encoded,
         "encoding_length": dl.length,
         "bound": dl.bound,
-        "t_shift": None if enum is None else enum.t_shift,
+        "t_shift": enum.t_shift,
     }
     cat = Catalog.default()
     cat.add_density(params, n, r, s, dl.length)
@@ -331,7 +335,7 @@ def _cmd_boxdim(args: argparse.Namespace) -> int:
         est = box_dim_estimate(lambda n: 2**n, range(1, min(depth, 512) + 1))
         target = cantor_dimension()
         label = "cantor"
-    elif args.spec:
+    elif args.spec is not None:
         cat = Catalog.default()
         spec = _resolve_spec(cat, args.spec)
         st = spec.stage_at(1)
@@ -341,7 +345,7 @@ def _cmd_boxdim(args: argparse.Namespace) -> int:
         est = box_dim_estimate(lambda i: len(st.code) ** i, [st.n * i for i in range(1, stages + 1)])
         target = st.gamma.value
         label = args.spec
-    elif args.alpha:
+    else:
         params = _alpha_params(args.alpha)
         report = box_dim_bound_ca(params, depth)
         lines = [
@@ -365,8 +369,6 @@ def _cmd_boxdim(args: argparse.Namespace) -> int:
         else:
             _emit(args, lines, payload)
         return EXIT_OK
-    else:
-        raise _CliError("need --set cantor, --spec NAME, or --alpha A")
     lines = [
         f"box-dimension estimates for {label}",
         f"final {est.final:.12g}  tail sup {est.tail_sup:.12g}  target {target:.12g}",
@@ -387,9 +389,10 @@ def _cmd_boxdim(args: argparse.Namespace) -> int:
 
 
 def _cmd_netcheck(args: argparse.Namespace) -> int:
-    exps = []
-    for part in args.s.split(","):
-        exps.append(Fraction(part.strip()))
+    try:
+        exps = [Fraction(part.strip()) for part in args.s.split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _CliError(f"bad --s {args.s!r}: {exc}")
     rng = random.Random(args.seed)
     trials = args.trials
     held = 0
@@ -588,9 +591,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("boxdim", help="box-counting dimension estimates")
-    p.add_argument("--set", choices=("cantor",), default=None)
-    p.add_argument("--spec", default=None)
-    p.add_argument("--alpha", default=None)
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--set", choices=("cantor",), default=None)
+    which.add_argument("--spec", default=None)
+    which.add_argument("--alpha", default=None)
     p.add_argument("--depth", type=int, required=True)
     _add_output(p, ("text", "json", "csv"))
     p.set_defaults(func=_cmd_boxdim)

@@ -1,15 +1,18 @@
 """The density set A = {floor(y/D) : y >= 1} and its succinct encoding.
 
 D is the density parameter (1 - alpha) / (log 2 / log 3).  For rational alpha
-short of 1, D is irrational (a rational multiple of log_2 3), so every floor
-and comparison here reduces to deciding inequalities between powers of 2 and
-powers of 3.  Those are settled exactly with integer arithmetic: for j >= 1,
-2^M > 3^j iff M >= (3^j).bit_length(), and equality is impossible.  A float
-estimate picks the candidate; the certified check confirms it; there is no
-precision cap to exhaust.
+short of 1, D = (P/Q) * log2 3 with 1 - alpha = P/Q is irrational, and every
+floor and comparison here goes through one exact primitive, floor(j * log2 3)
+for j >= 1.  Since 3^j is odd, j * log2 3 is never an integer, so the floor is
+settled by evaluating it closely enough: a double when its fractional part
+clears a margin that grows with the value, otherwise mpmath at doubling
+precision.  No power of 3 is ever built and no precision cap can run out.
 
-Rational D (for example D = 1 or D = 1/2, the degenerate corners) is supported
-directly with integer division.
+Each parameter form supplies just the two floor maps floor(y/D) and
+floor(u*D); membership in A, comparisons against 1/D, the complement shift and
+the D <= 1 check are all written once in terms of them.  Rational D (for
+example D = 1 or D = 1/2, the degenerate corners) is the second form, with
+integer division for both maps.
 """
 
 from __future__ import annotations
@@ -31,45 +34,35 @@ _LOG2_3 = math.log(3) / math.log(2)
 ENCODING_CONSTANT = 12
 
 
-def _bitlen_pow3(j: int) -> int:
-    """(3^j).bit_length(), i.e. floor(j * log2 3) + 1, certified exact.
+def _floor_log2_3(j: int) -> int:
+    """floor(j * log2 3) for j >= 1, exact.
 
-    Uses a float estimate and falls back to the exact power only when the
-    fractional part is too close to an integer to trust the float.
+    The double est = j * _LOG2_3 is within est * 2^-51 of the true value (the
+    constant is off by under an ulp and the product rounds once), so its floor
+    is trusted when the fractional part clears est * 2^-48.  That margin
+    reaches 1/2 near j = 2^47, beyond which the double cannot decide anything.
     """
-    if j < 0:
-        raise ValueError("exponent must be nonnegative")
-    if j == 0:
-        return 1
-    est = j * _LOG2_3
-    frac = est - math.floor(est)
-    # double-precision error here is ~2e-16 * est; 1e-6 is a generous margin
-    if 1e-6 < frac < 1 - 1e-6:
-        return int(est) + 1
-    return (3**j).bit_length()
+    if j < 1:
+        raise ValueError("exponent must be >= 1")
+    if j < 1 << 47:
+        est = j * _LOG2_3
+        floor = int(est)
+        margin = est * 2.0**-48
+        if margin < est - floor < 1 - margin:
+            return floor
+    from mpmath import mp
 
-
-def _pow2_gt_pow3(m: int, j: int) -> bool:
-    """Exact test 2^m > 3^j (j >= 0).  For j >= 1 equality cannot occur."""
-    if j == 0:
-        return m > 0
-    return m >= _bitlen_pow3(j)
-
-
-def _floor_log_ratio(m: int, n: int) -> int:
-    """floor(m*log 2 / (n*log 3)) for positive integers, exact.
-
-    This is the largest q with 3^(q*n) <= 2^m.
-    """
-    if m <= 0 or n <= 0:
-        raise ValueError("arguments must be positive")
-    q = int(m / (n * _LOG2_3))
-    # certify: 3^(q n) <= 2^m < 3^((q+1) n)
-    while q > 0 and not _pow2_gt_pow3(m, q * n):
-        q -= 1
-    while _pow2_gt_pow3(m, (q + 1) * n):
-        q += 1
-    return q
+    # mpf(j) is exact at this precision; the logs, product and quotient add at
+    # most 4 ulps, well inside the 2^8-ulp margin
+    prec = j.bit_length() + 64
+    while True:
+        with mp.workprec(prec):
+            est = mp.mpf(j) * mp.log(3) / mp.log(2)
+            floor = int(mp.floor(est))
+            margin = mp.ldexp(est, 8 - prec)
+            if margin < est - floor < 1 - margin:
+                return floor
+        prec *= 2
 
 
 @dataclass(frozen=True)
@@ -83,6 +76,9 @@ class DensityParams:
     * rational form: D itself an exact Fraction in (0, 1] (covers the
       boundary D = 1 and test corners like D = 1/2, whose alpha is
       irrational).
+
+    Only the two floor maps :meth:`floor_div` and :meth:`floor_mul` look at
+    the form; every other decision is written in terms of them.
     """
 
     one_minus_alpha: Optional[Fraction]
@@ -95,8 +91,8 @@ class DensityParams:
             pq = self.one_minus_alpha
             if pq <= 0:
                 raise ValueError("alpha = 1 gives density 0; the construction excludes it")
-            # D <= 1  <=>  (1 - alpha) <= log3(2)  <=>  3^P <= 2^Q
-            if _bitlen_pow3(pq.numerator) > pq.denominator:
+            # D <= 1  <=>  P log2 3 <= Q  <=>  floor(P log2 3) < Q
+            if _floor_log2_3(pq.numerator) >= pq.denominator:
                 raise ValueError("alpha below 1 - log3(2): density would exceed 1")
         else:
             d = self.d_exact
@@ -153,21 +149,31 @@ class DensityParams:
         if self.d_exact is not None:
             d = self.d_exact
             return y * d.denominator // d.numerator
-        # y/D = (y * Q * log 2) / (P * log 3) with 1 - alpha = P/Q
+        # with 1 - alpha = P/Q, floor(y/D) is the largest q with
+        # q P log2 3 < y Q, i.e. with floor(q P log2 3) < y Q
         pq = self.one_minus_alpha
-        return _floor_log_ratio(y * pq.denominator, pq.numerator)
+        bound = y * pq.denominator
+        q = int(bound / pq.numerator / _LOG2_3)
+        while q > 0 and _floor_log2_3(q * pq.numerator) >= bound:
+            q -= 1
+        while _floor_log2_3((q + 1) * pq.numerator) < bound:
+            q += 1
+        return q
+
+    def floor_mul(self, u: int) -> int:
+        """floor(u * D) for u >= 1, exact for both parameter forms."""
+        if u < 1:
+            raise ValueError("u must be >= 1")
+        if self.d_exact is not None:
+            d = self.d_exact
+            return u * d.numerator // d.denominator
+        # u*D = u P log2 3 / Q, and floor(x / Q) = floor(floor(x) / Q)
+        pq = self.one_minus_alpha
+        return _floor_log2_3(u * pq.numerator) // pq.denominator
 
     def fraction_le_inv_d(self, r: int, s: int) -> bool:
         """Exact test r/s <= 1/D (s >= 1)."""
-        if s < 1:
-            raise ValueError("denominator must be >= 1")
-        if self.d_exact is not None:
-            return Fraction(r, s) <= 1 / self.d_exact
-        if r <= 0:
-            return True
-        # r/s <= 1/D  <=>  3^(r P) <= 2^(s Q)
-        pq = self.one_minus_alpha
-        return s * pq.denominator >= _bitlen_pow3(r * pq.numerator)
+        return r <= self.floor_div(s)
 
     def a_elements(self, upto: int) -> Iterator[int]:
         """The elements of A in [1, upto], ascending (k_y = floor(y/D) is
@@ -183,20 +189,13 @@ class DensityParams:
     def shift_bound(self, u: int, n: int) -> int:
         """Least integer t with u <= (n + t)/(1 - D), for one complement element.
 
-        Requires D < 1.  Rearranged: t >= u*(1-D) - n.
+        Requires D < 1.  Rearranged: t >= u*(1-D) - n = u - n - u*D, whose
+        least integer solution is u - n - floor(u*D).
         """
-        if self.d_exact is not None:
-            d = self.d_exact
-            if d >= 1:
-                raise ValueError("complement is empty for D = 1")
-            val = u * (1 - d) - n
-            return math.ceil(val)
-        # 1 - D = (Q log 2 - P log 3)/(Q log 2); u(1-D) <= n + t
-        #   <=>  (u - n - t) Q log 2 <= u P log 3
-        #   <=>  t >= u - n - floor(u P log 3 / (Q log 2))   [exact via bit lengths]
-        pq = self.one_minus_alpha
-        b = _bitlen_pow3(u * pq.numerator) - 1  # floor(u P log2 3)
-        return u - n - b // pq.denominator
+        ud = self.floor_mul(u)
+        if ud == u:
+            raise ValueError("complement is empty for D = 1")
+        return u - n - ud
 
 
 # -- the characteristic prefix -------------------------------------------------
@@ -262,10 +261,6 @@ def best_rational(params: DensityParams, n: int) -> tuple[int, int]:
     """
     if n < 1:
         raise ValueError("denominator bound must be >= 1")
-    if params.d_exact is not None:
-        inv = 1 / params.d_exact
-        if inv.denominator <= n:
-            return inv.numerator, inv.denominator
     a0 = params.floor_div(1)  # floor(1/D)
     lo = (a0, 1)
     hi = (a0 + 1, 1)
@@ -426,7 +421,7 @@ def complement_enum(params: DensityParams, count: int) -> ComplementEnumeration:
     """Enumerate the first ``count`` complement elements and the minimal shift."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if params.d_exact == 1:
+    if params.floor_mul(1) == 1:  # D = 1: A is all of N
         return ComplementEnumeration(elements=(), t_shift=None, empty=True)
     out: list[int] = []
     prev = 0

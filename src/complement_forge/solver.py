@@ -109,9 +109,8 @@ class WitnessTable:
     def __getitem__(self, v: int) -> tuple[int, int]:
         if not 0 <= v < self._instance.target_size:
             raise KeyError(v)
-        sol = set(self._solution.values)
         for a in self._instance.base_set.values:
-            if v - a in sol:
+            if v - a in self._solution:
                 return (a, v - a)
         raise KeyError(f"{v} is not covered")
 

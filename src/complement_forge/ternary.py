@@ -15,6 +15,7 @@ Digit conventions, fixed once here:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -118,8 +119,6 @@ class BlockCode:
         return iter(self.values)
 
     def __contains__(self, v: int) -> bool:
-        import bisect
-
         i = bisect.bisect_left(self.values, v)
         return i < len(self.values) and self.values[i] == v
 

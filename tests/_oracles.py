@@ -30,17 +30,10 @@ def mp_floor_y_over_d(one_minus_alpha: Fraction, y: int, dps: int = 60) -> int:
 
 
 def scan_best_rational(params, n: int) -> tuple[int, int]:
-    """Largest r/s <= 1/D with s <= n by scanning every denominator."""
-    best = None
-    for s in range(1, n + 1):
-        r = 0
-        while params.fraction_le_inv_d(r + 1, s):
-            r += 1
-        if best is None or Fraction(r, s) > Fraction(*best):
-            best = (r, s)
-    assert best is not None
-    f = Fraction(*best)
-    return f.numerator, f.denominator
+    """Largest r/s <= 1/D with s <= n by scanning every denominator; the best
+    numerator for each s is floor(s/D) from the high-precision floor."""
+    best = max(Fraction(mp_floor_y_over_d(params.one_minus_alpha, s), s) for s in range(1, n + 1))
+    return best.numerator, best.denominator
 
 
 def all_dyadic_covers(

@@ -171,6 +171,18 @@ def test_cli_spec_build_quadratic(catalog, capsys):
     assert run_cli("decompose", "--x", "0.2", "--spec", "quadratic-a4-5-s3", "--depth", "2") == 0
 
 
+def test_cli_netcheck_rejects_zero_denominator(catalog, capsys):
+    assert run_cli("netcheck", "--s", "1/0", "--trials", "1") == 2
+    assert "--s" in capsys.readouterr().err
+
+
+def test_cli_spec_build_rejects_flags_of_the_other_kind(catalog, capsys):
+    assert run_cli("spec-build", "--kind", "uniform", "--k", "3", "--alpha", "0.8") == 2
+    assert run_cli("spec-build", "--kind", "uniform", "--k", "3", "--stages", "9") == 2
+    assert run_cli("spec-build", "--kind", "quadratic", "--alpha", "0.8", "--stages", "3", "--k", "3") == 2
+    assert "not --k" in capsys.readouterr().err
+
+
 def test_cli_massratio_rejects_empty_inputs(catalog, capsys):
     assert run_cli("massratio", "--alpha", "0.8", "--samples", "0") == 2
     assert "--samples" in capsys.readouterr().err
@@ -215,6 +227,9 @@ def test_cli_flags_per_subcommand():
         ("report", "--format", "csv"),
         ("verify", "--k", "3", "--values", "0", "--budget-nodes", "5"),
         ("complement", "--k", "3", "--enumeration-cap", "9"),
+        ("boxdim", "--set", "cantor", "--alpha", "0.8", "--depth", "5"),
+        ("boxdim", "--spec", "uniform-k3", "--alpha", "0.8", "--depth", "5"),
+        ("boxdim", "--set", "cantor", "--spec", "uniform-k3", "--depth", "5"),
     ],
 )
 def test_cli_rejects_flags_the_command_does_not_read(catalog, argv):

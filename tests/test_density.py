@@ -41,6 +41,35 @@ def test_floor_matches_high_precision_oracle():
             assert p.floor_div(y) == mp_floor_y_over_d(p.one_minus_alpha, y)
 
 
+def test_floor_at_eleven_digit_arguments():
+    # y/D for alpha = 2/3 lies 3e-11 above an integer here, and
+    # 19760456010 * log2 3 lies 4e-11 below one
+    p = DensityParams.from_alpha("2/3")
+    assert p.fraction_le_inv_d(19760456010, 10439860591) is True
+    assert p.floor_div(10439860591) == 19760456010
+
+
+def test_params_accept_density_just_below_one():
+    # P log2 3 < Q by 8e-5 with P ~ 5.4e12, so D = 1 - 1e-17
+    p = DensityParams.from_alpha(1 - Fraction(5406435358383, 8568997305610))
+    assert p.floor_div(1) == 1
+
+
+def test_floor_matches_oracle_at_large_numerators():
+    # floor(y/D) walks floor(j log2 3) at j = q P, here up to 10^15; the
+    # first case is the known near-integer one above
+    rng = random.Random(20)
+    cases = [(Fraction(1, 3), 10439860591)]
+    for _ in range(300):
+        num = rng.randint(1, 10**6)
+        den = rng.randint(math.ceil(num * math.log2(3)), 3 * num)
+        j_max = 10 ** rng.uniform(3, 15)
+        cases.append((Fraction(num, den), max(1, int(j_max * math.log2(3) / den))))
+    for one_minus_alpha, y in cases:
+        p = DensityParams.from_alpha(1 - one_minus_alpha)
+        assert p.floor_div(y) == mp_floor_y_over_d(one_minus_alpha, y)
+
+
 def test_a_prefix_examples():
     p1 = DensityParams.from_density(Fraction(1))
     assert a_prefix(p1, 12).members() == list(range(1, 13))
