@@ -393,6 +393,8 @@ def _cmd_netcheck(args: argparse.Namespace) -> int:
         exps = [Fraction(part.strip()) for part in args.s.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         raise _CliError(f"bad --s {args.s!r}: {exc}")
+    if args.trials < 1:
+        raise _CliError("need --trials >= 1")
     rng = random.Random(args.seed)
     trials = args.trials
     held = 0

@@ -2,44 +2,52 @@
 dyadic net measures, a weighted-cover inequality checker, and the
 mass-distribution ratio test.
 
-This is the one module that touches floating point, and only for reported
-estimates.  Every decision (cover minimization, hypothesis and conclusion
-inequalities, interval counting) runs in exact arithmetic: quantities of the
-form sum of rationals times 2^(i/q) are kept as coefficient vectors over the
-basis {2^(i/q)}, where comparisons either reduce to vector identity or are
-settled by escalating-precision evaluation (sound because the basis is
-linearly independent over the rationals, so unequal vectors denote unequal
-reals).
+Every decision of the net-measure and weighted-cover checks (cover
+minimization, hypothesis and conclusion inequalities, interval counting) is
+exact: sums of rationals times 2^(i/q) are coefficient vectors over the basis
+{2^(i/q)}, and each order comparison is the sign of such a vector, decided in
+integers by :meth:`Pow2Sum.sign`.  Floating point appears only in reported
+estimates and in ``mass_ratio``'s ``within_bound``, a float comparison with
+1e-9 slack.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, TextIO, Union
 
-from mpmath import mp
-
 from .density import ComplementEnumeration, DensityParams, complement_enum
 
 LEVEL_CAP = 24  # dyadic tree depth limit for exact net-measure work
-
-PRECISION_CAP = 2560  # bits; ceiling for exact-comparison escalation
-
-
-class PrecisionError(ArithmeticError):
-    """Escalation cap hit while separating two exact values (not expected)."""
 
 
 # -- exact values in Q(2^(1/q)) --------------------------------------------------
 
 
+def _floor_pow2(i: int, q: int, p: int) -> int:
+    """floor(2^(i/q + p)) for 0 <= i < q, p >= 0: the integer q-th root of
+    n = 2^(i + q*p).  Integer Newton steps never fall below the floor and
+    strictly decrease above it, so any start with x^q >= n is correct; the
+    double seed only saves steps (from 2^(p+1) Newton takes about q)."""
+    n = 1 << (i + q * p)
+    x = ((int(2 ** (i / q) * 2**52) + 4) << p >> 52) + 1
+    if x**q < n:
+        x = 2 << p
+    while True:
+        y = ((q - 1) * x + n // x ** (q - 1)) // q
+        if y >= x:
+            return x
+        x = y
+
+
 class Pow2Sum:
     """An exact value sum_i coeffs[i] * 2^(i/q) with rational coefficients.
 
-    The ring operations stay exact; order comparisons first test vector
-    equality (exactness) and otherwise evaluate with certified error bounds.
+    The ring operations stay exact, and order comparisons reduce to
+    :meth:`sign`, which is decided in integers.
     """
 
     __slots__ = ("q", "coeffs")
@@ -106,41 +114,32 @@ class Pow2Sum:
                 if not cj:
                     continue
                 d, r = divmod(i + j, a.q)
-                out[r] += ci * cj * (2**d if d >= 0 else Fraction(1, 2**-d))
+                out[r] += ci * cj * 2**d
         return Pow2Sum(a.q, out)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def sign(self) -> int:
-        if self.is_zero():
+        """-1, 0 or 1, decided in integers: over a common denominator the
+        coefficients are integers n_i, and sum n_i * floor(2^(i/q + p)) is
+        within sum |n_i| of the scaled value times 2^p.  The 2^(i/q) are
+        linearly independent over Q (x^q - 2 is Eisenstein), so a nonzero
+        vector has a nonzero value and doubling p always settles it."""
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        ns = [c.numerator * (den // c.denominator) for c in self.coeffs]
+        slack = sum(map(abs, ns))
+        if not slack:
             return 0
-        prec = 80
-        while prec <= PRECISION_CAP:
-            with mp.workprec(prec):
-                root = mp.root(2, self.q)
-                total = mp.mpf(0)
-                mag = mp.mpf(0)
-                for i, c in enumerate(self.coeffs):
-                    if not c:
-                        continue
-                    term = mp.mpf(c.numerator) / c.denominator * root**i
-                    total += term
-                    mag += abs(term)
-                # every mpf op is within 1 ulp; 2^8 covers the op-count factor
-                if abs(total) > mag * mp.mpf(2) ** (8 - prec):
-                    return 1 if total > 0 else -1
-            prec *= 2
-        raise PrecisionError("could not separate a nonzero algebraic value")
+        p = 32
+        while True:
+            total = sum(n * _floor_pow2(i, self.q, p) for i, n in enumerate(ns) if n)
+            if abs(total) >= slack:
+                return 1 if total > 0 else -1
+            p *= 2
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Pow2Sum):
             return NotImplemented
         a, b = self._common(self, other)
         return a.coeffs == b.coeffs
-
-    def __hash__(self):
-        raise TypeError("Pow2Sum is not hashable; compare values instead")
 
     def __lt__(self, other: "Pow2Sum") -> bool:
         return (self - other).sign() < 0
@@ -312,8 +311,6 @@ def net_measure(target: Sequence[DyadicInterval], t: Fraction, delta: Fraction) 
     allowed level, which is optimal for t <= 1: refining a tile multiplies the
     cost by 2^(1 - t) >= 1.
     """
-    import bisect
-
     t = Fraction(t)
     if not 0 <= t <= 1:
         raise ValueError("exponent t must lie in [0, 1]")
@@ -321,11 +318,9 @@ def net_measure(target: Sequence[DyadicInterval], t: Fraction, delta: Fraction) 
     if delta <= 0:
         raise ValueError("mesh must be positive")
     level, atoms = _atoms(target)
-    j_delta = 0
-    while Fraction(1, 2**j_delta) > delta:
-        j_delta += 1
-        if j_delta > 2 * LEVEL_CAP:
-            raise ValueError("mesh too fine for the supported level cap")
+    j_delta = (math.ceil(1 / delta) - 1).bit_length()  # least j with 2^-j <= delta
+    if j_delta > 2 * LEVEL_CAP:
+        raise ValueError("mesh too fine for the supported level cap")
 
     sorted_atoms = sorted(atoms)
 
@@ -535,6 +530,8 @@ def random_marstrand_trial(rng, max_level: int, s: Fraction) -> MarstrandReport:
     built from ancestors of its atoms plus noise intervals, random rational
     weights, and a random threshold.  The mix produces both hypothesis
     outcomes; whenever the hypothesis holds the conclusion must too."""
+    if not 2 <= max_level <= LEVEL_CAP:
+        raise ValueError(f"max_level must lie in [2, {LEVEL_CAP}], got {max_level}")
     level = rng.randint(2, max_level)
     universe = 2**level
     n_atoms = rng.randint(1, max(1, universe // 2))

@@ -21,8 +21,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .ternary import BASE, BlockCode, concat_codes, enumerate_pattern, zero_one_pattern
 
 log = logging.getLogger(__name__)
@@ -235,6 +233,8 @@ def greedy_complement(instance: CoverInstance) -> CoverCertificate:
     tie-break.  Total update work is |base| per (target, cover) incidence,
     which keeps k = 12 (half a million candidates) in seconds.
     """
+    import numpy as np
+
     size = instance.target_size
     n_cand = instance.hi - instance.lo
     base = np.array(instance.base_set.values, dtype=np.int64)

@@ -1,6 +1,10 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +180,14 @@ def test_cli_netcheck_rejects_zero_denominator(catalog, capsys):
     assert "--s" in capsys.readouterr().err
 
 
+def test_cli_netcheck_rejects_empty_inputs(catalog, capsys):
+    assert run_cli("netcheck", "--trials", "0") == 2
+    assert "--trials" in capsys.readouterr().err
+    for level in ("0", "1"):
+        assert run_cli("netcheck", "--max-level", level, "--trials", "1") == 2
+        assert "max_level" in capsys.readouterr().err
+
+
 def test_cli_spec_build_rejects_flags_of_the_other_kind(catalog, capsys):
     assert run_cli("spec-build", "--kind", "uniform", "--k", "3", "--alpha", "0.8") == 2
     assert run_cli("spec-build", "--kind", "uniform", "--k", "3", "--stages", "9") == 2
@@ -188,6 +200,17 @@ def test_cli_massratio_rejects_empty_inputs(catalog, capsys):
     assert "--samples" in capsys.readouterr().err
     assert run_cli("massratio", "--alpha", "0.8", "--levels", "5:4") == 2
     assert "--levels" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_numpy_and_mpmath_unloaded():
+    # only the greedy solver and density's rare fallback need them, so every
+    # command pays for them only when it runs that code
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, complement_forge.cli; print(sorted({'numpy', 'mpmath'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # -- parser surface: every flag a subcommand accepts is one it reads -------------

@@ -8,6 +8,7 @@ import pytest
 from _oracles import oracle_net_measure
 from complement_forge.density import DensityParams, complement_enum
 from complement_forge.measure import (
+    LEVEL_CAP,
     DyadicInterval,
     FrequencyVector,
     Pow2Sum,
@@ -47,6 +48,17 @@ def test_pow2sum_order():
     assert floats == sorted(floats)
     for u, v in zip(vals, vals[1:]):
         assert u < v
+
+
+def test_pow2sum_sign_pell_pairs():
+    # a - b*sqrt(2) = +-1/(a + b*sqrt(2)) with a near 2^1300: the value is
+    # about 2^-1301 against coefficients of 1300 bits
+    for (a, b), norm in (((1, 1), -1), ((3, 2), 1)):
+        while a.bit_length() < 1300:
+            a, b = 3 * a + 4 * b, 2 * a + 3 * b
+        assert a * a - 2 * b * b == norm
+        assert Pow2Sum(2, [a, -b]).sign() == norm
+        assert Pow2Sum(2, [-a, b]).sign() == -norm
 
 
 # -- digit cancellation ------------------------------------------------------------
@@ -211,6 +223,13 @@ def test_marstrand_randomized_never_fails():
             held += 1
             assert rep.conclusion_ok, f"trial {i}: conclusion failed with hypothesis held"
     assert held > 20  # the generator must actually exercise the applicable case
+
+
+def test_random_marstrand_trial_rejects_levels_outside_the_cap():
+    # rng=None: the check must come before any sampling
+    for bad in (0, 1, LEVEL_CAP + 1, 30):
+        with pytest.raises(ValueError, match="max_level"):
+            random_marstrand_trial(None, bad, Fraction(1))
 
 
 def test_marstrand_square_family_shape():

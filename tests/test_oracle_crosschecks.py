@@ -85,11 +85,35 @@ def test_exact_signed_matches_exhaustive_minimum():
         assert cert.size == exhaustive_min_cover_size(inst)
 
 
+def cf_convergents(q, terms):
+    """Continued-fraction convergents h/k of 2^(1/q), from 100-digit mpmath."""
+    with mp.workdps(100):
+        x = mp.root(2, q)
+        h, h_prev, k, k_prev = 1, 0, 0, 1
+        for _ in range(terms):
+            a = int(mp.floor(x))
+            h, h_prev, k, k_prev = a * h + h_prev, h, a * k + k_prev, k
+            yield h, k
+            x = 1 / (x - a)
+
+
 def test_pow2sum_sign_against_high_precision():
     rng = random.Random(22)
+    cases = []
     for _ in range(60):
         q = rng.choice((1, 2, 3, 5, 10))
-        coeffs = [Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(q)]
+        cases.append((q, [Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(q)]))
+    for q in (30, 60):
+        for _ in range(10):
+            cases.append((q, [Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(q)]))
+    # near cancellation: 2^(j/q) * (h - k * 2^(1/q)) for convergents h/k
+    for q in (2, 3, 10, 30, 60):
+        for h, k in cf_convergents(q, 40):
+            j = rng.randrange(q - 1)
+            coeffs = [Fraction(0)] * q
+            coeffs[j], coeffs[j + 1] = Fraction(h), Fraction(-k)
+            cases.append((q, coeffs))
+    for q, coeffs in cases:
         v = Pow2Sum(q, coeffs)
         with mp.workdps(80):
             root = mp.root(2, q)
