@@ -2,10 +2,12 @@
 
 One JSON document per entry, in a content-addressed directory: the filename is
 a hash of the entry's identifying fields, so identical results land in the
-same file and any edit to a stored code is caught on load (the id stops
-matching, and so does the verification digest, which is recomputed only after
-the stored object re-verifies).  Writes go through a temp file and rename, so
-concurrent readers never see partial entries.
+same file and an edit to a stored entry is caught on load (the id stops
+matching).  Every entry is also re-verified on save and on load: its code or
+spec is rebuilt and checked, its printed gammas and density results are
+derived again, and an entry that fails raises.  A ``Catalog`` reads and
+checks its directory once; a write drops that list.  Writes go through a temp
+file and rename, so concurrent readers never see partial entries.
 
 The five published optimal block sets ship as seed entries (provenance
 "paper"), separated from anything the solvers discover.  Their optimality is
@@ -15,22 +17,24 @@ the literature.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import tempfile
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .density import DensityParams
+from .density import DensityParams, best_rational, encode_rsn
 from .fractal import FractalSpec, GammaValue, Stage
 from .solver import CoverCertificate, CoverInstance, ProductProbeReport, is_zero_one_base
 from .solver import product_probe as _probe
 from .solver import verify_complement
-from .ternary import BlockCode, PatternSet, TernaryInt, enumerate_pattern, zero_one_pattern
+from .ternary import BlockCode, PatternSet, TernaryInt, enumerate_pattern, zero_one_base
 
 SCHEMA_VERSION = 1
 ENV_CATALOG_DIR = "COMPLEMENT_FORGE_CATALOG"
@@ -52,7 +56,7 @@ class CatalogError(ValueError):
 
 
 class CatalogIntegrityError(CatalogError):
-    """Stored entry does not re-verify or its hashes do not match."""
+    """Stored entry does not re-verify or does not match its id."""
 
 
 def _canonical(obj) -> str:
@@ -64,7 +68,8 @@ def _hash(obj) -> str:
 
 
 def _core_fields(entry: dict) -> dict:
-    """The identity of an entry: everything except provenance and hashes."""
+    """The identity of an entry: everything except provenance and hashes
+    ("digest" is a field earlier versions wrote; excluding it keeps their ids)."""
     return {
         k: v
         for k, v in entry.items()
@@ -101,7 +106,7 @@ class Catalog:
         entry["schema_version"] = SCHEMA_VERSION
         entry_id = _hash(_core_fields(entry))[:16]
         entry["id"] = entry_id
-        entry["digest"] = self._digest(entry)
+        _verify(entry)
         path = self._path(entry_id)
         if path.exists():
             # The id hashes the core fields, so the stored file already holds
@@ -118,6 +123,7 @@ class Catalog:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+        self.__dict__.pop("_stored", None)  # the next entries() rescans
         return entry_id
 
     def load_entry(self, entry_id: str) -> dict:
@@ -127,8 +133,7 @@ class Catalog:
         entry = json.loads(path.read_text())
         if _hash(_core_fields(entry))[:16] != entry.get("id") or entry["id"] != entry_id:
             raise CatalogIntegrityError(f"entry {entry_id}: content does not match its id")
-        if self._digest(entry) != entry.get("digest"):
-            raise CatalogIntegrityError(f"entry {entry_id}: verification digest mismatch")
+        _verify(entry)
         return entry
 
     def list_ids(self) -> list[str]:
@@ -136,44 +141,13 @@ class Catalog:
             return []
         return sorted(p.stem for p in self.entries_dir.glob("*.json"))
 
+    @functools.cached_property
+    def _stored(self) -> list[dict]:
+        """Every stored entry, read and checked once per catalog object."""
+        return [self.load_entry(entry_id) for entry_id in self.list_ids()]
+
     def entries(self, kind: Optional[str] = None) -> list[dict]:
-        out = []
-        for entry_id in self.list_ids():
-            entry = self.load_entry(entry_id)
-            if kind is None or entry.get("kind") == kind:
-                out.append(entry)
-        return out
-
-    # -- verification digests --------------------------------------------------
-
-    def _digest(self, entry: dict) -> str:
-        """Hash of the re-verified payload; verification runs as a side effect,
-        so a digest only ever covers an object that checks out right now."""
-        kind = entry.get("kind")
-        if kind == "complement":
-            cert = _rebuild_complement(entry)
-            payload = {"kind": kind, "k": cert.instance.k, "values": list(cert.solution.values)}
-        elif kind == "spec":
-            spec = _rebuild_spec(entry)
-            payload = {
-                "kind": kind,
-                "name": entry["name"],
-                "stages": [
-                    {"n": st.n, "pattern": _pattern_json(st.pattern), "values": list(st.code.values)}
-                    for st in spec.stages
-                ],
-            }
-        elif kind == "density":
-            payload = {
-                "kind": kind,
-                "params": entry["params"],
-                "n": entry["n"],
-                "r": entry["r"],
-                "s": entry["s"],
-            }
-        else:
-            raise CatalogError(f"unknown entry kind {kind!r}")
-        return _hash(payload)
+        return [e for e in self._stored if kind is None or e.get("kind") == kind]
 
     # -- complements -------------------------------------------------------------
 
@@ -196,7 +170,7 @@ class Catalog:
             "values": list(cert.solution.values),
             "method": cert.method,
             "optimal": cert.optimal,
-            "gamma": {"card": cert.size, "k": k, "value": GammaValue(cert.size, k).value},
+            "gamma": _gamma_json(cert.size, k),
             "provenance": _provenance(source, budget),
         }
         return self.save_entry(entry)
@@ -223,7 +197,7 @@ class Catalog:
         """Install the published block sets (idempotent)."""
         ids = []
         for k, values in PAPER_BLOCKS.items():
-            inst = CoverInstance(k, enumerate_pattern(zero_one_pattern(k)))
+            inst = CoverInstance(k, zero_one_base(k))
             cert = verify_complement(inst, BlockCode(k, values), method="external")
             ids.append(self.add_complement(cert, source="paper"))
         return ids
@@ -241,7 +215,7 @@ class Catalog:
                     "n": st.n,
                     "pattern": _pattern_json(st.pattern),
                     "values": list(st.code.values),
-                    "gamma": {"card": len(st.code), "k": st.n, "value": st.gamma.value},
+                    "gamma": _gamma_json(len(st.code), st.n),
                 }
                 for st in spec.stages
             ],
@@ -284,7 +258,7 @@ class Catalog:
 
 
 def _provenance(source: str, budget: Optional[dict] = None) -> dict:
-    """Where an entry came from; kept out of its id and digest."""
+    """Where an entry came from; kept out of its id."""
     return {
         "source": source,
         "solver_version": __version__,
@@ -304,7 +278,7 @@ def _pattern_from_json(data: list[list[int]]) -> PatternSet:
 def _rebuild_complement(entry: dict) -> CoverCertificate:
     k = entry["k"]
     lo, hi = entry.get("range", [0, 3**k])
-    inst = CoverInstance(k, enumerate_pattern(zero_one_pattern(k)), lo=lo, hi=hi)
+    inst = CoverInstance(k, zero_one_base(k), lo=lo, hi=hi)
     code = BlockCode(k, tuple(entry["values"]))
     return verify_complement(inst, code, method=entry.get("method", "external"), optimal=entry.get("optimal", "unknown"))
 
@@ -317,6 +291,40 @@ def _rebuild_spec(entry: dict) -> FractalSpec:
         cert = verify_complement(inst, BlockCode(st["n"], tuple(st["values"])))
         stages.append(Stage(st["n"], pattern, cert))
     return FractalSpec(kind=entry["spec_kind"], stages=tuple(stages))
+
+
+def _gamma_json(card: int, k: int) -> dict:
+    return {"card": card, "k": k, "value": GammaValue(card, k).value}
+
+
+def _params_from_description(text: str) -> DensityParams:
+    """Invert ``DensityParams.describe``: its ``alpha=P/Q`` or ``D=P/Q``
+    prefix is exact; the bracketed float after it is only a view."""
+    name, _, value = text.partition(" ")[0].partition("=")
+    if name == "alpha":
+        return DensityParams.from_alpha(Fraction(value))
+    if name == "D":
+        return DensityParams.from_density(Fraction(value))
+    raise CatalogIntegrityError(f"unreadable density parameters {text!r}")
+
+
+def _verify(entry: dict) -> None:
+    """Rebuild what an entry stores and derive again what it prints; raise
+    CatalogIntegrityError (or the rebuild's own error) if anything is off."""
+    kind = entry.get("kind")
+    if kind == "complement":
+        _rebuild_complement(entry)
+        ok = entry["gamma"] == _gamma_json(len(entry["values"]), entry["k"])
+    elif kind == "spec":
+        _rebuild_spec(entry)
+        ok = all(st["gamma"] == _gamma_json(len(st["values"]), st["n"]) for st in entry["stages"])
+    elif kind == "density":
+        r, s = best_rational(_params_from_description(entry["params"]), entry["n"])
+        ok = (entry["r"], entry["s"]) == (r, s) and entry["encoding_length"] == len(encode_rsn(r, s, entry["n"]))
+    else:
+        raise CatalogError(f"unknown entry kind {kind!r}")
+    if not ok:
+        raise CatalogIntegrityError(f"entry {entry['id']}: stored {kind} results do not re-derive")
 
 
 def block_string(value: int, k: int) -> str:

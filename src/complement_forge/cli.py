@@ -39,14 +39,7 @@ from .solver import (
     greedy_complement,
     verify_complement,
 )
-from .ternary import (
-    BlockCode,
-    TernaryRational,
-    cantor_dimension,
-    enumerate_pattern,
-    value_of,
-    zero_one_pattern,
-)
+from .ternary import BlockCode, TernaryRational, cantor_dimension, value_of, zero_one_base
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -84,7 +77,7 @@ def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict) -> Non
 
 
 def _instance(k: int, rng: str) -> CoverInstance:
-    base = enumerate_pattern(zero_one_pattern(k))
+    base = zero_one_base(k)
     if rng == "signed":
         return CoverInstance.signed(k, base)
     return CoverInstance(k, base)

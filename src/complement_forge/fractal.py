@@ -31,6 +31,7 @@ from .ternary import (
     TernaryRational,
     enumerate_pattern,
     cantor_dimension,
+    zero_one_base,
     zero_one_pattern,
 )
 
@@ -123,13 +124,11 @@ def _ensure_zero(cert: CoverCertificate) -> CoverCertificate:
 
 def build_uniform_spec(k: int, cert: CoverCertificate) -> FractalSpec:
     """Uniform spec repeating (k, code) over the {0,1} base pattern."""
-    pattern = zero_one_pattern(k)
-    expected = enumerate_pattern(pattern)
-    if cert.instance.base_set != expected:
+    if cert.instance.base_set != zero_one_base(k):
         raise ValueError("certificate base set is not the {0,1} pattern at this length")
     if not cert.verify():
         raise ValueError("certificate does not re-verify")
-    return FractalSpec(kind="uniform", stages=(Stage(k, pattern, _ensure_zero(cert)),))
+    return FractalSpec(kind="uniform", stages=(Stage(k, zero_one_pattern(k), _ensure_zero(cert)),))
 
 
 def build_density_spec(params: DensityParams, stages: int) -> FractalSpec:

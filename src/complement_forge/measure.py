@@ -117,23 +117,29 @@ class Pow2Sum:
                 out[r] += ci * cj * 2**d
         return Pow2Sum(a.q, out)
 
-    def sign(self) -> int:
-        """-1, 0 or 1, decided in integers: over a common denominator the
-        coefficients are integers n_i, and sum n_i * floor(2^(i/q + p)) is
-        within sum |n_i| of the scaled value times 2^p.  The 2^(i/q) are
+    def _scaled_sum(self, margin: int) -> tuple[int, int, int]:
+        """Integers (total, den, p) with total = sum n_i * floor(2^(i/q + p)),
+        where den is the common denominator and n_i the integer coefficients
+        over it: total is within sum |n_i| of the value times den * 2^p.  p
+        doubles from 32 until |total| >= margin * sum |n_i|.  The 2^(i/q) are
         linearly independent over Q (x^q - 2 is Eisenstein), so a nonzero
-        vector has a nonzero value and doubling p always settles it."""
+        vector has a nonzero value and the doubling ends; the zero vector
+        gives total 0."""
         den = math.lcm(*(c.denominator for c in self.coeffs))
         ns = [c.numerator * (den // c.denominator) for c in self.coeffs]
         slack = sum(map(abs, ns))
-        if not slack:
-            return 0
         p = 32
         while True:
             total = sum(n * _floor_pow2(i, self.q, p) for i, n in enumerate(ns) if n)
-            if abs(total) >= slack:
-                return 1 if total > 0 else -1
+            if abs(total) >= margin * slack:
+                return total, den, p
             p *= 2
+
+    def sign(self) -> int:
+        """-1, 0 or 1, decided in integers: once |total| >= sum |n_i| the
+        value has the sign of total."""
+        total = self._scaled_sum(1)[0]
+        return (total > 0) - (total < 0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Pow2Sum):
@@ -148,8 +154,10 @@ class Pow2Sum:
         return (self - other).sign() <= 0
 
     def __float__(self) -> float:
-        root = 2.0 ** (1.0 / self.q)
-        return float(sum(float(c) * root**i for i, c in enumerate(self.coeffs)))
+        """The nearest double, up to a relative 2^-54 before rounding: total
+        is within 2^-54 |total| of the value times den * 2^p."""
+        total, den, p = self._scaled_sum(1 << 54)
+        return float(Fraction(total, den << p))
 
     def __repr__(self) -> str:
         return f"Pow2Sum(~{float(self):.6g})"

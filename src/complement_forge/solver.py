@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .ternary import BASE, BlockCode, concat_codes, enumerate_pattern, zero_one_pattern
+from .ternary import BASE, BlockCode, concat_codes, zero_one_base
 
 log = logging.getLogger(__name__)
 
@@ -292,8 +292,9 @@ def exact_min_complement(
     independent-values bound (targets no single translate can cover together
     force distinct picks), dominance elimination inside a branch, and sibling
     bans (a candidate whose subtree is exhausted cannot reappear later at the
-    same node); periodic greedy rollouts supply incumbents.  The search order
-    is fixed and budgets count nodes, so results are reproducible.
+    same node).  The greedy cover (or ``initial``, if smaller) is the first
+    incumbent.  The search order is fixed and budgets count nodes, so results
+    are reproducible.
 
     Budget exhaustion is not an error: the certificate carries the best
     solution found with optimal="unknown" and stats.budget_exhausted set.
@@ -347,28 +348,6 @@ def exact_min_complement(
             s &= ~union_of[v]
         return max(counting, indep)
 
-    def rollout(uncovered: int, count: int, limit: int) -> tuple[int, list[int]] | None:
-        """Greedy completion from a partial state; returns (size, picks) if it
-        beats ``limit``.  Upper-bound heuristic only, so it may use any
-        translate regardless of sibling bans."""
-        picks: list[int] = []
-        while uncovered:
-            count += 1
-            if count >= limit:
-                return None
-            v = (uncovered & -uncovered).bit_length() - 1
-            best = None
-            for b, c in cands_of[v]:
-                cu = c & uncovered
-                key = (-cu.bit_count(), b)
-                if best is None or key < best[0]:
-                    best = (key, b, cu)
-            if best is None:
-                return None
-            picks.append(best[1])
-            uncovered &= ~best[2]
-        return count, picks
-
     start = greedy_complement(instance)
     best_sol = list(start.solution.values)
     if initial is not None and len(initial) < len(best_sol):
@@ -396,13 +375,6 @@ def exact_min_complement(
             return
         if len(chosen) + lower_bound(uncovered) >= best_size:
             return
-        if stats.nodes % 64 == 0:
-            done = rollout(uncovered, len(chosen), best_size)
-            if done is not None:
-                best_size = done[0]
-                best_sol = sorted(chosen + done[1])
-                if len(chosen) + lower_bound(uncovered) >= best_size:
-                    return
         v = (uncovered & -uncovered).bit_length() - 1
         cands = []
         for b, c in cands_of[v]:
@@ -453,7 +425,7 @@ def exact_min_complement(
 def is_zero_one_base(instance: CoverInstance) -> bool:
     """Whether the base set is the {0,1} pattern at block length k, the only
     base the published minima and the catalog's complement entries refer to."""
-    return instance.base_set == enumerate_pattern(zero_one_pattern(instance.k))
+    return instance.base_set == zero_one_base(instance.k)
 
 
 # -- product probing ----------------------------------------------------------
@@ -489,7 +461,7 @@ def product_probe(
     k = product.k
     if reference.k != k:
         raise ValueError(f"reference code has block length {reference.k}, expected {k}")
-    inst = CoverInstance(k, enumerate_pattern(zero_one_pattern(k)))
+    inst = CoverInstance(k, zero_one_base(k))
     covers = not uncovered_values(inst, product)
     return ProductProbeReport(
         k1=code_a.k,

@@ -16,6 +16,7 @@ Digit conventions, fixed once here:
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -187,6 +188,13 @@ def enumerate_pattern(p: PatternSet) -> BlockCode:
         choices = sorted(p.allowed[j])
         values = [v + d * weights[j] for v in values for d in choices]
     return BlockCode(p.k, tuple(sorted(values)))
+
+
+@functools.cache
+def zero_one_base(k: int) -> BlockCode:
+    """The values of the {0,1} pattern at block length k, the base set of every
+    complement the paper and the catalog refer to; built once per k."""
+    return enumerate_pattern(zero_one_pattern(k))
 
 
 def sumset(a: BlockCode, b: BlockCode) -> BlockCode:

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import json
 import os
 import subprocess
@@ -11,10 +12,10 @@ import pytest
 import complement_forge.catalog as catalog_module
 from complement_forge.catalog import Catalog, CatalogError, CatalogIntegrityError, PAPER_BLOCKS
 from complement_forge.cli import build_parser, main
-from complement_forge.density import DensityParams
+from complement_forge.density import DensityParams, description_length
 from complement_forge.fractal import build_density_spec
-from complement_forge.solver import CoverInstance, exact_min_complement
-from complement_forge.ternary import PatternSet, enumerate_pattern, zero_one_pattern
+from complement_forge.solver import CoverInstance, CoverVerificationError, exact_min_complement, verify_complement
+from complement_forge.ternary import BlockCode, PatternSet, enumerate_pattern, zero_one_pattern
 
 
 @pytest.fixture()
@@ -66,6 +67,102 @@ def test_ensure_seeded_leaves_stored_entries_untouched(catalog, monkeypatch):
     monkeypatch.setattr(catalog_module.time, "gmtime", lambda *_: later)
     catalog.ensure_seeded()
     assert {p.name: p.read_bytes() for p in catalog.entries_dir.iterdir()} == before
+
+
+def _forge(catalog, entry_id, edit):
+    """Rewrite a stored entry through ``edit`` under the id its new content
+    hashes to, as a careful forger would; returns that id."""
+    data = json.loads(catalog._path(entry_id).read_text())
+    edit(data)
+    data["id"] = catalog_module._hash(catalog_module._core_fields(data))[:16]
+    catalog._path(data["id"]).write_text(json.dumps(data))
+    return data["id"]
+
+
+def test_load_reverifies_an_entry_with_a_consistent_id(catalog):
+    entry_id = catalog.ensure_seeded()[2]  # B3
+    forged = _forge(catalog, entry_id, lambda d: d.update(values=[0, 2, 7, 12]))
+    with pytest.raises(CoverVerificationError):
+        catalog.load_entry(forged)
+
+
+# The k=1 seed entry exactly as an earlier version wrote it, digest field included.
+EARLIER_K1_ENTRY = {
+    "digest": "63add19b40f170a4d7f869da6f78c01bfae4903a53256f970e83ea8d951a61b8",
+    "gamma": {"card": 2, "k": 1, "value": 0.6309297535714574},
+    "id": "a2af69a0aef6f2dd",
+    "k": 1,
+    "kind": "complement",
+    "method": "external",
+    "optimal": "unknown",
+    "provenance": {"budget": None, "solver_version": "0.1.0", "source": "paper", "timestamp": "2026-10-18T05:28:13Z"},
+    "range": [0, 3],
+    "schema_version": 1,
+    "values": [0, 1],
+}
+
+
+def test_entry_written_with_a_digest_keeps_its_id(catalog):
+    catalog.entries_dir.mkdir(parents=True)
+    catalog._path("a2af69a0aef6f2dd").write_text(json.dumps(EARLIER_K1_ENTRY))
+    assert catalog.load_entry("a2af69a0aef6f2dd") == EARLIER_K1_ENTRY
+    assert catalog.ensure_seeded()[0] == "a2af69a0aef6f2dd"
+    assert json.loads(catalog._path("a2af69a0aef6f2dd").read_text()) == EARLIER_K1_ENTRY
+
+
+def test_load_rederives_stored_gammas(catalog, capsys):
+    entry_id = catalog.ensure_seeded()[3]  # B4
+    forged = _forge(catalog, entry_id, lambda d: d["gamma"].update(value=0.123))
+    with pytest.raises(CatalogIntegrityError):
+        catalog.load_entry(forged)
+    assert run_cli("gamma", "--id", forged) == 2
+    assert "0.123" not in capsys.readouterr().out
+    catalog._path(forged).unlink()
+    run_cli("spec-build", "--kind", "uniform", "--k", "3")
+    spec_id = catalog.find_spec("uniform-k3")["id"]
+    forged = _forge(catalog, spec_id, lambda d: d["stages"][0]["gamma"].update(card=4))
+    with pytest.raises(CatalogIntegrityError):
+        catalog.load_entry(forged)
+
+
+def test_density_results_rederive_on_save_and_load(catalog):
+    params = DensityParams.from_alpha("4/5")
+    with pytest.raises(CatalogIntegrityError):
+        catalog.add_density(params, n=1000, r=1, s=1, length=7)
+    assert catalog.list_ids() == []
+    dl = description_length(params, 1000)
+    entry_id = catalog.add_density(params, 1000, dl.r, dl.s, dl.length)
+    assert catalog.load_entry(entry_id)["r"] == dl.r
+    for edit in (lambda d: d.update(r=d["r"] - 1), lambda d: d.update(encoding_length=7)):
+        with pytest.raises(CatalogIntegrityError):
+            catalog.load_entry(_forge(catalog, entry_id, edit))
+    half = DensityParams.from_density("1/2")
+    dl = description_length(half, 50)
+    assert catalog.load_entry(catalog.add_density(half, 50, dl.r, dl.s, dl.length))["params"].startswith("D=1/2 ")
+
+
+def test_report_loads_each_entry_at_most_once(catalog, monkeypatch, capsys):
+    catalog.ensure_seeded()
+    for k in (3, 4):
+        inst = CoverInstance(k, enumerate_pattern(zero_one_pattern(k)))
+        catalog.add_complement(exact_min_complement(inst), source="solver")
+        for extra in range(1, 4):
+            code = BlockCode.from_iterable(k, PAPER_BLOCKS[k] + (extra,))
+            catalog.add_complement(verify_complement(inst, code), source="test")
+    run_cli("spec-build", "--kind", "uniform", "--k", "3")
+    run_cli("density", "--alpha", "0.8", "--n", "100")
+    stored = catalog.list_ids()
+    loads = collections.Counter()
+    load_entry = Catalog.load_entry
+
+    def counting_load(self, entry_id):
+        loads[entry_id] += 1
+        return load_entry(self, entry_id)
+
+    monkeypatch.setattr(Catalog, "load_entry", counting_load)
+    assert run_cli("report", "--all") == 0
+    assert set(loads) <= set(stored) and max(loads.values()) == 1
+    assert "B2 x B3: size 15 vs best 14" in capsys.readouterr().out
 
 
 def test_spec_round_trip(catalog):

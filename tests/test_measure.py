@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -51,14 +52,21 @@ def test_pow2sum_order():
 
 
 def test_pow2sum_sign_pell_pairs():
-    # a - b*sqrt(2) = +-1/(a + b*sqrt(2)) with a near 2^1300: the value is
-    # about 2^-1301 against coefficients of 1300 bits
-    for (a, b), norm in (((1, 1), -1), ((3, 2), 1)):
-        while a.bit_length() < 1300:
+    # a - b*sqrt(2) = norm/(a + b*sqrt(2)) with a near 2^bits: the value is
+    # about 2^-(bits+1) against coefficients of that many bits
+    for bits, ((a, b), norm) in itertools.product((30, 1300), (((1, 1), -1), ((3, 2), 1))):
+        while a.bit_length() < bits:
             a, b = 3 * a + 4 * b, 2 * a + 3 * b
         assert a * a - 2 * b * b == norm
-        assert Pow2Sum(2, [a, -b]).sign() == norm
+        x = Pow2Sum(2, [a, -b])
+        assert x.sign() == norm
         assert Pow2Sum(2, [-a, b]).sign() == -norm
+        # a + b*sqrt(2) = 2a - norm/(a + b*sqrt(2)) ~ 2a - norm/(2a), to 4x the bits
+        value = Fraction(norm, 2 * a - Fraction(norm, 2 * a))
+        scaled = x.scale(2 ** a.bit_length())  # an O(1) value: float and repr stay finite
+        for v, exact in ((x, value), (scaled, value * 2 ** a.bit_length())):
+            assert float(v) == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+            assert repr(v) == f"Pow2Sum(~{float(exact):.6g})"
 
 
 # -- digit cancellation ------------------------------------------------------------

@@ -14,6 +14,7 @@ from complement_forge.ternary import (
     enumerate_pattern,
     sumset,
     value_of,
+    zero_one_base,
     zero_one_pattern,
 )
 
@@ -46,6 +47,7 @@ def test_ternary_int_bounds():
 def test_enumerate_pattern_examples():
     c3 = enumerate_pattern(zero_one_pattern(3))
     assert c3.values == (0, 1, 3, 4, 9, 10, 12, 13)
+    assert zero_one_base(3) == c3 and zero_one_base(3) is zero_one_base(3)
     single = enumerate_pattern(PatternSet.uniform(2, (0,)))
     assert single.values == (0,)
     # {0,1} allowed at positions 0 and 2 only
