@@ -5,8 +5,9 @@ a hash of the entry's identifying fields, so identical results land in the
 same file and an edit to a stored entry is caught on load (the id stops
 matching).  Every entry is also re-verified on save and on load: its code or
 spec is rebuilt and checked, its printed gammas and density results are
-derived again, and an entry that fails raises.  A ``Catalog`` reads and
-checks its directory once; a write drops that list.  Writes go through a temp
+derived again.  Loading a failing entry by id raises; a scan of the
+directory skips it with a warning on stderr.  A ``Catalog`` reads and checks
+its directory once; a write drops that list.  Writes go through a temp
 file and rename, so concurrent readers never see partial entries.
 
 The five published optimal block sets ship as seed entries (provenance
@@ -21,6 +22,7 @@ import functools
 import hashlib
 import json
 import os
+import sys
 import tempfile
 import time
 from dataclasses import dataclass
@@ -143,8 +145,17 @@ class Catalog:
 
     @functools.cached_property
     def _stored(self) -> list[dict]:
-        """Every stored entry, read and checked once per catalog object."""
-        return [self.load_entry(entry_id) for entry_id in self.list_ids()]
+        """Every stored entry that passes its checks, read and checked once per
+        catalog object.  An entry that fails is left out with one warning on
+        stderr, so one bad file does not stop every scan; ``load_entry``
+        still refuses it by id."""
+        stored = []
+        for entry_id in self.list_ids():
+            try:
+                stored.append(self.load_entry(entry_id))
+            except (ValueError, KeyError, TypeError) as exc:
+                print(f"warning: skipping catalog entry {entry_id}: {exc}", file=sys.stderr)
+        return stored
 
     def entries(self, kind: Optional[str] = None) -> list[dict]:
         return [e for e in self._stored if kind is None or e.get("kind") == kind]

@@ -160,7 +160,38 @@ class Pow2Sum:
         return float(Fraction(total, den << p))
 
     def __repr__(self) -> str:
-        return f"Pow2Sum(~{float(self):.6g})"
+        total, den, p = self._scaled_sum(1 << 54)
+        return f"Pow2Sum(~{_format_g6(total, den << p)})"
+
+
+def _format_g6(n: int, d: int) -> str:
+    """n/d (d > 0) as ``format(x, ".6g")`` writes a double x, but rounded
+    half-even from the exact fraction, so no magnitude overflows or
+    underflows."""
+    if n == 0:
+        return "0"
+    sign, n = ("-" if n < 0 else ""), abs(n)
+
+    def at_least(e: int) -> bool:  # n/d >= 10^e
+        return n * 10 ** max(-e, 0) >= d * 10 ** max(e, 0)
+
+    e = (n.bit_length() - d.bit_length()) * 30103 // 100000  # near floor(log10(n/d))
+    while not at_least(e):
+        e -= 1
+    while at_least(e + 1):
+        e += 1
+    num, den = n * 10 ** max(5 - e, 0), d * 10 ** max(e - 5, 0)
+    m, r = divmod(num, den)  # m = the six leading digits
+    if 2 * r > den or (2 * r == den and m & 1):
+        m += 1
+    if m == 10**6:
+        m, e = 10**5, e + 1
+    digits = str(m)
+    if -4 <= e < 6:
+        fixed = digits[: e + 1] + "." + digits[e + 1 :] if e >= 0 else "0." + "0" * (-e - 1) + digits
+        return sign + fixed.rstrip("0").rstrip(".")
+    mantissa = (digits[0] + "." + digits[1:]).rstrip("0").rstrip(".")
+    return f"{sign}{mantissa}e{'-' if e < 0 else '+'}{abs(e):02d}"
 
 
 Weight = Union[Fraction, int, Pow2Sum]

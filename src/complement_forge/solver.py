@@ -26,10 +26,10 @@ from .ternary import BASE, BlockCode, concat_codes, zero_one_base
 log = logging.getLogger(__name__)
 
 # Sizes the exact solver is never allowed to beat silently: a verified cover
-# smaller than these would contradict the published optimal listings and is
-# almost certainly a bug upstream, so it gets a loud diagnostic.
-KNOWN_MIN_SIZES = {1: 2, 2: 3, 3: 5, 4: 9}
-KNOWN_BEST_SIZES = {5: 14}
+# smaller than these would contradict the published optimal listings (and, for
+# k <= 5, this solver's own completed searches) and is almost certainly a bug
+# upstream, so it gets a loud diagnostic.
+KNOWN_MIN_SIZES = {1: 2, 2: 3, 3: 5, 4: 9, 5: 14}
 
 
 class CoverVerificationError(ValueError):
@@ -275,6 +275,119 @@ def greedy_size_bound(k: int) -> float:
     return 2.0 * (3.0 / 2.0) ** k * k * math.log(3) + 1.0
 
 
+# -- fractional-cover (LP-dual) bound -----------------------------------------
+
+#: W, the common denominator of the integer dual weights.
+DUAL_SCALE = 1 << 12
+_MWU_EPS = 0.1
+
+
+def _packing_counts(instance: CoverInstance, deadline: Optional[float]) -> Optional[list[int]]:
+    """Garg-Koenemann multiplicative weights for the packing LP
+    max sum y_v  s.t.  sum_{v in cov(b)} y_v <= 1  for every in-range b,
+    the dual of the covering LP.  Returns how often each target was raised
+    (y up to a common factor), or None once ``deadline`` passes.
+
+    The incidence is never stored: the translates covering v are v - base,
+    and their targets v - base + base, built per step as index arrays (an
+    out-of-range target goes to a sink slot past 3^k).  The floats only pass
+    through elementwise adds and multiplies, bincount's in-order sums, an
+    exactly rounded fsum and argmin (no BLAS, no libm), so the counts are the
+    same on every machine.
+    """
+    import numpy as np
+
+    size = instance.target_size
+    lo, hi = instance.lo, instance.hi
+    base = np.array(instance.base_set.values, dtype=np.int64)
+    rows_of = [r[(r >= lo) & (r < hi)] for r in (v - base for v in range(size))]
+    if not all(map(len, rows_of)):
+        raise InfeasibleCoverError("no translate covers some target")
+    used = np.zeros(hi - lo, dtype=bool)
+    used[np.concatenate(rows_of) - lo] = True
+    covering = int(np.count_nonzero(used))
+    # col[v] = sum of the lengths of the translates covering v; lengths start at 1
+    col = np.array([len(r) for r in rows_of], dtype=np.float64)
+    length = np.ones(hi - lo, dtype=np.float64)
+    total = float(covering)
+    # stop once sum(length) >= 1/delta, delta = (1+eps) * ((1+eps) m)^(-1/eps)
+    stop = 1.0 / (1.0 + _MWU_EPS)
+    for _ in range(round(1 / _MWU_EPS)):
+        stop *= (1.0 + _MWU_EPS) * covering
+    sink = np.uint64(size)
+    counts = [0] * size
+    steps = 0
+    while total < stop:
+        steps += 1
+        if deadline is not None and steps % 256 == 0 and time.perf_counter() > deadline:
+            return None
+        v = int(np.argmin(col))
+        counts[v] += 1
+        rows = rows_of[v]
+        inc = length[rows - lo] * _MWU_EPS
+        hit = np.minimum((rows[:, None] + base).view(np.uint64), sink).ravel()
+        col += np.bincount(hit, weights=np.repeat(inc, len(base)), minlength=size + 1)[:size]
+        length[rows - lo] += inc
+        total += math.fsum(inc.tolist())
+    return counts
+
+
+def bit_planes(weights: list[int]) -> list[tuple[int, int]]:
+    """(j, P_j) for every nonzero P_j, the bitset of targets whose weight has
+    bit j set, so sum_{v in U} w_v = sum_j 2^j popcount(U & P_j)."""
+    planes = []
+    for j in range(max(weights, default=0).bit_length()):
+        p = 0
+        for v, w in enumerate(weights):
+            if w >> j & 1:
+                p |= 1 << v
+        if p:
+            planes.append((j, p))
+    return planes
+
+
+def _weight_of(planes: list[tuple[int, int]], mask: int) -> int:
+    total = 0
+    for j, p in planes:
+        total += (mask & p).bit_count() << j
+    return total
+
+
+def gate_dual_weights(weights: list[int], coverages: list[int]) -> list[int]:
+    """The exact check that makes integer dual weights safe: the load
+    sum_{v in cov(b)} w_v of every translate's coverage bitset must be at
+    most W.  If the largest load L exceeds W, every weight becomes w*W // L,
+    after which no load exceeds W.  Only integers are involved, so no float
+    error upstream can make the resulting bound unsound."""
+    planes = bit_planes(weights)
+    heaviest = max((_weight_of(planes, c) for c in coverages), default=0)
+    if heaviest <= DUAL_SCALE:
+        return list(weights)
+    return [w * DUAL_SCALE // heaviest for w in weights]
+
+
+def dual_weights(
+    instance: CoverInstance, coverages: list[int], deadline: Optional[float] = None
+) -> Optional[list[int]]:
+    """Integer dual weights w_v over W with every translate's load at most W;
+    None once ``deadline`` passes.  The multiplicative-weights counts times W
+    go through the exact gate, which turns them into count_v * W // L, L the
+    largest count load: the largest feasible multiple of the counts.
+    ``coverages`` must hold the coverage bitset of every in-range translate
+    that covers some target."""
+    counts = _packing_counts(instance, deadline)
+    if counts is None:
+        return None
+    return gate_dual_weights([c * DUAL_SCALE for c in counts], coverages)
+
+
+def dual_bound(planes: list[tuple[int, int]], uncovered: int) -> int:
+    """ceil(sum_{v in uncovered} w_v / W).  A gated dual restricted to the
+    uncovered targets stays feasible, so this bounds the number of translates
+    any cover of them needs (LP duality: Lovasz 1975, Chvatal 1979)."""
+    return -(-_weight_of(planes, uncovered) // DUAL_SCALE)
+
+
 # -- exact minimal (branch and bound) -----------------------------------------
 
 
@@ -288,13 +401,16 @@ def exact_min_complement(
     Branches on the least uncovered target v: every solution must contain some
     b in {v - a : a in base_set} within range.  Candidates inside a branch are
     ordered by descending marginal coverage, then ascending value.  Pruning
-    combines the counting bound ceil(|uncovered| / |base_set|) with an
-    independent-values bound (targets no single translate can cover together
-    force distinct picks), dominance elimination inside a branch, and sibling
-    bans (a candidate whose subtree is exhausted cannot reappear later at the
-    same node).  The greedy cover (or ``initial``, if smaller) is the first
-    incumbent.  The search order is fixed and budgets count nodes, so results
-    are reproducible.
+    combines the counting bound ceil(|uncovered| / |base_set|) with the
+    fractional-cover bound ceil(sum of uncovered dual weights / W) (see
+    :func:`dual_weights`, computed once per call and gated in exact integers),
+    dominance elimination inside a branch, and sibling bans (a candidate whose
+    subtree is exhausted cannot reappear later at the same node).  The greedy
+    cover (or ``initial``, if smaller) is the first incumbent.  The search
+    order is fixed, the dual weights are machine-independent and budgets
+    count nodes, so results are reproducible.  The bounds only cut subtrees
+    that cannot beat the incumbent, so a tighter bound changes node counts
+    but never the cover a completed search returns.
 
     Budget exhaustion is not an error: the certificate carries the best
     solution found with optimal="unknown" and stats.budget_exhausted set.
@@ -311,21 +427,17 @@ def exact_min_complement(
     node_cap = budget.max_nodes
     time_cap = budget.max_seconds
 
-    # Per-target candidate tables, computed once.  cands_of[v] lists every
-    # in-range translate that covers v with its coverage bitset; union_of[v]
-    # is the union of those coverages, used by the independent-values bound:
-    # if v' is outside union_of[v], no single translate covers both, so v and
-    # v' force distinct picks.  The table itself costs 3^k * |base| bit work,
-    # so the time budget applies here too (large k falls back to greedy).
+    # Per-target candidate tables, computed once: cands_of[v] lists every
+    # in-range translate that covers v with its coverage bitset.  The table
+    # costs 3^k * |base| bit work, so the time budget applies here too (large
+    # k falls back to greedy), and to the dual weights after it.
     cands_of: list[tuple[tuple[int, int], ...]] = []
-    union_of: list[int] = []
     cov_cache: dict[int, int] = {}
     for v in range(size):
         if time_cap is not None and v % 256 == 0 and time.perf_counter() - t0 > time_cap:
             stats.budget_exhausted = True
             break
         row = []
-        u = 0
         for a in base_values:
             b = v - a
             if instance.lo <= b < instance.hi:
@@ -334,19 +446,7 @@ def exact_min_complement(
                     c = coverage_mask(instance, b, negs)
                     cov_cache[b] = c
                 row.append((b, c))
-                u |= c
         cands_of.append(tuple(row))
-        union_of.append(u)
-
-    def lower_bound(uncovered: int) -> int:
-        counting = -(-uncovered.bit_count() // base_len)
-        indep = 0
-        s = uncovered
-        while s:
-            v = (s & -s).bit_length() - 1
-            indep += 1
-            s &= ~union_of[v]
-        return max(counting, indep)
 
     start = greedy_complement(instance)
     best_sol = list(start.solution.values)
@@ -354,6 +454,15 @@ def exact_min_complement(
         verify_complement(instance, initial)
         best_sol = list(initial.values)
     best_size = len(best_sol)
+
+    planes: list[tuple[int, int]] = []
+    if not stats.budget_exhausted:
+        deadline = None if time_cap is None else t0 + time_cap
+        weights = dual_weights(instance, list(cov_cache.values()), deadline)
+        if weights is None:
+            stats.budget_exhausted = True
+        else:
+            planes = bit_planes(weights)
 
     offset = -instance.lo  # banned-translate bitset index
 
@@ -373,7 +482,8 @@ def exact_min_complement(
             best_sol = sorted(chosen)
             best_size = len(chosen)
             return
-        if len(chosen) + lower_bound(uncovered) >= best_size:
+        need = best_size - len(chosen)
+        if -(-uncovered.bit_count() // base_len) >= need or dual_bound(planes, uncovered) >= need:
             return
         v = (uncovered & -uncovered).bit_length() - 1
         cands = []
@@ -384,14 +494,16 @@ def exact_min_complement(
         cands.sort()
         # Drop dominated candidates: if b1's remaining coverage is contained
         # in b2's, any cover using b1 maps to one using b2 of the same size.
-        kept: list[tuple[int, int, int]] = []
-        for item in cands:
-            cu = item[2]
-            if not any(cu & ~k[2] == 0 for k in kept):
-                kept.append(item)
+        kept: list[tuple[int, int]] = []
+        for _, b, cu in cands:
+            for _, k in kept:
+                if not cu & ~k:
+                    break
+            else:
+                kept.append((b, cu))
         # Inclusion-exclusion: once the subtree containing b is exhausted,
         # every cover using b has been seen, so later siblings may ban it.
-        for _, b, c in kept:
+        for b, c in kept:
             chosen.append(b)
             search(uncovered & ~c, chosen, banned)
             chosen.pop()
@@ -401,6 +513,10 @@ def exact_min_complement(
 
     if not stats.budget_exhausted:
         search(full, [], 0)
+    # search's closure holds search itself; emptying that cell breaks the
+    # cycle, so the tables go with this frame instead of waiting for the
+    # cycle collector (which let every call's tables pile up).
+    del search
     stats.elapsed = time.perf_counter() - t0
 
     optimal = "unknown" if stats.budget_exhausted else "proven-optimal"
@@ -408,7 +524,7 @@ def exact_min_complement(
     cert = verify_complement(instance, code, method="exact", optimal=optimal)
     cert.stats = stats
 
-    known = KNOWN_MIN_SIZES.get(instance.k) or KNOWN_BEST_SIZES.get(instance.k)
+    known = KNOWN_MIN_SIZES.get(instance.k)
     if known is not None and cert.size < known and is_zero_one_base(instance):
         log.error(
             "exact solver found a verified size-%d cover at k=%d, below the published "

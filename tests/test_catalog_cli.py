@@ -125,6 +125,20 @@ def test_load_rederives_stored_gammas(catalog, capsys):
         catalog.load_entry(forged)
 
 
+def test_scans_skip_an_entry_that_fails_reverification(catalog, capsys):
+    entry_id = catalog.ensure_seeded()[3]  # B4
+    forged = _forge(catalog, entry_id, lambda d: d["gamma"].update(value=0.123))
+    assert run_cli("spec-build", "--kind", "uniform", "--k", "3") == 0
+    err = capsys.readouterr().err
+    assert err.count("warning") == 1 and forged in err
+    assert run_cli("gamma", "--k", "4") == 0
+    assert "0.123" not in capsys.readouterr().out
+    for cmd in (("gamma", "--id", forged), ("verify", "--id", forged)):
+        assert run_cli(*cmd) == 2
+    with pytest.raises(CatalogIntegrityError):
+        catalog.load_entry(forged)
+
+
 def test_density_results_rederive_on_save_and_load(catalog):
     params = DensityParams.from_alpha("4/5")
     with pytest.raises(CatalogIntegrityError):
@@ -300,14 +314,20 @@ def test_cli_massratio_rejects_empty_inputs(catalog, capsys):
 
 
 def test_cli_import_leaves_numpy_and_mpmath_unloaded():
-    # only the greedy solver and density's rare fallback need them, so every
-    # command pays for them only when it runs that code
+    # only the solvers and density's rare fallback need them, so every command
+    # pays for them only when it runs that code; the exact solver's dual
+    # weights come from numpy alone, so scipy is never loaded
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    code = "import sys, complement_forge.cli; print(sorted({'numpy', 'mpmath'} & set(sys.modules)))"
+    code = (
+        "import sys, complement_forge.cli as cli; print(sorted({'numpy', 'mpmath'} & set(sys.modules)));"
+        "from complement_forge import solver, ternary;"
+        "cert = solver.exact_min_complement(solver.CoverInstance(4, ternary.zero_one_base(4)));"
+        "print(cert.optimal, 'scipy' in sys.modules)"
+    )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n")[:2] == ["[]", "proven-optimal False"]
 
 
 # -- parser surface: every flag a subcommand accepts is one it reads -------------

@@ -1,3 +1,4 @@
+import decimal
 import io
 import itertools
 import math
@@ -66,7 +67,31 @@ def test_pow2sum_sign_pell_pairs():
         scaled = x.scale(2 ** a.bit_length())  # an O(1) value: float and repr stay finite
         for v, exact in ((x, value), (scaled, value * 2 ** a.bit_length())):
             assert float(v) == pytest.approx(float(exact), rel=1e-15, abs=0.0)
-            assert repr(v) == f"Pow2Sum(~{float(exact):.6g})"
+            # beyond the double range (x at 1300 bits underflows) repr keeps the value
+            shown = f"{float(exact):.6g}" if float(exact) else _sci6(exact)
+            assert repr(v) == f"Pow2Sum(~{shown})"
+        if bits == 1300:  # about 2^1299: beyond the double range, where float() overflows
+            big = x.scale(2**2600)
+            assert repr(big) == f"Pow2Sum(~{_sci6(value * 2**2600)})"
+
+
+def _sci6(x: Fraction) -> str:
+    """x to six significant digits in the scientific form of "%.6g", via decimal."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        d = decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
+    mantissa, _, exp = format(d, ".5e").partition("e")
+    return f"{mantissa.rstrip('0').rstrip('.')}e{int(exp):+03d}"
+
+
+def test_pow2sum_repr_matches_double_formatting():
+    rng = random.Random(11)
+    for _ in range(500):
+        x = rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 300)
+        c = Fraction(x)
+        assert repr(Pow2Sum.from_fraction(c)) == f"Pow2Sum(~{x:.6g})"
+    assert repr(Pow2Sum.zero()) == "Pow2Sum(~0)"
+    assert repr(Pow2Sum.from_fraction(Fraction(999_9995, 10))) == "Pow2Sum(~1e+06)"
 
 
 # -- digit cancellation ------------------------------------------------------------

@@ -6,11 +6,18 @@ import pytest
 from _oracles import brute_force_uncovered
 from complement_forge.catalog import PAPER_BLOCKS
 from complement_forge.solver import (
+    DUAL_SCALE,
+    KNOWN_MIN_SIZES,
     CoverInstance,
     CoverVerificationError,
     SolverBudget,
+    bit_planes,
     counting_lower_bound,
+    coverage_mask,
+    dual_bound,
+    dual_weights,
     exact_min_complement,
+    gate_dual_weights,
     greedy_complement,
     greedy_size_bound,
     product_probe,
@@ -105,6 +112,15 @@ def test_exact_small_k():
         assert cert.verify()
 
 
+def _coverages(inst):
+    return [coverage_mask(inst, b) for b in range(inst.lo, inst.hi)]
+
+
+def _root_dual_bound(inst):
+    weights = dual_weights(inst, _coverages(inst))
+    return dual_bound(bit_planes(weights), (1 << inst.target_size) - 1)
+
+
 def test_exact_leq_greedy_and_bounds():
     rng = random.Random(6)
     for _ in range(20):
@@ -117,7 +133,36 @@ def test_exact_leq_greedy_and_bounds():
         e = exact_min_complement(inst)
         assert e.size <= g.size
         assert e.size >= counting_lower_bound(inst)
+        assert e.size >= _root_dual_bound(inst)
         assert e.verify() and g.verify()
+
+
+def test_exact_node_counts_are_pinned():
+    # the counting and dual bounds are deterministic, so node counts are too
+    for signed, nodes in ((False, 127), (True, 5087)):
+        cert = exact_min_complement(c_instance(4, signed), SolverBudget(max_nodes=None, max_seconds=None))
+        assert (cert.size, cert.optimal, cert.stats.nodes) == (9, "proven-optimal", nodes)
+
+
+def _loads(weights, coverages):
+    return [sum(w for v, w in enumerate(weights) if c >> v & 1) for c in coverages]
+
+
+def test_dual_gate_rescales_overloaded_weights():
+    inst = c_instance(4)
+    covs = _coverages(inst)
+    full = (1 << inst.target_size) - 1
+    weights = dual_weights(inst, covs)
+    assert sum(weights) == 30393  # the same multiplicative-weights run on every machine
+    assert max(_loads(weights, covs)) <= DUAL_SCALE
+    assert dual_bound(bit_planes(weights), full) == 8
+    tampered = list(weights)
+    tampered[40] += DUAL_SCALE // 2
+    assert max(_loads(tampered, covs)) > DUAL_SCALE
+    gated = gate_dual_weights(tampered, covs)
+    assert max(_loads(gated, covs)) <= DUAL_SCALE
+    assert dual_bound(bit_planes(gated), full) <= KNOWN_MIN_SIZES[4]
+    assert gate_dual_weights(weights, covs) == weights  # feasible weights pass unchanged
 
 
 def test_exact_budget_exhaustion_is_not_an_error():
