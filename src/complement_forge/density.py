@@ -8,19 +8,28 @@ settled by evaluating it closely enough: a double when its fractional part
 clears a margin that grows with the value, otherwise mpmath at doubling
 precision.  No power of 3 is ever built and no precision cap can run out.
 
-Each parameter form supplies just the two floor maps floor(y/D) and
-floor(u*D); membership in A, comparisons against 1/D, the complement shift and
+Each parameter form supplies just the exact comparison u*D <= x and the floor
+map floor(u*D); floor(y/D), comparisons against 1/D, the complement shift and
 the D <= 1 check are all written once in terms of them.  Rational D (for
 example D = 1 or D = 1/2, the degenerate corners) is the second form, with
-integer division for both maps.
+integer arithmetic for both.
+
+A itself is never computed one floor(y/D) at a time.  Its consecutive
+elements k_y = floor(y/D) differ by a0 = floor(1/D) or a0 + 1, and the larger
+step is taken exactly when (k_y + a0 + 1)*D <= y + 1, so one comparison per
+element walks A in order (:meth:`DensityParams.a_walk`).  Every per-y loop
+(the prefix, the complement's gaps, the box-dimension sequence and the check
+of a rational encoding) consumes that walk.  Prefixes are byte bitmaps, bit
+m % 8 of byte m // 8 standing for position m, so a membership test is O(1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional
+from itertools import takewhile
+from typing import Callable, Iterator, Optional
 
 from .ternary import BASE, cantor_dimension, int_to_ternary
 
@@ -77,8 +86,9 @@ class DensityParams:
       boundary D = 1 and test corners like D = 1/2, whose alpha is
       irrational).
 
-    Only the two floor maps :meth:`floor_div` and :meth:`floor_mul` look at
-    the form; every other decision is written in terms of them.
+    Only the comparison u*D <= x (:meth:`le_d`) and the floor map
+    :meth:`floor_mul` look at the form; every other decision is written in
+    terms of them.
     """
 
     one_minus_alpha: Optional[Fraction]
@@ -91,8 +101,7 @@ class DensityParams:
             pq = self.one_minus_alpha
             if pq <= 0:
                 raise ValueError("alpha = 1 gives density 0; the construction excludes it")
-            # D <= 1  <=>  P log2 3 <= Q  <=>  floor(P log2 3) < Q
-            if _floor_log2_3(pq.numerator) >= pq.denominator:
+            if not self.le_d(1, 1):
                 raise ValueError("alpha below 1 - log3(2): density would exceed 1")
         else:
             d = self.d_exact
@@ -142,23 +151,40 @@ class DensityParams:
 
     # -- exact decisions -------------------------------------------------------
 
+    def _comparison(self) -> Callable[[int, int], bool]:
+        """The exact test (u, x) -> u*D <= x for u >= 1, with the form's
+        integers bound once so that a loop pays one call per test."""
+        if self.d_exact is not None:
+            num, den = self.d_exact.numerator, self.d_exact.denominator
+            return lambda u, x: u * num <= x * den
+        # u*D = u P log2 3 / Q with 1 - alpha = P/Q is irrational, so
+        # u*D <= x iff u P log2 3 < x Q iff floor(u P log2 3) < x Q
+        p, q = self.one_minus_alpha.numerator, self.one_minus_alpha.denominator
+        return lambda u, x: _floor_log2_3(u * p) < x * q
+
+    def le_d(self, u: int, x: int) -> bool:
+        """Exact test u*D <= x for u >= 0."""
+        return x >= 0 if u == 0 else self._comparison()(u, x)
+
     def floor_div(self, y: int) -> int:
-        """floor(y / D), exact for both parameter forms."""
+        """floor(y / D) for y >= 1: the largest q with q*D <= y."""
         if y < 1:
             raise ValueError("y must be >= 1")
-        if self.d_exact is not None:
-            d = self.d_exact
-            return y * d.denominator // d.numerator
-        # with 1 - alpha = P/Q, floor(y/D) is the largest q with
-        # q P log2 3 < y Q, i.e. with floor(q P log2 3) < y Q
-        pq = self.one_minus_alpha
-        bound = y * pq.denominator
-        q = int(bound / pq.numerator / _LOG2_3)
-        while q > 0 and _floor_log2_3(q * pq.numerator) >= bound:
-            q -= 1
-        while _floor_log2_3((q + 1) * pq.numerator) < bound:
-            q += 1
-        return q
+        # the double estimate is off by about y * 2^-50: gallop from it to a
+        # bracket lo*D <= y < hi*D, then bisect
+        lo = int(y / self.d_float)
+        hi, step = lo + 1, 1
+        while not self.le_d(lo, y):
+            lo, hi, step = max(0, lo - step), lo, 2 * step
+        while self.le_d(hi, y):
+            lo, hi, step = hi, hi + step, 2 * step
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self.le_d(mid, y):
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
     def floor_mul(self, u: int) -> int:
         """floor(u * D) for u >= 1, exact for both parameter forms."""
@@ -172,19 +198,27 @@ class DensityParams:
         return _floor_log2_3(u * pq.numerator) // pq.denominator
 
     def fraction_le_inv_d(self, r: int, s: int) -> bool:
-        """Exact test r/s <= 1/D (s >= 1)."""
-        return r <= self.floor_div(s)
+        """Exact test r/s <= 1/D (r >= 0, s >= 1)."""
+        return self.le_d(r, s)
 
-    def a_elements(self, upto: int) -> Iterator[int]:
-        """The elements of A in [1, upto], ascending (k_y = floor(y/D) is
-        strictly increasing since 1/D >= 1)."""
-        y = 1
+    def a_walk(self) -> Iterator[int]:
+        """The elements k_1 < k_2 < ... of A, without end.
+
+        k_y = floor(y/D) and 1/D >= 1, so k_{y+1} - k_y is a0 = floor(1/D)
+        or a0 + 1, the larger exactly when (k_y + a0 + 1)*D <= y + 1: one
+        comparison per element.
+        """
+        le_d = self._comparison()
+        a0 = self.floor_div(1)
+        k, y = a0, 1
         while True:
-            k = self.floor_div(y)
-            if k > upto:
-                return
             yield k
             y += 1
+            k += a0 + 1 if le_d(k + a0 + 1, y) else a0
+
+    def a_elements(self, upto: int) -> Iterator[int]:
+        """The elements of A in [1, upto], ascending."""
+        return takewhile(lambda k: k <= upto, self.a_walk())
 
     def shift_bound(self, u: int, n: int) -> int:
         """Least integer t with u <= (n + t)/(1 - D), for one complement element.
@@ -203,17 +237,24 @@ class DensityParams:
 
 @dataclass(frozen=True)
 class APrefix:
-    """Characteristic prefix of A over positions 1..n, held as a bitmask."""
+    """Characteristic prefix of A over positions 1..n, held as a byte bitmap:
+    position m is bit m % 8 of byte m // 8."""
 
     n: int
-    bits: int
+    bitmap: bytes = field(repr=False)
     source: str  # "direct" or "rational(r/s)"
 
+    @property
+    def bits(self) -> int:
+        """The bitmap as one integer, bit m standing for position m."""
+        return int.from_bytes(self.bitmap, "little")
+
     def contains(self, m: int) -> bool:
-        return 1 <= m <= self.n and bool(self.bits >> m & 1)
+        return 1 <= m <= self.n and bool(self.bitmap[m >> 3] >> (m & 7) & 1)
 
     def members(self) -> list[int]:
-        return [m for m in range(1, self.n + 1) if self.bits >> m & 1]
+        bitmap = self.bitmap
+        return [m for m in range(1, self.n + 1) if bitmap[m >> 3] >> (m & 7) & 1]
 
     def count(self) -> int:
         return self.bits.bit_count()
@@ -222,30 +263,28 @@ class APrefix:
         return Fraction(self.count(), self.n)
 
 
+def _bitmap(n: int, positions: Iterator[int]) -> bytes:
+    """Bitmap of the given positions, all in [1, n]."""
+    buf = bytearray((n >> 3) + 1)
+    for k in positions:
+        buf[k >> 3] |= 1 << (k & 7)
+    return bytes(buf)
+
+
 def a_prefix(params: DensityParams, n: int) -> APrefix:
-    """A's characteristic prefix on [1, n], computed from the defining floors."""
+    """A's characteristic prefix on [1, n], from the walk of A."""
     if n < 1:
         raise ValueError("prefix length must be >= 1")
-    bits = 0
-    for k in params.a_elements(n):
-        bits |= 1 << k
-    return APrefix(n, bits, "direct")
+    return APrefix(n, _bitmap(n, params.a_elements(n)), "direct")
 
 
 def a_prefix_from_rational(r: int, s: int, n: int) -> APrefix:
-    """Prefix reconstructed from the encoded fraction: positions floor(r*y/s)."""
-    if s < 1 or n < 1:
-        raise ValueError("need s >= 1 and n >= 1")
-    bits = 0
-    y = 1
-    while True:
-        k = r * y // s
-        if k > n:
-            break
-        if k >= 1:
-            bits |= 1 << k
-        y += 1
-    return APrefix(n, bits, f"rational({r}/{s})")
+    """Prefix reconstructed from the encoded fraction: positions floor(r*y/s)
+    in [1, n], which take y from ceil(s/r) to ((n + 1)*s - 1) // r."""
+    if r < 0 or s < 1 or n < 1:
+        raise ValueError("need r >= 0, s >= 1 and n >= 1")
+    ys = range(-(-s // r), ((n + 1) * s - 1) // r + 1) if r else range(0)
+    return APrefix(n, _bitmap(n, (r * y // s for y in ys)), f"rational({r}/{s})")
 
 
 # -- best rational below 1/D ----------------------------------------------------
@@ -302,8 +341,8 @@ class RationalCheck:
 def verify_rational_encoding(params: DensityParams, r: int, s: int, n: int) -> RationalCheck:
     """Check floor(y/D) == floor(r*y/s) for every 1 <= y <= n."""
     bad = []
-    for y in range(1, n + 1):
-        if params.floor_div(y) != r * y // s:
+    for y, k in zip(range(1, n + 1), params.a_walk()):
+        if k != r * y // s:
             bad.append(y)
             if len(bad) >= 10:
                 break
@@ -425,15 +464,11 @@ def complement_enum(params: DensityParams, count: int) -> ComplementEnumeration:
         return ComplementEnumeration(elements=(), t_shift=None, empty=True)
     out: list[int] = []
     prev = 0
-    y = 1
-    while len(out) < count:
-        k = params.floor_div(y)
-        for m in range(prev + 1, k):
-            out.append(m)
-            if len(out) == count:
-                break
+    for k in params.a_walk():
+        out.extend(range(prev + 1, min(k, prev + 1 + count - len(out))))
+        if len(out) == count:
+            break
         prev = k
-        y += 1
     t = None
     for i, u in enumerate(out, start=1):
         ti = params.shift_bound(u, i)
@@ -465,8 +500,7 @@ def box_dim_bound_ca(params: DensityParams, depth: int) -> BoxDimReport:
         raise ValueError("need depth >= 2")
     log2, log3 = math.log(2), math.log(3)
     entries = []
-    for n in range(1, depth + 1):
-        k = params.floor_div(n)
+    for n, k in zip(range(1, depth + 1), params.a_walk()):
         if k < 2:
             continue  # k_1 = 1 happens only at D = 1; skip the degenerate ratio
         entries.append((n, k, n * log2 / ((k - 1) * log3)))

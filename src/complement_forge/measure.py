@@ -360,35 +360,28 @@ def net_measure(target: Sequence[DyadicInterval], t: Fraction, delta: Fraction) 
     j_delta = (math.ceil(1 / delta) - 1).bit_length()  # least j with 2^-j <= delta
     if j_delta > 2 * LEVEL_CAP:
         raise ValueError("mesh too fine for the supported level cap")
+    return _cover_cost(sorted(atoms), level, t, j_delta, 0, 0)
 
-    sorted_atoms = sorted(atoms)
 
-    def atom_count(j: int, m: int) -> int:
-        shift = level - j
-        lo = bisect.bisect_left(sorted_atoms, m << shift)
-        hi = bisect.bisect_left(sorted_atoms, (m + 1) << shift)
-        return hi - lo
-
-    def pure_cost(j: int) -> Pow2Sum:
+def _cover_cost(sorted_atoms: list[int], level: int, t: Fraction, j_delta: int, j: int, m: int) -> Pow2Sum:
+    """net_measure's value on the dyadic node (j, m).  A module-level function,
+    so the recursion leaves no closure cycle behind for the collector."""
+    shift = level - j
+    cnt = bisect.bisect_left(sorted_atoms, (m + 1) << shift) - bisect.bisect_left(sorted_atoms, m << shift)
+    if cnt == 0:
+        return Pow2Sum.zero()
+    if cnt == 1 << shift:
         jj = max(j, j_delta)
         return Pow2Sum.from_power(-jj * t).scale(2 ** (jj - j))
-
-    def cost(j: int, m: int) -> Pow2Sum:
-        cnt = atom_count(j, m)
-        if cnt == 0:
-            return Pow2Sum.zero()
-        if cnt == 1 << (level - j):
-            return pure_cost(j)
-        # partial node, so j < level: explore the split, and the whole cover
-        # when the mesh admits it
-        split = cost(j + 1, 2 * m) + cost(j + 1, 2 * m + 1)
-        if j >= j_delta:
-            whole = Pow2Sum.from_power(-j * t)
-            if whole <= split:
-                return whole
-        return split
-
-    return cost(0, 0)
+    # partial node, so j < level: explore the split, and the whole cover
+    # when the mesh admits it
+    split = _cover_cost(sorted_atoms, level, t, j_delta, j + 1, 2 * m)
+    split = split + _cover_cost(sorted_atoms, level, t, j_delta, j + 1, 2 * m + 1)
+    if j >= j_delta:
+        whole = Pow2Sum.from_power(-j * t)
+        if whole <= split:
+            return whole
+    return split
 
 
 # -- the weighted-cover inequality -------------------------------------------------

@@ -198,3 +198,107 @@ def test_box_dim_report():
     rep = box_dim_bound_ca(p8, 2000)
     assert abs(rep.final_estimate - 0.2) < 1e-2
     assert rep.complement_lower_bound == pytest.approx(dim_c + 0.8 - 1)
+
+
+# -- the stepwise walk of A against the per-y definition ---------------------------
+
+WALK_LOG_POINTS = ALPHAS + ("2/3", 1 - Fraction(5406435358383, 8568997305610))
+WALK_RATIONAL_POINTS = tuple(Fraction(a, b) for b in range(1, 13) for a in range(1, b + 1))
+
+
+def _walk_cases():
+    """(params, floor(y/D) by definition) for every walk test point."""
+    for a in WALK_LOG_POINTS:
+        p = DensityParams.from_alpha(a)
+        yield p, lambda y, pq=p.one_minus_alpha: mp_floor_y_over_d(pq, y)
+    for d in WALK_RATIONAL_POINTS:
+        yield DensityParams.from_density(d), lambda y, d=d: y * d.denominator // d.numerator
+
+
+def _defined_a(floor_y_over_d, n):
+    """The elements of A in [1, n], one floor(y/D) per y."""
+    out = []
+    y = 1
+    while (k := floor_y_over_d(y)) <= n:
+        out.append(k)
+        y += 1
+    return out
+
+
+def test_walk_matches_per_y_definition():
+    n = 3000
+    for p, floor_y_over_d in _walk_cases():
+        want = _defined_a(floor_y_over_d, n)
+        prefix = a_prefix(p, n)
+        assert prefix.members() == want and prefix.count() == len(want), p.describe()
+        gaps = sorted(set(range(1, n + 1)) - set(want))
+        if gaps:
+            assert complement_enum(p, len(gaps)).elements == tuple(gaps), p.describe()
+        elif p.d_exact == 1:
+            assert complement_enum(p, 5).empty
+        depth = 1000
+        ks = [floor_y_over_d(y) for y in range(1, depth + 1)]
+        assert [(m, k) for m, k, _ in box_dim_bound_ca(p, depth).entries] == [
+            (m, k) for m, k in zip(range(1, depth + 1), ks) if k >= 2
+        ], p.describe()
+
+
+def test_rational_check_matches_per_y_definition():
+    for p, floor_y_over_d in _walk_cases():
+        r, s = best_rational(p, 50)
+        ks = [floor_y_over_d(y) for y in range(1, 2001)]
+        for rr in (r, r + 1):
+            want = [y for y, k in enumerate(ks, start=1) if k != rr * y // s][:10]
+            got = verify_rational_encoding(p, rr, s, 2000)
+            assert got.counterexamples == tuple(want) and got.ok == (not want), p.describe()
+
+
+def test_floor_div_far_from_the_double_estimate():
+    # at y = 10^30 the double estimate of y/D is off by about 10^15
+    p8 = DensityParams.from_alpha("0.8")
+    for y in (10**20, 10**30, 10**30 + 7):
+        assert p8.floor_div(y) == mp_floor_y_over_d(p8.one_minus_alpha, y, dps=80)
+    for d in (Fraction(7, 11), Fraction(1), Fraction(1, 10**9 + 7)):
+        p = DensityParams.from_density(d)
+        y = 10**40 + 3
+        assert p.floor_div(y) == y * d.denominator // d.numerator
+
+
+def test_a_prefix_makes_one_exact_floor_per_element(monkeypatch):
+    from complement_forge import density
+
+    calls = 0
+    exact = density._floor_log2_3
+
+    def counted(j):
+        nonlocal calls
+        calls += 1
+        return exact(j)
+
+    params = [DensityParams.from_alpha(a) for a in WALK_LOG_POINTS]
+    monkeypatch.setattr(density, "_floor_log2_3", counted)
+    for p in params:
+        for n in (1, 10, 5000):
+            calls = 0
+            prefix = a_prefix(p, n)
+            assert calls <= prefix.count() + 3, (p.describe(), n, calls)
+
+
+def test_a_prefix_from_rational_edge_numerators():
+    # r = 0 puts every floor(0*y/s) at 0, outside [1, n]: an empty prefix,
+    # returned without waiting for a floor above n that never comes
+    empty = a_prefix_from_rational(0, 3, 10)
+    assert empty.members() == [] and empty.count() == 0 and empty.bits == 0
+    # r < s repeats floors; each position still appears once
+    assert a_prefix_from_rational(1, 3, 5).members() == [1, 2, 3, 4, 5]
+    assert a_prefix_from_rational(2, 1, 9).members() == [2, 4, 6, 8]
+    with pytest.raises(ValueError):
+        a_prefix_from_rational(-1, 3, 10)
+
+
+def test_prefix_bitmap_views_agree():
+    p = DensityParams.from_alpha("0.8")
+    prefix = a_prefix(p, 1000)
+    members = prefix.members()
+    assert prefix.bits == sum(1 << m for m in members)
+    assert [m for m in range(-2, 1010) if prefix.contains(m)] == members

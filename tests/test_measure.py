@@ -1,4 +1,5 @@
 import decimal
+import gc
 import io
 import itertools
 import math
@@ -213,6 +214,22 @@ def test_net_measure_sparse_level8():
     target = [DyadicInterval(8, m) for m in atoms]
     got = net_measure(target, Fraction(7, 10), Fraction(1, 4))
     assert got == oracle_net_measure(target, Fraction(7, 10), Fraction(1, 4))
+
+
+def test_net_measure_leaves_no_garbage_cycles():
+    # the dynamic program must not leave a reference cycle per call (a
+    # self-referencing recursive closure did, holding the sorted atoms)
+    rng = random.Random(3)
+    target = [DyadicInterval(10, m) for m in sorted(rng.sample(range(2**10), 342))]
+    expected = net_measure(target, Fraction(1, 2), Fraction(1, 8))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            assert net_measure(target, Fraction(1, 2), Fraction(1, 8)) == expected
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_net_measure_validation():
