@@ -9,18 +9,20 @@ clears a margin that grows with the value, otherwise mpmath at doubling
 precision.  No power of 3 is ever built and no precision cap can run out.
 
 Each parameter form supplies just the exact comparison u*D <= x and the floor
-map floor(u*D); floor(y/D), comparisons against 1/D, the complement shift and
-the D <= 1 check are all written once in terms of them.  Rational D (for
-example D = 1 or D = 1/2, the degenerate corners) is the second form, with
-integer arithmetic for both.
+map floor(u*D); floor(y/D), comparisons against 1/D, the walk of the
+complement and the D <= 1 check are all written once in terms of them.
+Rational D (for example D = 1 or D = 1/2, the degenerate corners) is the
+second form, with integer arithmetic for both.
 
 A itself is never computed one floor(y/D) at a time.  Its consecutive
 elements k_y = floor(y/D) differ by a0 = floor(1/D) or a0 + 1, and the larger
 step is taken exactly when (k_y + a0 + 1)*D <= y + 1, so one comparison per
 element walks A in order (:meth:`DensityParams.a_walk`).  Every per-y loop
-(the prefix, the complement's gaps, the box-dimension sequence and the check
-of a rational encoding) consumes that walk.  Prefixes are byte bitmaps, bit
-m % 8 of byte m // 8 standing for position m, so a membership test is O(1).
+(the prefix, the box-dimension sequence and the check of a rational
+encoding) consumes that walk; the complement is walked the same way, one
+comparison per element (:func:`complement_enum`).  Prefixes are byte
+bitmaps, bit m % 8 of byte m // 8 standing for position m, so a membership
+test is O(1).
 """
 
 from __future__ import annotations
@@ -219,17 +221,6 @@ class DensityParams:
     def a_elements(self, upto: int) -> Iterator[int]:
         """The elements of A in [1, upto], ascending."""
         return takewhile(lambda k: k <= upto, self.a_walk())
-
-    def shift_bound(self, u: int, n: int) -> int:
-        """Least integer t with u <= (n + t)/(1 - D), for one complement element.
-
-        Requires D < 1.  Rearranged: t >= u*(1-D) - n = u - n - u*D, whose
-        least integer solution is u - n - floor(u*D).
-        """
-        ud = self.floor_mul(u)
-        if ud == u:
-            raise ValueError("complement is empty for D = 1")
-        return u - n - ud
 
 
 # -- the characteristic prefix -------------------------------------------------
@@ -443,13 +434,25 @@ def description_length(params: DensityParams, n: int) -> DescriptionLength:
 
 @dataclass(frozen=True)
 class ComplementEnumeration:
-    """First elements u_1 < u_2 < ... of the complement of A, with the minimal
-    integer shift t making u_i <= (i + t)/(1 - D) hold over the enumerated
-    range.  ``empty`` marks the degenerate D = 1 case."""
+    """First elements u_1 < u_2 < ... of the complement of A.  ``empty``
+    marks the degenerate D = 1 case."""
 
     elements: tuple[int, ...]
-    t_shift: Optional[int]
     empty: bool
+
+    @property
+    def t_shift(self) -> Optional[int]:
+        """The minimal integer t making u_i <= (i + t)/(1 - D) hold over the
+        enumerated range, which is always 0 (None when the complement is
+        empty).
+
+        For a complement element u no y has floor(y/D) = u, so no integer lies
+        in [uD, (u+1)D); in particular uD is not an integer, and
+        |A & [1, u]| = #{y >= 1 : y < (u+1)D} = ceil(uD) - 1 = floor(uD).
+        For the i-th element that count is u - i, so the least t with
+        u <= (i + t)/(1 - D), namely u - i - floor(uD), is 0.
+        """
+        return None if self.empty else 0
 
     def ratio(self, i: int) -> float:
         """i / u_i (1-based), which converges to 1 - D."""
@@ -457,24 +460,39 @@ class ComplementEnumeration:
 
 
 def complement_enum(params: DensityParams, count: int) -> ComplementEnumeration:
-    """Enumerate the first ``count`` complement elements and the minimal shift."""
+    """Enumerate the first ``count`` complement elements.
+
+    With c(u) = |complement & [1, u]| = floor((u + 1)(1 - D)), the i-th
+    element is u_i = ceil(i/(1 - D)) - 1, the largest u with u(1 - D) < i,
+    that is with not u*D <= u - i.  u_1 is found by galloping from 1 (near
+    D = 1 it is about 1/(1 - D), where a double estimate of 1 - D cancels to
+    0), and since ceil(x + y) is ceil(x) + ceil(y) or one less,
+    u_(i+1) - u_i is u_1 or u_1 + 1: one exact comparison per element.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     if params.floor_mul(1) == 1:  # D = 1: A is all of N
-        return ComplementEnumeration(elements=(), t_shift=None, empty=True)
-    out: list[int] = []
-    prev = 0
-    for k in params.a_walk():
-        out.extend(range(prev + 1, min(k, prev + 1 + count - len(out))))
-        if len(out) == count:
-            break
-        prev = k
-    t = None
-    for i, u in enumerate(out, start=1):
-        ti = params.shift_bound(u, i)
-        if t is None or ti > t:
-            t = ti
-    return ComplementEnumeration(elements=tuple(out), t_shift=t, empty=False)
+        return ComplementEnumeration(elements=(), empty=True)
+    le_d = params._comparison()
+
+    def below(u: int, i: int) -> bool:  # u(1 - D) < i
+        return not le_d(u, u - i)
+
+    lo, hi = 1, 2
+    while below(hi, 1):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if below(mid, 1):
+            lo = mid
+        else:
+            hi = mid
+    step = u = lo
+    out = [u]
+    for i in range(2, count + 1):
+        u += step + 1 if below(u + step + 1, i) else step
+        out.append(u)
+    return ComplementEnumeration(elements=tuple(out), empty=False)
 
 
 # -- finite box-dimension report for C_A ------------------------------------------

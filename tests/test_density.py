@@ -1,8 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from mpmath import mp
 
 from _oracles import mp_floor_y_over_d, scan_best_rational
 from complement_forge.density import (
@@ -178,13 +183,52 @@ def test_complement_shift_minimal():
         assert any(u > (i + t - 1) / c for i, u in enumerate(ce.elements, start=1))
 
 
+def test_complement_shift_is_zero():
+    # a complement element u has floor(u*D) = |A & [1, u]| = u - i
+    params = [DensityParams.from_alpha(a) for a in (*ALPHAS, "0.95", "2/3")]
+    params += [DensityParams.from_density(Fraction(a, b)) for a, b in ((1, 2), (1, 7), (3, 4), (9, 10), (39, 40))]
+    for p in params:
+        ce = complement_enum(p, 3000)
+        assert ce.t_shift == 0
+        assert all(u - i - p.floor_mul(u) == 0 for i, u in enumerate(ce.elements, start=1))
+
+
+_ENUM_JUST_BELOW_ONE = """
+from fractions import Fraction
+from complement_forge.density import DensityParams, complement_enum
+p = DensityParams.from_alpha(Fraction(3162561947227, 8568997305610))
+print(list(complement_enum(p, 10).elements))
+"""
+
+
+def test_complement_enum_returns_just_below_one():
+    # D = 1 - 1e-17 puts u_1 near 10^17, out of reach of any walk of A; the
+    # child process turns a hang into a failure
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", _ENUM_JUST_BELOW_ONE], env=env, capture_output=True, text=True, timeout=20
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("complement_enum did not return within 20 s")
+    assert proc.returncode == 0, proc.stderr
+    # u_i = ceil(i/(1 - D)) - 1, from 60-digit mpmath
+    with mp.workdps(60):
+        c = 1 - mp.mpf(5406435358383) / 8568997305610 * mp.log(3) / mp.log(2)
+        expect = [int(mp.ceil(i / c)) - 1 for i in range(1, 11)]
+    assert proc.stdout.strip() == str(expect)
+
+
 def test_prefix_and_complement_partition():
-    p8 = DensityParams.from_alpha("0.8")
+    params = [DensityParams.from_density(Fraction(a, b)) for b in range(2, 21) for a in range(1, b)]
+    params += [DensityParams.from_alpha(a) for a in (*ALPHAS, "0.95")]
     n = 500
-    members = set(a_prefix(p8, n).members())
-    comp = [u for u in complement_enum(p8, n).elements if u <= n]
-    assert members.isdisjoint(comp)
-    assert sorted(members | set(comp)) == list(range(1, n + 1))
+    for p in params:
+        members = set(a_prefix(p, n).members())
+        comp = [u for u in complement_enum(p, n).elements if u <= n]
+        assert members.isdisjoint(comp)
+        assert sorted(members | set(comp)) == list(range(1, n + 1))
 
 
 def test_box_dim_report():

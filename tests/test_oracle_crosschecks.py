@@ -4,9 +4,11 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 from mpmath import mp
 
 from complement_forge.density import DensityParams, complement_enum
+from complement_forge.fractal import build_density_spec
 from complement_forge.measure import Pow2Sum, mass_ratio
 from complement_forge.solver import (
     CoverInstance,
@@ -14,7 +16,7 @@ from complement_forge.solver import (
     greedy_complement,
     uncovered_values,
 )
-from complement_forge.ternary import BlockCode, enumerate_pattern, zero_one_pattern
+from complement_forge.ternary import BlockCode, PatternSet, enumerate_pattern, zero_one_pattern
 
 
 def naive_greedy(instance):
@@ -22,34 +24,49 @@ def naive_greedy(instance):
     round, pick max coverage, break ties by smallest value."""
     base = instance.base_set.values
     size = 3**instance.k
-    uncovered = set(range(size))
+    cands = np.arange(instance.lo, instance.hi)
+    uncovered = np.ones(size, dtype=bool)
     chosen = []
-    while uncovered:
-        best = None
-        for b in range(instance.lo, instance.hi):
-            cov = sum(1 for a in base if a + b in uncovered)
-            if best is None or cov > best[0]:
-                best = (cov, b)
-        if best[0] == 0:
+    while uncovered.any():
+        cov = np.zeros(len(cands), dtype=np.int64)
+        for a in base:
+            t = cands + a
+            ok = (t >= 0) & (t < size)
+            cov[ok] += uncovered[t[ok]]
+        i = int(np.argmax(cov))  # the first maximum: the smallest value
+        if cov[i] == 0:
             raise AssertionError("infeasible")
-        chosen.append(best[1])
-        uncovered -= {a + best[1] for a in base}
+        chosen.append(int(cands[i]))
+        t = np.array(base) + chosen[-1]
+        uncovered[t[(t >= 0) & (t < size)]] = False
     return chosen
 
 
 def test_greedy_matches_naive_selection():
     rng = random.Random(20)
+    instances = []
     for _ in range(25):
         k = rng.randint(1, 3)
         vals = rng.sample(range(3**k), rng.randint(1, 3**k))
         if 0 not in vals:
             vals.append(0)
-        inst = CoverInstance(k, BlockCode.from_iterable(k, vals))
+        instances.append(CoverInstance(k, BlockCode.from_iterable(k, vals)))
+    for _ in range(10):
+        vals = rng.sample(range(81), rng.randint(1, 30))
+        instances.append(CoverInstance(4, BlockCode.from_iterable(4, {0, *vals})))
+        instances.append(CoverInstance.signed(4, BlockCode.from_iterable(4, vals)))
+    # signed ranges, including bases whose smallest element is not 0, so that
+    # a + b and t - a run past both ends of the candidate range
+    instances.append(CoverInstance.signed(2, enumerate_pattern(zero_one_pattern(2))))
+    for k in (2, 3, 4):
+        for digits in ((0, 2), (1, 2)):
+            instances.append(CoverInstance.signed(k, enumerate_pattern(PatternSet.uniform(k, digits))))
+    # the alpha = 0.8 quadratic stages 4 and 5 (k = 7 and 9)
+    spec = build_density_spec(DensityParams.from_alpha("0.8"), 5)
+    instances += [stage.certificate.instance for stage in spec.stages[3:]]
+    for inst in instances:
         got = list(greedy_complement(inst).solution.values)
         assert got == sorted(naive_greedy(inst))
-    # and on a signed instance
-    inst = CoverInstance.signed(2, enumerate_pattern(zero_one_pattern(2)))
-    assert list(greedy_complement(inst).solution.values) == sorted(naive_greedy(inst))
 
 
 def exhaustive_min_cover_size(instance):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -5,6 +6,8 @@ import pytest
 
 from _oracles import brute_force_uncovered
 from complement_forge.catalog import PAPER_BLOCKS
+from complement_forge.density import DensityParams
+from complement_forge.fractal import build_density_spec
 from complement_forge.solver import (
     DUAL_SCALE,
     KNOWN_MIN_SIZES,
@@ -95,6 +98,21 @@ def test_greedy_signed_range():
     cert = greedy_complement(c_instance(3, signed=True))
     assert cert.verify()
     assert all(-27 < v < 27 for v in cert.solution.values)
+
+
+def _values_digest(code):
+    return hashlib.sha256(",".join(map(str, code.values)).encode()).hexdigest()
+
+
+def test_greedy_codes_are_pinned():
+    # any change in the selection or its tie-break moves these digests
+    g10 = greedy_complement(c_instance(10)).solution
+    assert len(g10) == 248
+    assert _values_digest(g10) == "b219b623f3ec60e0825992a20c4b04e1bf508b0c30d9fc491844df47e7909f90"
+    stage6 = build_density_spec(DensityParams.from_alpha("0.8"), 6).stages[5]
+    g6 = greedy_complement(stage6.certificate.instance).solution
+    assert len(g6) == 24_696
+    assert _values_digest(g6) == "90d344ea59f3c4862cb0fea7f47fe7b157a8d4848547d4d7957c96c6b084e7ab"
 
 
 def test_counting_lower_bound():
