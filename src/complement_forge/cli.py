@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import random
 import sys
 from fractions import Fraction
-from typing import Iterator, Optional, TextIO
+from typing import Callable, Optional, TextIO
 
 from . import __version__, measure
 from .catalog import Catalog, CatalogError, block_string
@@ -55,25 +56,20 @@ class _CliError(Exception):
         self.code = code
 
 
-@contextlib.contextmanager
-def _output(args: argparse.Namespace) -> Iterator[TextIO]:
-    """The stream a command writes to: the --out file, or stdout."""
-    if args.out:
-        with open(args.out, "w") as fh:
-            yield fh
-    else:
-        yield sys.stdout
-
-
-def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict) -> None:
-    """Render as JSON or text.  JSON output is deterministic: sorted keys and
-    no timestamps (catalog files keep their own provenance)."""
-    if args.format == "json":
-        body = json.dumps({"schema": JSON_SCHEMA, **payload}, sort_keys=True, indent=2) + "\n"
-    else:
-        body = "\n".join(text_lines) + "\n"
-    with _output(args) as fh:
-        fh.write(body)
+def _emit(
+    args: argparse.Namespace, text_lines: list[str], payload: dict, write_csv: Optional[Callable[[TextIO], None]] = None
+) -> None:
+    """Render as JSON, as text, or as CSV through ``write_csv`` (for the
+    commands that offer --format csv), to the --out file or stdout.  JSON
+    output is deterministic: sorted keys and no timestamps (catalog files keep
+    their own provenance)."""
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        if args.format == "json":
+            fh.write(json.dumps({"schema": JSON_SCHEMA, **payload}, sort_keys=True, indent=2) + "\n")
+        elif args.format == "csv":
+            write_csv(fh)
+        else:
+            fh.write("\n".join(text_lines) + "\n")
 
 
 def _instance(k: int, rng: str) -> CoverInstance:
@@ -313,32 +309,18 @@ def _cmd_density(args: argparse.Namespace) -> int:
     }
     cat = Catalog.default()
     cat.add_density(params, n, r, s, dl.length)
-    if args.format == "csv":
-        with _output(args) as fh:
-            fh.write("position,bit\n")
-            fh.writelines(f"{m},{1 if prefix.contains(m) else 0}\n" for m in range(1, n + 1))
-    else:
-        _emit(args, lines, payload)
+
+    def write_csv(fh: TextIO) -> None:
+        fh.write("position,bit\n")
+        fh.writelines(f"{m},{1 if prefix.contains(m) else 0}\n" for m in range(1, n + 1))
+
+    _emit(args, lines, payload, write_csv)
     return EXIT_OK if agrees else EXIT_VERIFY_FAILED
 
 
 def _cmd_boxdim(args: argparse.Namespace) -> int:
     depth = args.depth
-    if args.set == "cantor":
-        est = box_dim_estimate(lambda n: 2**n, range(1, min(depth, 512) + 1))
-        target = cantor_dimension()
-        label = "cantor"
-    elif args.spec is not None:
-        cat = Catalog.default()
-        spec = _resolve_spec(cat, args.spec)
-        st = spec.stage_at(1)
-        if spec.kind != "uniform":
-            raise _CliError("boxdim over a spec expects a uniform spec")
-        stages = max(1, min(depth // st.n, 256))
-        est = box_dim_estimate(lambda i: len(st.code) ** i, [st.n * i for i in range(1, stages + 1)])
-        target = st.gamma.value
-        label = args.spec
-    else:
+    if args.alpha is not None:
         params = _alpha_params(args.alpha)
         report = box_dim_bound_ca(params, depth)
         lines = [
@@ -355,29 +337,40 @@ def _cmd_boxdim(args: argparse.Namespace) -> int:
             "target": report.target,
             "complement_lower_bound": report.complement_lower_bound,
         }
-        if args.format == "csv":
-            with _output(args) as fh:
-                fh.write("n,k_n,estimate\n")
-                fh.writelines(f"{n},{k},{e:.12g}\n" for n, k, e in report.entries)
-        else:
-            _emit(args, lines, payload)
-        return EXIT_OK
-    lines = [
-        f"box-dimension estimates for {label}",
-        f"final {est.final:.12g}  tail sup {est.tail_sup:.12g}  target {target:.12g}",
-    ]
-    payload = {
-        "command": "boxdim",
-        "set": label,
-        "final": est.final,
-        "tail_sup": est.tail_sup,
-        "target": target,
-    }
-    if args.format == "csv":
-        with _output(args) as fh:
-            write_estimates_csv(fh, est)
+
+        def write_csv(fh: TextIO) -> None:
+            fh.write("n,k_n,estimate\n")
+            fh.writelines(f"{n},{k},{e:.12g}\n" for n, k, e in report.entries)
+
     else:
-        _emit(args, lines, payload)
+        if args.set == "cantor":
+            est = box_dim_estimate(lambda n: 2**n, range(1, min(depth, 512) + 1))
+            target = cantor_dimension()
+            label = "cantor"
+        else:
+            cat = Catalog.default()
+            spec = _resolve_spec(cat, args.spec)
+            st = spec.stage_at(1)
+            if spec.kind != "uniform":
+                raise _CliError("boxdim over a spec expects a uniform spec")
+            stages = max(1, min(depth // st.n, 256))
+            est = box_dim_estimate(lambda i: len(st.code) ** i, [st.n * i for i in range(1, stages + 1)])
+            target = st.gamma.value
+            label = args.spec
+        lines = [
+            f"box-dimension estimates for {label}",
+            f"final {est.final:.12g}  tail sup {est.tail_sup:.12g}  target {target:.12g}",
+        ]
+        payload = {
+            "command": "boxdim",
+            "set": label,
+            "final": est.final,
+            "tail_sup": est.tail_sup,
+            "target": target,
+        }
+        write_csv = functools.partial(write_estimates_csv, estimates=est)
+
+    _emit(args, lines, payload, write_csv)
     return EXIT_OK
 
 

@@ -8,11 +8,12 @@ settled by evaluating it closely enough: a double when its fractional part
 clears a margin that grows with the value, otherwise mpmath at doubling
 precision.  No power of 3 is ever built and no precision cap can run out.
 
-Each parameter form supplies just the exact comparison u*D <= x and the floor
-map floor(u*D); floor(y/D), comparisons against 1/D, the walk of the
-complement and the D <= 1 check are all written once in terms of them.
-Rational D (for example D = 1 or D = 1/2, the degenerate corners) is the
-second form, with integer arithmetic for both.
+Each parameter form supplies just the exact comparison u*D <= x, bound once
+per parameter set (:attr:`DensityParams.le_d`); floor(y/D), comparisons
+against 1/D, the walks of A and of its complement and the D <= 1 check are
+all written once in terms of it, and every search among them is one
+gallop-and-bisect (:func:`_largest`).  Rational D (for example D = 1 or
+D = 1/2, the degenerate corners) is the second form, with integer arithmetic.
 
 A itself is never computed one floor(y/D) at a time.  Its consecutive
 elements k_y = floor(y/D) differ by a0 = floor(1/D) or a0 + 1, and the larger
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import takewhile
 from typing import Callable, Iterator, Optional
@@ -76,6 +78,24 @@ def _floor_log2_3(j: int) -> int:
         prec *= 2
 
 
+def _largest(pred: Callable[[int], bool], lo: int, hi: Optional[int] = None) -> int:
+    """The largest x in [lo, hi) with pred(x), for a pred that holds at lo and
+    turns false once.  With no hi, gallop up from lo (lo + 1, lo + 3,
+    lo + 7, ...) to the first x where pred fails, then bisect."""
+    if hi is None:
+        step = 1
+        while pred(lo + step):
+            lo, step = lo + step, 2 * step
+        hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 @dataclass(frozen=True)
 class DensityParams:
     """The pair (alpha, D) with D = (1 - alpha) / (log 2 / log 3).
@@ -88,9 +108,8 @@ class DensityParams:
       boundary D = 1 and test corners like D = 1/2, whose alpha is
       irrational).
 
-    Only the comparison u*D <= x (:meth:`le_d`) and the floor map
-    :meth:`floor_mul` look at the form; every other decision is written in
-    terms of them.
+    Only the comparison u*D <= x (:attr:`le_d`) looks at the form; every
+    other decision is written in terms of it.
     """
 
     one_minus_alpha: Optional[Fraction]
@@ -153,9 +172,10 @@ class DensityParams:
 
     # -- exact decisions -------------------------------------------------------
 
-    def _comparison(self) -> Callable[[int, int], bool]:
+    @cached_property
+    def le_d(self) -> Callable[[int, int], bool]:
         """The exact test (u, x) -> u*D <= x for u >= 1, with the form's
-        integers bound once so that a loop pays one call per test."""
+        integers bound once, so a loop pays one call per test."""
         if self.d_exact is not None:
             num, den = self.d_exact.numerator, self.d_exact.denominator
             return lambda u, x: u * num <= x * den
@@ -164,44 +184,21 @@ class DensityParams:
         p, q = self.one_minus_alpha.numerator, self.one_minus_alpha.denominator
         return lambda u, x: _floor_log2_3(u * p) < x * q
 
-    def le_d(self, u: int, x: int) -> bool:
-        """Exact test u*D <= x for u >= 0."""
-        return x >= 0 if u == 0 else self._comparison()(u, x)
-
     def floor_div(self, y: int) -> int:
         """floor(y / D) for y >= 1: the largest q with q*D <= y."""
         if y < 1:
             raise ValueError("y must be >= 1")
-        # the double estimate is off by about y * 2^-50: gallop from it to a
-        # bracket lo*D <= y < hi*D, then bisect
-        lo = int(y / self.d_float)
-        hi, step = lo + 1, 1
-        while not self.le_d(lo, y):
-            lo, hi, step = max(0, lo - step), lo, 2 * step
-        while self.le_d(hi, y):
-            lo, hi, step = hi, hi + step, 2 * step
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.le_d(mid, y):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    def floor_mul(self, u: int) -> int:
-        """floor(u * D) for u >= 1, exact for both parameter forms."""
-        if u < 1:
-            raise ValueError("u must be >= 1")
-        if self.d_exact is not None:
-            d = self.d_exact
-            return u * d.numerator // d.denominator
-        # u*D = u P log2 3 / Q, and floor(x / Q) = floor(floor(x) / Q)
-        pq = self.one_minus_alpha
-        return _floor_log2_3(u * pq.numerator) // pq.denominator
-
-    def fraction_le_inv_d(self, r: int, s: int) -> bool:
-        """Exact test r/s <= 1/D (r >= 0, s >= 1)."""
-        return self.le_d(r, s)
+        le_d = self.le_d
+        # y over the double D, divided in integers so that no y overflows (a
+        # D that underflows to 0.0 just gives no estimate).  It is off by
+        # about y * 2^-50, and floor(y/D) >= y as D <= 1.  From a too-high
+        # estimate, count down to the last q still too high; that search
+        # holds false at q <= 0, so it never asks about u = 0
+        num, den = self.d_float.as_integer_ratio()
+        q = max(y, y * den // max(num, 1))
+        if le_d(q, y):
+            return _largest(lambda u: le_d(u, y), q)
+        return q - 1 - _largest(lambda d: q - d > 0 and not le_d(q - d, y), 0)
 
     def a_walk(self) -> Iterator[int]:
         """The elements k_1 < k_2 < ... of A, without end.
@@ -210,17 +207,13 @@ class DensityParams:
         or a0 + 1, the larger exactly when (k_y + a0 + 1)*D <= y + 1: one
         comparison per element.
         """
-        le_d = self._comparison()
+        le_d = self.le_d
         a0 = self.floor_div(1)
         k, y = a0, 1
         while True:
             yield k
             y += 1
             k += a0 + 1 if le_d(k + a0 + 1, y) else a0
-
-    def a_elements(self, upto: int) -> Iterator[int]:
-        """The elements of A in [1, upto], ascending."""
-        return takewhile(lambda k: k <= upto, self.a_walk())
 
 
 # -- the characteristic prefix -------------------------------------------------
@@ -266,7 +259,7 @@ def a_prefix(params: DensityParams, n: int) -> APrefix:
     """A's characteristic prefix on [1, n], from the walk of A."""
     if n < 1:
         raise ValueError("prefix length must be >= 1")
-    return APrefix(n, _bitmap(n, params.a_elements(n)), "direct")
+    return APrefix(n, _bitmap(n, takewhile(lambda k: k <= n, params.a_walk())), "direct")
 
 
 def a_prefix_from_rational(r: int, s: int, n: int) -> APrefix:
@@ -291,33 +284,22 @@ def best_rational(params: DensityParams, n: int) -> tuple[int, int]:
     """
     if n < 1:
         raise ValueError("denominator bound must be >= 1")
+    le_d = params.le_d
     a0 = params.floor_div(1)  # floor(1/D)
     lo = (a0, 1)
     hi = (a0 + 1, 1)
     while lo[1] + hi[1] <= n:
-        med_le = params.fraction_le_inv_d(lo[0] + hi[0], lo[1] + hi[1])
-        if med_le:
+        if le_d(lo[0] + hi[0], lo[1] + hi[1]):
             # run toward 1/D: lo + t*hi, largest t within the denominator budget
             t_cap = (n - lo[1]) // hi[1]
-            t_lo, t_hi = 1, t_cap
-            while t_lo < t_hi:
-                t_mid = (t_lo + t_hi + 1) // 2
-                if params.fraction_le_inv_d(lo[0] + t_mid * hi[0], lo[1] + t_mid * hi[1]):
-                    t_lo = t_mid
-                else:
-                    t_hi = t_mid - 1
-            lo = (lo[0] + t_lo * hi[0], lo[1] + t_lo * hi[1])
+            t = _largest(lambda t: le_d(lo[0] + t * hi[0], lo[1] + t * hi[1]), 1, t_cap + 1)
+            lo = (lo[0] + t * hi[0], lo[1] + t * hi[1])
         else:
-            # run hi toward 1/D; overshooting the budget just ends the walk
+            # run hi toward 1/D; overshooting the budget just ends the walk.
+            # The cap also ends the run at rational D once lo == 1/D
             u_cap = max(1, (n - lo[1] - hi[1]) // lo[1] + 1)
-            u_lo, u_hi = 1, u_cap
-            while u_lo < u_hi:
-                u_mid = (u_lo + u_hi + 1) // 2
-                if not params.fraction_le_inv_d(hi[0] + u_mid * lo[0], hi[1] + u_mid * lo[1]):
-                    u_lo = u_mid
-                else:
-                    u_hi = u_mid - 1
-            hi = (hi[0] + u_lo * lo[0], hi[1] + u_lo * lo[1])
+            u = _largest(lambda u: not le_d(hi[0] + u * lo[0], hi[1] + u * lo[1]), 1, u_cap + 1)
+            hi = (hi[0] + u * lo[0], hi[1] + u * lo[1])
     g = math.gcd(lo[0], lo[1])
     return lo[0] // g, lo[1] // g
 
@@ -471,23 +453,14 @@ def complement_enum(params: DensityParams, count: int) -> ComplementEnumeration:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if params.floor_mul(1) == 1:  # D = 1: A is all of N
+    if params.d_exact == 1:  # D = 1: A is all of N (the log form is never 1)
         return ComplementEnumeration(elements=(), empty=True)
-    le_d = params._comparison()
+    le_d = params.le_d
 
     def below(u: int, i: int) -> bool:  # u(1 - D) < i
         return not le_d(u, u - i)
 
-    lo, hi = 1, 2
-    while below(hi, 1):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if below(mid, 1):
-            lo = mid
-        else:
-            hi = mid
-    step = u = lo
+    step = u = _largest(lambda u: below(u, 1), 1)
     out = [u]
     for i in range(2, count + 1):
         u += step + 1 if below(u + step + 1, i) else step

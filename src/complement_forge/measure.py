@@ -448,19 +448,25 @@ def marstrand_check(
     c = Fraction(c)
     s = Fraction(s)
     level, atoms = _atoms(target)
+    # the weight on each dyadic node, repeats summed: an atom's total is read
+    # from its level + 1 ancestors
+    weight_at: dict[tuple[int, int], Pow2Sum] = {}
+    for iv, w in cover.items:
+        node = (iv.level, iv.index)
+        weight_at[node] = weight_at[node] + w if node in weight_at else w
     c_val = Pow2Sum.from_fraction(c)
     failing = []
     for m in sorted(atoms):
         total = Pow2Sum.zero()
-        atom = DyadicInterval(level, m)
-        for iv, w in cover.items:
-            if iv.contains(atom):
+        for j in range(level + 1):
+            w = weight_at.get((j, m >> (level - j)))
+            if w is not None:
                 total = total + w
         if not (c_val < total):
             failing.append(m)
     lhs = Pow2Sum.zero()
-    for iv, w in cover.items:
-        lhs = lhs + w * Pow2Sum.from_power(-iv.level * s)
+    for (j, _), w in weight_at.items():
+        lhs = lhs + w * Pow2Sum.from_power(-j * s)
     if failing:
         return MarstrandReport(False, tuple(failing), lhs, Pow2Sum.zero(), None)
     rhs = net_measure(target, s, cover.delta).scale(c)

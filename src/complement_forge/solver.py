@@ -50,6 +50,7 @@ class InfeasibleCoverError(ValueError):
 class CoverInstance:
     """A cover problem: translate ``base_set`` to hit every value in [0, 3^k).
 
+    ``base_set`` is nonnegative, as every pattern enumeration is.
     ``lo``/``hi`` bound the allowed translates.  The default range [0, 3^k)
     matches all the bundled optimal sets; the signed range (-3^k, 3^k) is the
     general setting and can be requested explicitly.
@@ -65,6 +66,8 @@ class CoverInstance:
             raise ValueError(f"base_set has block length {self.base_set.k}, expected {self.k}")
         if not self.base_set.values:
             raise ValueError("base_set must be nonempty")
+        if self.base_set.values[0] < 0:
+            raise ValueError(f"base_set value {self.base_set.values[0]} is negative")
         if self.hi == -1:
             object.__setattr__(self, "hi", BASE**self.k)
         bound = BASE**self.k
@@ -148,11 +151,10 @@ class CoverCertificate:
 
 
 def base_mask(code: BlockCode) -> int:
-    """Bitset of the nonnegative part of a code (bit a set iff a in code, a >= 0)."""
+    """Bitset of a nonnegative code (bit a set iff a in code)."""
     m = 0
     for v in code.values:
-        if v >= 0:
-            m |= 1 << v
+        m |= 1 << v
     return m
 
 
@@ -160,15 +162,10 @@ def _shifted(mask: int, b: int) -> int:
     return mask << b if b >= 0 else mask >> -b
 
 
-def coverage_mask(instance: CoverInstance, b: int, neg_values: tuple[int, ...] = ()) -> int:
+def coverage_mask(instance: CoverInstance, b: int) -> int:
     """Bitset of targets covered by translate b (i.e. {a + b} inside [0, 3^k))."""
     full = (1 << instance.target_size) - 1
-    m = _shifted(base_mask(instance.base_set), b) & full
-    for a in neg_values:
-        v = a + b
-        if 0 <= v < instance.target_size:
-            m |= 1 << v
-    return m
+    return _shifted(base_mask(instance.base_set), b) & full
 
 
 def uncovered_values(instance: CoverInstance, code: BlockCode) -> list[int]:
@@ -177,14 +174,9 @@ def uncovered_values(instance: CoverInstance, code: BlockCode) -> list[int]:
         raise ValueError(f"code has block length {code.k}, expected {instance.k}")
     full = (1 << instance.target_size) - 1
     bmask = base_mask(instance.base_set)
-    negs = tuple(a for a in instance.base_set.values if a < 0)
     covered = 0
     for b in code.values:
         covered |= _shifted(bmask, b)
-        for a in negs:
-            v = a + b
-            if v >= 0:
-                covered |= 1 << v
     covered &= full
     missing = full & ~covered
     out = []
@@ -245,11 +237,22 @@ def greedy_complement(instance: CoverInstance) -> CoverCertificate:
     A step thus costs O(|base|^2) plus its share of the rebuilds.  The
     scatter needs numpy >= 1.25, whose indexed ``ufunc.at`` loops run as fast
     as ``bincount``; older numpy gives the same covers, many times slower.
-    """
-    import numpy as np
 
+    A one-element base {a} is answered directly: every translate covers at
+    most one target, so the greedy takes each b with 0 <= a + b < 3^k in
+    ascending order.
+    """
     size = instance.target_size
     lo, hi = instance.lo, instance.hi
+    if len(instance.base_set) == 1:
+        (a,) = instance.base_set.values
+        if lo > -a or hi < size - a:
+            raise InfeasibleCoverError("no translate covers the remaining targets")
+        code = BlockCode(instance.k, tuple(range(-a, size - a)))
+        return verify_complement(instance, code, method="greedy", optimal="unknown")
+
+    import numpy as np
+
     base = np.array(instance.base_set.values, dtype=np.int64)
     a_min, a_max = instance.base_set.values[0], instance.base_set.values[-1]
 
@@ -442,7 +445,6 @@ def exact_min_complement(
     budget = budget or SolverBudget()
     size = instance.target_size
     full = (1 << size) - 1
-    negs = tuple(a for a in instance.base_set.values if a < 0)
     base_values = instance.base_set.values
     base_len = len(base_values)
 
@@ -467,7 +469,7 @@ def exact_min_complement(
             if instance.lo <= b < instance.hi:
                 c = cov_cache.get(b)
                 if c is None:
-                    c = coverage_mask(instance, b, negs)
+                    c = coverage_mask(instance, b)
                     cov_cache[b] = c
                 row.append((b, c))
         cands_of.append(tuple(row))

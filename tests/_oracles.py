@@ -29,6 +29,13 @@ def mp_floor_y_over_d(one_minus_alpha: Fraction, y: int, dps: int = 60) -> int:
         return int(mp.floor(y / d))
 
 
+def mp_floor_u_times_d(one_minus_alpha: Fraction, u: int, dps: int = 60) -> int:
+    """floor(u*D) via high-precision floating point, D = (1-alpha)*log2(3)."""
+    with mp.workdps(dps):
+        d = mp.mpf(one_minus_alpha.numerator) / one_minus_alpha.denominator * mp.log(3) / mp.log(2)
+        return int(mp.floor(u * d))
+
+
 def scan_best_rational(params, n: int) -> tuple[int, int]:
     """Largest r/s <= 1/D with s <= n by scanning every denominator; the best
     numerator for each s is floor(s/D) from the high-precision floor."""

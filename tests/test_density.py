@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
-from _oracles import mp_floor_y_over_d, scan_best_rational
+from _oracles import mp_floor_u_times_d, mp_floor_y_over_d, scan_best_rational
 from complement_forge.density import (
     ENCODING_CONSTANT,
     DensityParams,
@@ -50,7 +50,7 @@ def test_floor_at_eleven_digit_arguments():
     # y/D for alpha = 2/3 lies 3e-11 above an integer here, and
     # 19760456010 * log2 3 lies 4e-11 below one
     p = DensityParams.from_alpha("2/3")
-    assert p.fraction_le_inv_d(19760456010, 10439860591) is True
+    assert p.le_d(19760456010, 10439860591) is True
     assert p.floor_div(10439860591) == 19760456010
 
 
@@ -111,6 +111,17 @@ def test_best_rational_trivia():
     assert best_rational(p8, 1) == (p8.floor_div(1), 1)
     one = DensityParams.from_density(Fraction(1))
     assert best_rational(one, 10) == (1, 1)
+
+
+def test_best_rational_at_rational_density():
+    # at rational D the walk can land on 1/D itself, where only the
+    # denominator cap ends a run
+    for b in range(1, 13):
+        for a in range(1, b + 1):
+            p = DensityParams.from_density(Fraction(a, b))
+            for n in range(1, 40):
+                best = max(Fraction(s * b // a, s) for s in range(1, n + 1))
+                assert best_rational(p, n) == (best.numerator, best.denominator), (a, b, n)
 
 
 def test_rational_encoding_equality():
@@ -185,12 +196,16 @@ def test_complement_shift_minimal():
 
 def test_complement_shift_is_zero():
     # a complement element u has floor(u*D) = |A & [1, u]| = u - i
-    params = [DensityParams.from_alpha(a) for a in (*ALPHAS, "0.95", "2/3")]
-    params += [DensityParams.from_density(Fraction(a, b)) for a, b in ((1, 2), (1, 7), (3, 4), (9, 10), (39, 40))]
-    for p in params:
+    cases = [
+        (p, lambda u, pq=p.one_minus_alpha: mp_floor_u_times_d(pq, u))
+        for p in map(DensityParams.from_alpha, (*ALPHAS, "0.95", "2/3"))
+    ]
+    for a, b in ((1, 2), (1, 7), (3, 4), (9, 10), (39, 40)):
+        cases.append((DensityParams.from_density(Fraction(a, b)), lambda u, a=a, b=b: u * a // b))
+    for p, floor_u_times_d in cases:
         ce = complement_enum(p, 3000)
         assert ce.t_shift == 0
-        assert all(u - i - p.floor_mul(u) == 0 for i, u in enumerate(ce.elements, start=1))
+        assert all(u - i - floor_u_times_d(u) == 0 for i, u in enumerate(ce.elements, start=1))
 
 
 _ENUM_JUST_BELOW_ONE = """
@@ -306,6 +321,10 @@ def test_floor_div_far_from_the_double_estimate():
         p = DensityParams.from_density(d)
         y = 10**40 + 3
         assert p.floor_div(y) == y * d.denominator // d.numerator
+    # past the double range: y overflows a double, and D underflows one
+    assert p8.floor_div(10**400 + 7) == mp_floor_y_over_d(p8.one_minus_alpha, 10**400 + 7, dps=450)
+    for d, y in ((Fraction(1, 2), 10**400 + 1), (Fraction(2, 3), 3**700), (Fraction(1, 10**400), 7)):
+        assert DensityParams.from_density(d).floor_div(y) == y * d.denominator // d.numerator
 
 
 def test_a_prefix_makes_one_exact_floor_per_element(monkeypatch):

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from mpmath import mp
 
 from complement_forge.density import DensityParams, complement_enum
@@ -12,6 +13,7 @@ from complement_forge.fractal import build_density_spec
 from complement_forge.measure import Pow2Sum, mass_ratio
 from complement_forge.solver import (
     CoverInstance,
+    InfeasibleCoverError,
     exact_min_complement,
     greedy_complement,
     uncovered_values,
@@ -64,9 +66,18 @@ def test_greedy_matches_naive_selection():
     # the alpha = 0.8 quadratic stages 4 and 5 (k = 7 and 9)
     spec = build_density_spec(DensityParams.from_alpha("0.8"), 5)
     instances += [stage.certificate.instance for stage in spec.stages[3:]]
+    # one-element bases, where each translate covers at most one target
+    instances += [CoverInstance(2, BlockCode(2, (0,))), CoverInstance(3, BlockCode(3, (0,)))]
+    instances += [CoverInstance.signed(2, BlockCode(2, (a,))) for a in (0, 4, 8)]
     for inst in instances:
         got = list(greedy_complement(inst).solution.values)
         assert got == sorted(naive_greedy(inst))
+    # base {1} over [0, 9) leaves target 0 uncovered: both refuse
+    infeasible = CoverInstance(2, BlockCode(2, (1,)))
+    with pytest.raises(AssertionError, match="infeasible"):
+        naive_greedy(infeasible)
+    with pytest.raises(InfeasibleCoverError):
+        greedy_complement(infeasible)
 
 
 def exhaustive_min_cover_size(instance):

@@ -42,6 +42,13 @@ def test_verify_paper_sets():
         assert cert.size == len(values)
 
 
+def test_instance_refuses_negative_base_values():
+    with pytest.raises(ValueError, match="negative"):
+        CoverInstance(2, BlockCode.from_iterable(2, [-1, 0, 1]))
+    with pytest.raises(ValueError, match="negative"):
+        CoverInstance.signed(2, BlockCode.from_iterable(2, [-4]))
+
+
 def test_verify_failure_lists_uncovered():
     inst = CoverInstance(1, BlockCode.from_iterable(1, [0, 1]))
     with pytest.raises(CoverVerificationError) as ei:
