@@ -186,6 +186,14 @@ class Catalog:
         }
         return self.save_entry(entry)
 
+    def load_complement(self, entry_id: str) -> tuple[dict, CoverCertificate]:
+        """A stored complement entry and its certificate, rebuilt over the
+        candidate range the entry was solved in."""
+        entry = self.load_entry(entry_id)
+        if entry.get("kind") != "complement":
+            raise CatalogError(f"entry {entry_id} is a {entry.get('kind')} entry, not a complement")
+        return entry, _rebuild_complement(entry)
+
     def best_complement(self, k: int) -> tuple[dict, CoverCertificate]:
         """Smallest stored code at block length k; proven optimality and then
         lexicographic order break ties, so the choice is stable."""

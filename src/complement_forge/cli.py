@@ -145,25 +145,21 @@ def _cmd_complement(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cat = Catalog.default()
     if args.id:
-        entry = cat.load_entry(args.id)
-        if entry.get("kind") != "complement":
-            raise _CliError(f"entry {args.id} is a {entry.get('kind')} entry, not a complement")
-        k = entry["k"]
-        code = BlockCode(k, tuple(entry["values"]))
+        if args.range is not None:
+            raise _CliError("--id checks the entry in its stored range; --range goes with --values")
+        _, cert = Catalog.default().load_complement(args.id)
     elif args.values and args.k:
-        k = args.k
-        code = _parse_values(args.values, k, args.ternary)
+        code = _parse_values(args.values, args.k, args.ternary)
+        try:
+            cert = verify_complement(_instance(args.k, args.range or "nonneg"), code)
+        except CoverVerificationError as exc:
+            lines = [f"FAIL: {len(exc.uncovered)} uncovered values", f"uncovered: {exc.uncovered}"]
+            _emit(args, lines, {"command": "verify", "ok": False, "uncovered": exc.uncovered})
+            return EXIT_VERIFY_FAILED
     else:
         raise _CliError("need --id, or --k with --values")
-    inst = _instance(k, args.range)
-    try:
-        cert = verify_complement(inst, code)
-    except CoverVerificationError as exc:
-        lines = [f"FAIL: {len(exc.uncovered)} uncovered values", f"uncovered: {exc.uncovered}"]
-        _emit(args, lines, {"command": "verify", "ok": False, "uncovered": exc.uncovered})
-        return EXIT_VERIFY_FAILED
+    k = cert.instance.k
     lines = [f"ok: size {cert.size} covers all {3**k} targets at k={k}"]
     _emit(args, lines, {"command": "verify", "ok": True, "k": k, "size": cert.size})
     return EXIT_OK
@@ -172,9 +168,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_gamma(args: argparse.Namespace) -> int:
     cat = Catalog.default()
     if args.id:
-        entry = cat.load_entry(args.id)
-        if entry.get("kind") != "complement":
-            raise _CliError(f"entry {args.id} is a {entry.get('kind')} entry, not a complement")
+        entry, _ = cat.load_complement(args.id)
     else:
         if not args.k:
             raise _CliError("need --k or --id")
@@ -547,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--values", default=None, help="comma-separated block values")
     p.add_argument("--ternary", action="store_true", help="parse --values as digit strings")
-    p.add_argument("--range", choices=("nonneg", "signed"), default="nonneg")
+    p.add_argument("--range", choices=("nonneg", "signed"), default=None, help="range of --values (default nonneg)")
     _add_output(p)
     p.set_defaults(func=_cmd_verify)
 

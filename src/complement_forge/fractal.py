@@ -177,10 +177,6 @@ class MeasureBound:
     log3_coefficient: Optional[Fraction]
     log3_value: float
 
-    @property
-    def value(self) -> float:
-        return BASE**self.log3_value
-
 
 def measure_bound(spec: FractalSpec, n: int, exponent: Optional[float] = None) -> MeasureBound:
     """Cover-sum bound after n stages of a uniform spec, in log space."""
@@ -208,10 +204,6 @@ class DimensionLedger:
     lower_bound: float  # 1 - dim C
     gaps: tuple[float, ...]
     description_length: Optional[float]  # quadratic specs: ternary symbols to pin one point
-
-    @property
-    def gamma(self) -> GammaValue:
-        return self.gammas[0]
 
     @property
     def gap(self) -> float:

@@ -481,7 +481,7 @@ class MassRatioEntry:
     f: int  # complement index defining the scale delta = 3^-u_f
     meeting_intervals: int  # sigma-intervals of level f-1 meeting the delta-ball
     ratio: float  # mu[N_delta(x)] / (2 delta)^beta
-    bound: float  # 8 * 3^(beta t / c) / 2^beta
+    bound: float  # 8 / 2^beta
     within_bound: bool
 
 
@@ -510,8 +510,9 @@ def mass_ratio(
     rational.  For each f in ``levels`` the ball N_delta(x) with
     delta = 3^-u_f is intersected against the 2^(f-1) intervals of level f-1
     (each of measure 2^-(f-1)); the count is exact integer arithmetic.  The
-    ratio bound uses the minimal shift t over the enumerated range and
-    c = 1 - D.  Float comparisons carry a 1e-9 slack.
+    ratio bound is 8 * 3^(beta t / (1 - D)) / 2^beta with the shift t of
+    :attr:`ComplementEnumeration.t_shift`, which is 0, so the bound is
+    8 / 2^beta.  Float comparisons carry a 1e-9 slack.
     """
     if any(b not in (0, 1) for b in bits):
         raise ValueError("digit choices must be 0 or 1")
@@ -525,17 +526,14 @@ def mass_ratio(
     if enum.empty:
         raise ValueError("complement is empty at density 1; no ratio test")
     u = enum.elements
-    t = enum.t_shift
-    assert t is not None
 
     scale = u[len(bits) - 1]  # everything scaled by 3^(u_N)
     weights = [3 ** (scale - u[i]) for i in range(len(bits))]
     x = sum(b * w for b, w in zip(bits, weights))
 
     beta = params.beta_float
-    c = 1.0 - params.d_float
     log2, log3 = math.log(2), math.log(3)
-    bound_log = math.log(8) + (beta * t / c) * log3 - beta * log2
+    bound_log = math.log(8) - beta * log2
 
     entries = []
     max_meet = 0
@@ -557,7 +555,7 @@ def mass_ratio(
         )
     return MassRatioReport(
         entries=tuple(entries),
-        t_shift=t,
+        t_shift=enum.t_shift,
         max_meeting=max_meet,
         flagged=max_meet > 4,
     )

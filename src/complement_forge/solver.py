@@ -302,6 +302,36 @@ def greedy_size_bound(k: int) -> float:
     return 2.0 * (3.0 / 2.0) ** k * k * math.log(3) + 1.0
 
 
+# -- the translate table and the budget exit ----------------------------------
+
+
+class _BudgetExhausted(Exception):
+    """The exact search's node or time budget ran out.  Raised wherever the
+    budget is checked and caught once, in :func:`exact_min_complement`."""
+
+
+def _check_clock(deadline: Optional[float]) -> None:
+    if deadline is not None and time.perf_counter() > deadline:
+        raise _BudgetExhausted
+
+
+def _translate_rows(instance: CoverInstance, deadline: Optional[float] = None) -> list[tuple[int, ...]]:
+    """rows[v]: the in-range translates v - a covering target v, in base
+    order.  Raises InfeasibleCoverError if some row is empty, and
+    _BudgetExhausted once ``deadline`` passes."""
+    lo, hi = instance.lo, instance.hi
+    base_values = instance.base_set.values
+    rows = []
+    for v in range(instance.target_size):
+        if v % 256 == 0:
+            _check_clock(deadline)
+        row = tuple(b for b in (v - a for a in base_values) if lo <= b < hi)
+        if not row:
+            raise InfeasibleCoverError(f"no translate covers target {v}")
+        rows.append(row)
+    return rows
+
+
 # -- fractional-cover (LP-dual) bound -----------------------------------------
 
 #: W, the common denominator of the integer dual weights.
@@ -309,14 +339,17 @@ DUAL_SCALE = 1 << 12
 _MWU_EPS = 0.1
 
 
-def _packing_counts(instance: CoverInstance, deadline: Optional[float]) -> Optional[list[int]]:
+def _packing_counts(
+    instance: CoverInstance, rows: list[tuple[int, ...]], deadline: Optional[float] = None
+) -> list[int]:
     """Garg-Koenemann multiplicative weights for the packing LP
     max sum y_v  s.t.  sum_{v in cov(b)} y_v <= 1  for every in-range b,
     the dual of the covering LP.  Returns how often each target was raised
-    (y up to a common factor), or None once ``deadline`` passes.
+    (y up to a common factor); raises _BudgetExhausted once ``deadline``
+    passes.
 
-    The incidence is never stored: the translates covering v are v - base,
-    and their targets v - base + base, built per step as index arrays (an
+    The incidence is never stored: the translates covering v are ``rows[v]``,
+    and their targets rows[v] + base, built per step as index arrays (an
     out-of-range target goes to a sink slot past 3^k).  The floats only pass
     through elementwise adds and multiplies, bincount's in-order sums, an
     exactly rounded fsum and argmin (no BLAS, no libm), so the counts are the
@@ -327,14 +360,10 @@ def _packing_counts(instance: CoverInstance, deadline: Optional[float]) -> Optio
     size = instance.target_size
     lo, hi = instance.lo, instance.hi
     base = np.array(instance.base_set.values, dtype=np.int64)
-    rows_of = [r[(r >= lo) & (r < hi)] for r in (v - base for v in range(size))]
-    if not all(map(len, rows_of)):
-        raise InfeasibleCoverError("no translate covers some target")
-    used = np.zeros(hi - lo, dtype=bool)
-    used[np.concatenate(rows_of) - lo] = True
-    covering = int(np.count_nonzero(used))
+    covering = len(set().union(*rows))
+    rows = [np.array(r, dtype=np.int64) for r in rows]
     # col[v] = sum of the lengths of the translates covering v; lengths start at 1
-    col = np.array([len(r) for r in rows_of], dtype=np.float64)
+    col = np.array([len(r) for r in rows], dtype=np.float64)
     length = np.ones(hi - lo, dtype=np.float64)
     total = float(covering)
     # stop once sum(length) >= 1/delta, delta = (1+eps) * ((1+eps) m)^(-1/eps)
@@ -346,15 +375,15 @@ def _packing_counts(instance: CoverInstance, deadline: Optional[float]) -> Optio
     steps = 0
     while total < stop:
         steps += 1
-        if deadline is not None and steps % 256 == 0 and time.perf_counter() > deadline:
-            return None
+        if steps % 256 == 0:
+            _check_clock(deadline)
         v = int(np.argmin(col))
         counts[v] += 1
-        rows = rows_of[v]
-        inc = length[rows - lo] * _MWU_EPS
-        hit = np.minimum((rows[:, None] + base).view(np.uint64), sink).ravel()
+        row = rows[v]
+        inc = length[row - lo] * _MWU_EPS
+        hit = np.minimum((row[:, None] + base).view(np.uint64), sink).ravel()
         col += np.bincount(hit, weights=np.repeat(inc, len(base)), minlength=size + 1)[:size]
-        length[rows - lo] += inc
+        length[row - lo] += inc
         total += math.fsum(inc.tolist())
     return counts
 
@@ -393,18 +422,13 @@ def gate_dual_weights(weights: list[int], coverages: list[int]) -> list[int]:
     return [w * DUAL_SCALE // heaviest for w in weights]
 
 
-def dual_weights(
-    instance: CoverInstance, coverages: list[int], deadline: Optional[float] = None
-) -> Optional[list[int]]:
-    """Integer dual weights w_v over W with every translate's load at most W;
-    None once ``deadline`` passes.  The multiplicative-weights counts times W
-    go through the exact gate, which turns them into count_v * W // L, L the
-    largest count load: the largest feasible multiple of the counts.
-    ``coverages`` must hold the coverage bitset of every in-range translate
-    that covers some target."""
-    counts = _packing_counts(instance, deadline)
-    if counts is None:
-        return None
+def dual_weights(instance: CoverInstance, coverages: list[int]) -> list[int]:
+    """Integer dual weights w_v over W with every translate's load at most W.
+    The multiplicative-weights counts times W go through the exact gate,
+    which turns them into count_v * W // L, L the largest count load: the
+    largest feasible multiple of the counts.  ``coverages`` must hold the
+    coverage bitset of every in-range translate that covers some target."""
+    counts = _packing_counts(instance, _translate_rows(instance))
     return gate_dual_weights([c * DUAL_SCALE for c in counts], coverages)
 
 
@@ -441,74 +465,35 @@ def exact_min_complement(
 
     Budget exhaustion is not an error: the certificate carries the best
     solution found with optimal="unknown" and stats.budget_exhausted set.
+    The time budget covers the translate table and the dual weights as well
+    as the search, so at large k it ends with the greedy cover.
     """
     budget = budget or SolverBudget()
-    size = instance.target_size
-    full = (1 << size) - 1
-    base_values = instance.base_set.values
-    base_len = len(base_values)
+    full = (1 << instance.target_size) - 1
+    base_len = len(instance.base_set)
 
     stats = SolveStats()
     t0 = time.perf_counter()
     node_cap = budget.max_nodes
-    time_cap = budget.max_seconds
+    deadline = None if budget.max_seconds is None else t0 + budget.max_seconds
 
-    # Per-target candidate tables, computed once: cands_of[v] lists every
-    # in-range translate that covers v with its coverage bitset.  The table
-    # costs 3^k * |base| bit work, so the time budget applies here too (large
-    # k falls back to greedy), and to the dual weights after it.
-    cands_of: list[tuple[tuple[int, int], ...]] = []
-    cov_cache: dict[int, int] = {}
-    for v in range(size):
-        if time_cap is not None and v % 256 == 0 and time.perf_counter() - t0 > time_cap:
-            stats.budget_exhausted = True
-            break
-        row = []
-        for a in base_values:
-            b = v - a
-            if instance.lo <= b < instance.hi:
-                c = cov_cache.get(b)
-                if c is None:
-                    c = coverage_mask(instance, b)
-                    cov_cache[b] = c
-                row.append((b, c))
-        cands_of.append(tuple(row))
-
-    start = greedy_complement(instance)
-    best_sol = list(start.solution.values)
-    if initial is not None and len(initial) < len(best_sol):
+    best = list(greedy_complement(instance).solution.values)  # the incumbent, replaced in place
+    if initial is not None and len(initial) < len(best):
         verify_complement(instance, initial)
-        best_sol = list(initial.values)
-    best_size = len(best_sol)
-
-    planes: list[tuple[int, int]] = []
-    if not stats.budget_exhausted:
-        deadline = None if time_cap is None else t0 + time_cap
-        weights = dual_weights(instance, list(cov_cache.values()), deadline)
-        if weights is None:
-            stats.budget_exhausted = True
-        else:
-            planes = bit_planes(weights)
+        best = list(initial.values)
 
     offset = -instance.lo  # banned-translate bitset index
 
     def search(uncovered: int, chosen: list[int], banned: int) -> None:
-        nonlocal best_sol, best_size
-        if stats.budget_exhausted:
-            return
         stats.nodes += 1
         if node_cap is not None and stats.nodes > node_cap:
-            stats.budget_exhausted = True
-            return
-        if time_cap is not None and stats.nodes % 4096 == 0:
-            if time.perf_counter() - t0 > time_cap:
-                stats.budget_exhausted = True
-                return
+            raise _BudgetExhausted
+        if stats.nodes % 4096 == 0:
+            _check_clock(deadline)
         if not uncovered:
-            best_sol = sorted(chosen)
-            best_size = len(chosen)
+            best[:] = sorted(chosen)
             return
-        need = best_size - len(chosen)
+        need = len(best) - len(chosen)
         if -(-uncovered.bit_count() // base_len) >= need or dual_bound(planes, uncovered) >= need:
             return
         v = (uncovered & -uncovered).bit_length() - 1
@@ -533,12 +518,19 @@ def exact_min_complement(
             chosen.append(b)
             search(uncovered & ~c, chosen, banned)
             chosen.pop()
-            if stats.budget_exhausted:
-                return
             banned |= 1 << (b + offset)
 
-    if not stats.budget_exhausted:
+    try:
+        rows = _translate_rows(instance, deadline)
+        bmask = base_mask(instance.base_set)
+        cover = {b: _shifted(bmask, b) & full for b in set().union(*rows)}
+        # cands_of[v] pairs each translate covering v with its coverage bitset
+        cands_of = [tuple((b, cover[b]) for b in row) for row in rows]
+        counts = _packing_counts(instance, rows, deadline)
+        planes = bit_planes(gate_dual_weights([c * DUAL_SCALE for c in counts], list(cover.values())))
         search(full, [], 0)
+    except _BudgetExhausted:
+        stats.budget_exhausted = True
     # search's closure holds search itself; emptying that cell breaks the
     # cycle, so the tables go with this frame instead of waiting for the
     # cycle collector (which let every call's tables pile up).
@@ -546,7 +538,7 @@ def exact_min_complement(
     stats.elapsed = time.perf_counter() - t0
 
     optimal = "unknown" if stats.budget_exhausted else "proven-optimal"
-    code = BlockCode.from_iterable(instance.k, best_sol)
+    code = BlockCode.from_iterable(instance.k, best)
     cert = verify_complement(instance, code, method="exact", optimal=optimal)
     cert.stats = stats
 

@@ -284,28 +284,13 @@ class TernaryRational:
         d = max(self.depth, other.depth)
         return TernaryRational(self._with_depth(d) - other._with_depth(d), d)
 
-    def __neg__(self) -> "TernaryRational":
-        return TernaryRational(-self.numerator, self.depth)
-
     def scale(self, n: int) -> "TernaryRational":
         return TernaryRational(self.numerator * n, self.depth)
-
-    def _cmp_key(self) -> Fraction:
-        return self.as_fraction()
-
-    def __lt__(self, other: "TernaryRational") -> bool:
-        return self._cmp_key() < other._cmp_key()
-
-    def __le__(self, other: "TernaryRational") -> bool:
-        return self._cmp_key() <= other._cmp_key()
 
     # -- views ---------------------------------------------------------------
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, BASE**self.depth)
-
-    def __float__(self) -> float:
-        return self.numerator / BASE**self.depth
 
     def floor(self) -> int:
         return self.numerator // BASE**self.depth
@@ -319,12 +304,6 @@ class TernaryRational:
         if p > self.depth:
             return 0
         return (self.numerator // BASE ** (self.depth - p)) % BASE
-
-    def truncate(self, depth: int) -> "TernaryRational":
-        """Cut the expansion after ``depth`` fractional digits (floor; nonnegative use)."""
-        if depth >= self.depth:
-            return self
-        return TernaryRational(self.numerator // BASE ** (self.depth - depth), depth)
 
     def halve_truncated(self, depth: int) -> "TernaryRational":
         """floor(x/2 * 3^depth) / 3^depth: halve, keeping a finite expansion.

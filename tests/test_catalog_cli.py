@@ -1,6 +1,7 @@
 import argparse
 import collections
 import json
+import math
 import os
 import subprocess
 import sys
@@ -220,6 +221,39 @@ def test_cli_complement_and_verify(catalog, capsys):
     assert run_cli("verify", "--k", "3", "--values", "0,2,7,12") == 3
     out = capsys.readouterr().out
     assert "uncovered" in out
+
+
+def test_cli_verify_id_checks_the_stored_range(catalog, capsys):
+    assert run_cli("complement", "--k", "3", "--range", "signed", "--format", "json") == 0
+    made = json.loads(capsys.readouterr().out)
+    assert min(made["values"]) < 0  # outside the default range [0, 27)
+    assert run_cli("verify", "--id", made["catalog_id"], "--format", "json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["ok"], doc["k"], doc["size"]) == (True, 3, made["size"])
+    # --range belongs to --values; an entry carries its own range
+    assert run_cli("verify", "--id", made["catalog_id"], "--range", "signed") == 2
+    assert "--range" in capsys.readouterr().err
+    values = "--values=" + ",".join(map(str, made["values"]))
+    assert run_cli("verify", "--k", "3", values) == 2
+    assert run_cli("verify", "--k", "3", values, "--range", "signed") == 0
+
+
+def test_cli_gamma_and_verify_by_id(catalog, capsys):
+    entry_id = catalog.ensure_seeded()[3]  # B4
+    assert run_cli("gamma", "--id", entry_id, "--format", "json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["k"] == 4
+    assert doc["gamma"] == catalog.load_entry(entry_id)["gamma"]
+    assert doc["gamma"] == {"card": 9, "k": 4, "value": math.log(9) / (4 * math.log(3))}
+    assert run_cli("verify", "--id", entry_id, "--format", "json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["ok"], doc["k"], doc["size"]) == (True, 4, 9)
+    assert run_cli("spec-build", "--kind", "uniform", "--k", "3") == 0
+    spec_id = catalog.find_spec("uniform-k3")["id"]
+    capsys.readouterr()
+    for cmd in ("gamma", "verify"):
+        assert run_cli(cmd, "--id", spec_id) == 2
+        assert f"entry {spec_id} is a spec entry, not a complement" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(catalog, capsys):

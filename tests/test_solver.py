@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import random
@@ -5,6 +6,7 @@ import random
 import pytest
 
 from _oracles import brute_force_uncovered
+from complement_forge import solver
 from complement_forge.catalog import PAPER_BLOCKS
 from complement_forge.density import DensityParams
 from complement_forge.fractal import build_density_spec
@@ -195,6 +197,53 @@ def test_exact_budget_exhaustion_is_not_an_error():
     assert cert.stats.budget_exhausted
     assert cert.optimal == "unknown"
     assert cert.verify()  # best-found is still a verified cover
+
+
+def test_exact_time_budget_keeps_the_greedy_cover():
+    inst = c_instance(5)
+    budget = SolverBudget(max_nodes=None, max_seconds=1e-9)
+    cert = exact_min_complement(inst, budget)
+    assert cert.stats.budget_exhausted and cert.optimal == "unknown"
+    assert cert.solution == greedy_complement(inst).solution and cert.size == 18 and cert.verify()
+    # an exit from any depth leaves no reference cycle behind: each call's
+    # tables go with its frame
+    gc.collect()
+    gc.disable()
+    try:
+        for cap in (budget, SolverBudget(max_nodes=2000, max_seconds=None)):
+            for _ in range(2):
+                assert exact_min_complement(inst, cap).stats.budget_exhausted
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("late", ["weights", "search"])
+def test_exact_clock_ends_the_weight_loop_and_the_search(monkeypatch, late):
+    # a clock that stands still until it jumps past the deadline, as the
+    # weight loop starts or as it returns
+    now = [0.0]
+    monkeypatch.setattr(solver.time, "perf_counter", lambda: now[0])
+    packing_counts = solver._packing_counts
+
+    def jump(*args):
+        if late == "weights":
+            now[0] = 2.0
+        counts = packing_counts(*args)
+        now[0] = 2.0
+        return counts
+
+    monkeypatch.setattr(solver, "_packing_counts", jump)
+    inst = c_instance(5)
+    cert = exact_min_complement(inst, SolverBudget(max_nodes=None, max_seconds=1.0))
+    assert cert.stats.budget_exhausted and cert.optimal == "unknown"
+    assert cert.verify()
+    # the weight loop reads the clock every 256 steps, the search every 4096
+    # nodes and keeps the best cover it found
+    if late == "weights":
+        assert cert.stats.nodes == 0 and cert.solution == greedy_complement(inst).solution
+    else:
+        assert cert.stats.nodes == 4096 and cert.size < greedy_complement(inst).size
 
 
 def test_exact_deterministic():
