@@ -6,9 +6,9 @@ same file and an edit to a stored entry is caught on load (the id stops
 matching).  Every entry is also re-verified on save and on load: its code or
 spec is rebuilt and checked, its printed gammas and density results are
 derived again.  Loading a failing entry by id raises; a scan of the
-directory skips it with a warning on stderr.  A ``Catalog`` reads and checks
-its directory once; a write drops that list.  Writes go through a temp
-file and rename, so concurrent readers never see partial entries.
+directory skips it with a warning on stderr.  A ``Catalog`` reads its
+directory once and checks each id once: the id hashes what the check reads.
+Writes go through a temp file and rename, so readers never see partial entries.
 
 The five published optimal block sets ship as seed entries (provenance
 "paper"), separated from anything the solvers discover.  Their optimality is
@@ -25,7 +25,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -72,11 +72,7 @@ def _hash(obj) -> str:
 def _core_fields(entry: dict) -> dict:
     """The identity of an entry: everything except provenance and hashes
     ("digest" is a field earlier versions wrote; excluding it keeps their ids)."""
-    return {
-        k: v
-        for k, v in entry.items()
-        if k not in ("id", "digest", "provenance")
-    }
+    return {k: v for k, v in entry.items() if k not in ("id", "digest", "provenance")}
 
 
 def default_catalog_dir() -> Path:
@@ -89,6 +85,7 @@ def default_catalog_dir() -> Path:
 @dataclass
 class Catalog:
     root: Path
+    _rebuilt: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def default(cls) -> "Catalog":
@@ -108,7 +105,7 @@ class Catalog:
         entry["schema_version"] = SCHEMA_VERSION
         entry_id = _hash(_core_fields(entry))[:16]
         entry["id"] = entry_id
-        _verify(entry)
+        self._check(entry)
         path = self._path(entry_id)
         if path.exists():
             # The id hashes the core fields, so the stored file already holds
@@ -135,8 +132,14 @@ class Catalog:
         entry = json.loads(path.read_text())
         if _hash(_core_fields(entry))[:16] != entry.get("id") or entry["id"] != entry_id:
             raise CatalogIntegrityError(f"entry {entry_id}: content does not match its id")
-        _verify(entry)
+        self._check(entry)
         return entry
+
+    def _check(self, entry: dict) -> Optional[CoverCertificate | FractalSpec]:
+        """``_verify`` an entry the first time its id is seen; return what it rebuilt."""
+        if entry["id"] not in self._rebuilt:
+            self._rebuilt[entry["id"]] = _verify(entry)
+        return self._rebuilt[entry["id"]]
 
     def list_ids(self) -> list[str]:
         if not self.entries_dir.exists():
@@ -187,12 +190,11 @@ class Catalog:
         return self.save_entry(entry)
 
     def load_complement(self, entry_id: str) -> tuple[dict, CoverCertificate]:
-        """A stored complement entry and its certificate, rebuilt over the
-        candidate range the entry was solved in."""
+        """A stored complement entry and its certificate, rebuilt in the range it was solved in."""
         entry = self.load_entry(entry_id)
         if entry.get("kind") != "complement":
             raise CatalogError(f"entry {entry_id} is a {entry.get('kind')} entry, not a complement")
-        return entry, _rebuild_complement(entry)
+        return entry, self._rebuilt[entry_id]
 
     def best_complement(self, k: int) -> tuple[dict, CoverCertificate]:
         """Smallest stored code at block length k; proven optimality and then
@@ -210,14 +212,13 @@ class Catalog:
                 best = (key, entry)
         if best is None:
             raise CatalogError(f"no complement entry for k={k}")
-        return best[1], _rebuild_complement(best[1])
+        return best[1], self._rebuilt[best[1]["id"]]
 
     def ensure_seeded(self) -> list[str]:
-        """Install the published block sets (idempotent)."""
+        """Install the published block sets (idempotent); ``save_entry`` checks each."""
         ids = []
         for k, values in PAPER_BLOCKS.items():
-            inst = CoverInstance(k, zero_one_base(k))
-            cert = verify_complement(inst, BlockCode(k, values), method="external")
+            cert = CoverCertificate(CoverInstance(k, zero_one_base(k)), BlockCode(k, values), "external")
             ids.append(self.add_complement(cert, source="paper"))
         return ids
 
@@ -249,7 +250,7 @@ class Catalog:
         return None
 
     def spec_from_entry(self, entry: dict) -> FractalSpec:
-        return _rebuild_spec(entry)
+        return self._check(entry)
 
     # -- density runs -----------------------------------------------------------------
 
@@ -327,23 +328,26 @@ def _params_from_description(text: str) -> DensityParams:
     raise CatalogIntegrityError(f"unreadable density parameters {text!r}")
 
 
-def _verify(entry: dict) -> None:
-    """Rebuild what an entry stores and derive again what it prints; raise
+def _verify(entry: dict) -> Optional[CoverCertificate | FractalSpec]:
+    """Rebuild what an entry stores and derive again what it prints; return
+    the rebuilt certificate or spec (None for a density run), or raise
     CatalogIntegrityError (or the rebuild's own error) if anything is off."""
     kind = entry.get("kind")
     if kind == "complement":
-        _rebuild_complement(entry)
+        rebuilt = _rebuild_complement(entry)
         ok = entry["gamma"] == _gamma_json(len(entry["values"]), entry["k"])
     elif kind == "spec":
-        _rebuild_spec(entry)
+        rebuilt = _rebuild_spec(entry)
         ok = all(st["gamma"] == _gamma_json(len(st["values"]), st["n"]) for st in entry["stages"])
     elif kind == "density":
+        rebuilt = None
         r, s = best_rational(_params_from_description(entry["params"]), entry["n"])
         ok = (entry["r"], entry["s"]) == (r, s) and entry["encoding_length"] == len(encode_rsn(r, s, entry["n"]))
     else:
         raise CatalogError(f"unknown entry kind {kind!r}")
     if not ok:
         raise CatalogIntegrityError(f"entry {entry['id']}: stored {kind} results do not re-derive")
+    return rebuilt
 
 
 def block_string(value: int, k: int) -> str:

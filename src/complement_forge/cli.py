@@ -16,6 +16,7 @@ import contextlib
 import functools
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from typing import Callable, Optional, TextIO
@@ -90,6 +91,13 @@ def _parse_values(raw: str, k: int, ternary: bool) -> BlockCode:
     return BlockCode.from_iterable(k, vals)
 
 
+def _reject_beside_id(args: argparse.Namespace, *flags: str) -> None:
+    """A stored entry carries its own k, values and range, so ``--id`` takes none of ``flags``."""
+    given = [f for f in flags if getattr(args, f[2:]) is not None and getattr(args, f[2:]) is not False]
+    if given:
+        raise _CliError(f"--id reads a stored entry with its own k, values and range; drop {', '.join(given)}")
+
+
 def _alpha_params(raw: str) -> DensityParams:
     try:
         if raw.startswith("D="):
@@ -146,8 +154,7 @@ def _cmd_complement(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.id:
-        if args.range is not None:
-            raise _CliError("--id checks the entry in its stored range; --range goes with --values")
+        _reject_beside_id(args, "--k", "--values", "--ternary", "--range")
         _, cert = Catalog.default().load_complement(args.id)
     elif args.values and args.k:
         code = _parse_values(args.values, args.k, args.ternary)
@@ -168,6 +175,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_gamma(args: argparse.Namespace) -> int:
     cat = Catalog.default()
     if args.id:
+        _reject_beside_id(args, "--k")
         entry, _ = cat.load_complement(args.id)
     else:
         if not args.k:
@@ -543,6 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ternary", action="store_true", help="parse --values as digit strings")
     p.add_argument("--range", choices=("nonneg", "signed"), default=None, help="range of --values (default nonneg)")
     _add_output(p)
+    # read a value list that starts with a minus ("-11,0,5") as a value, not as an option
+    p._negative_number_matcher = re.compile(r"^-\d")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gamma", help="dimension exponent of a stored code")

@@ -56,7 +56,7 @@ class Pow2Sum:
         if q < 1 or len(coeffs) != q:
             raise ValueError("need one coefficient per basis slot")
         self.q = q
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
 
     @classmethod
     def zero(cls) -> "Pow2Sum":

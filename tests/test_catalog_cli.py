@@ -3,6 +3,7 @@ import collections
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -205,6 +206,22 @@ def test_product_probe_via_catalog(catalog):
     assert rep.verdict == "suboptimal" and rep.covers
 
 
+@pytest.mark.parametrize(
+    "argv", [("gamma", "--k", "4"), ("report",), ("report", "--all")], ids=lambda argv: " ".join(argv)
+)
+def test_each_entry_is_verified_once_per_command(catalog, monkeypatch, capsys, argv):
+    catalog.ensure_seeded()
+    calls = []
+
+    def counting_verify(*args, **kwargs):
+        calls.append(args[1].k)
+        return verify_complement(*args, **kwargs)
+
+    monkeypatch.setattr(catalog_module, "verify_complement", counting_verify)
+    assert run_cli(*argv) == 0
+    assert sorted(calls) == [1, 2, 3, 4, 5]
+
+
 # -- CLI ------------------------------------------------------------------------
 
 
@@ -236,6 +253,31 @@ def test_cli_verify_id_checks_the_stored_range(catalog, capsys):
     values = "--values=" + ",".join(map(str, made["values"]))
     assert run_cli("verify", "--k", "3", values) == 2
     assert run_cli("verify", "--k", "3", values, "--range", "signed") == 0
+
+
+def test_cli_verify_reads_values_that_start_with_a_minus(catalog, capsys):
+    assert run_cli("complement", "--k", "3", "--range", "signed", "--format", "json") == 0
+    values = ",".join(map(str, json.loads(capsys.readouterr().out)["values"]))
+    assert values.startswith("-")
+    assert run_cli("verify", "--k", "3", "--values", values, "--range", "signed") == 0
+    assert run_cli("verify", "--k", "3", "--values", values) == 2  # outside the default range
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (("gamma", "--k", "5"), "--k"),
+        (("verify", "--k", "5"), "--k"),
+        (("verify", "--values", "1,2"), "--values"),
+        (("verify", "--ternary"), "--ternary"),
+        (("verify", "--k", "5", "--values", "1,2", "--ternary"), "--k, --values, --ternary"),
+    ],
+)
+def test_cli_id_rejects_the_flags_of_an_inline_code(catalog, capsys, argv, extra):
+    entry_id = catalog.ensure_seeded()[2]  # B3
+    assert run_cli(argv[0], "--id", entry_id, *argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"drop {extra}" in captured.err
 
 
 def test_cli_gamma_and_verify_by_id(catalog, capsys):
@@ -392,6 +434,20 @@ def test_cli_flags_per_subcommand():
     for name, choices in formats.items():
         csv = ("csv",) if name in ("density", "boxdim") else ()
         assert tuple(choices) == ("text", "json", *csv), name
+
+
+def test_readme_lists_the_flags_each_subcommand_accepts():
+    # the README's per-command bullets leave out the --out and --format every command takes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    bullets = re.findall(r"^- `([a-z-]+)`: (.*?)\n(?=- |\n)", readme, re.M | re.S)
+    documented = {name: set(re.findall(r"--[a-z][a-z-]*", text)) for name, text in bullets}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help", "--out", "--format"}
+        for name, p in sub.choices.items()
+    }
+    assert len(bullets) == len(accepted) == 10
+    assert documented == accepted
 
 
 @pytest.mark.parametrize(
