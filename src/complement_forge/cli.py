@@ -252,12 +252,11 @@ def _cmd_spec_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    cat = Catalog.default()
-    spec = _resolve_spec(cat, args.spec)
     try:
         x = TernaryRational.from_digit_string(args.x)
     except ValueError as exc:
         raise _CliError(str(exc))
+    spec = _resolve_spec(Catalog.default(), args.spec)
     cert = decompose(x, spec, args.depth)
     lines = [f"x = {cert.x} through {args.depth} stage(s)"]
     blocks = []

@@ -4,11 +4,14 @@ mass-distribution ratio test.
 
 Every decision of the net-measure and weighted-cover checks (cover
 minimization, hypothesis and conclusion inequalities, interval counting) is
-exact: sums of rationals times 2^(i/q) are coefficient vectors over the basis
-{2^(i/q)}, and each order comparison is the sign of such a vector, decided in
-integers by :meth:`Pow2Sum.sign`.  Floating point appears only in reported
-estimates and in ``mass_ratio``'s ``within_bound``, a float comparison with
-1e-9 slack.
+exact: sums of rationals times 2^(i/q) are vectors of integer numerators over
+one common denominator in the basis {2^(i/q)}, and each order comparison is
+the sign of such a vector, decided in integers by :meth:`Pow2Sum.sign` (a
+rational value by the sign of its numerator).  The weighted-cover check sums
+the weight on each dyadic node and its ancestors once, parents first, and
+compares the threshold once per node.  Floating point appears only in
+reported estimates and in ``mass_ratio``'s ``within_bound``, a float
+comparison with 1e-9 slack.
 """
 
 from __future__ import annotations
@@ -44,27 +47,41 @@ def _floor_pow2(i: int, q: int, p: int) -> int:
 
 
 class Pow2Sum:
-    """An exact value sum_i coeffs[i] * 2^(i/q) with rational coefficients.
+    """An exact value sum_i nums[i] * 2^(i/q) / den: integer numerators over
+    one positive common denominator.
 
-    The ring operations stay exact, and order comparisons reduce to
-    :meth:`sign`, which is decided in integers.
+    The ring operations are integer tuple operations and stay exact.  The
+    denominator is not kept reduced, so ``==`` is value equality through cross
+    products, and order comparisons reduce to :meth:`sign`, which is decided
+    in integers.  ``coeffs`` gives the rational coefficient of each 2^(i/q).
     """
 
-    __slots__ = ("q", "coeffs")
+    __slots__ = ("q", "nums", "den")
 
-    def __init__(self, q: int, coeffs: Sequence[Fraction]):
+    def __init__(self, q: int, coeffs: Sequence[Fraction | int]):
         if q < 1 or len(coeffs) != q:
             raise ValueError("need one coefficient per basis slot")
+        fracs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in fracs))
         self.q = q
-        self.coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in fracs)
+        self.den = den
+
+    @classmethod
+    def _of(cls, q: int, nums: tuple[int, ...], den: int) -> "Pow2Sum":
+        """The value sum nums[i] * 2^(i/q) / den, taken as given (den > 0)."""
+        v = object.__new__(cls)
+        v.q, v.nums, v.den = q, nums, den
+        return v
 
     @classmethod
     def zero(cls) -> "Pow2Sum":
-        return cls(1, (Fraction(0),))
+        return cls._of(1, (0,), 1)
 
     @classmethod
     def from_fraction(cls, c: Fraction | int) -> "Pow2Sum":
-        return cls(1, (Fraction(c),))
+        c = _as_rational(c)
+        return cls._of(1, (c.numerator,), c.denominator)
 
     @classmethod
     def from_power(cls, exponent: Fraction) -> "Pow2Sum":
@@ -72,80 +89,91 @@ class Pow2Sum:
         exponent = Fraction(exponent)
         q = exponent.denominator
         d, r = divmod(exponent.numerator, q)
-        coeffs = [Fraction(0)] * q
-        coeffs[r] = Fraction(2) ** d
-        return cls(q, coeffs)
+        nums = [0] * q
+        nums[r] = 1 << max(d, 0)
+        return cls._of(q, tuple(nums), 1 << max(-d, 0))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def _promote(self, q: int) -> "Pow2Sum":
         if q == self.q:
             return self
-        step = q // self.q
-        coeffs = [Fraction(0)] * q
-        for i, c in enumerate(self.coeffs):
-            coeffs[i * step] = c
-        return Pow2Sum(q, coeffs)
+        nums = [0] * q
+        nums[:: q // self.q] = self.nums
+        return Pow2Sum._of(q, tuple(nums), self.den)
 
     @staticmethod
     def _common(a: "Pow2Sum", b: "Pow2Sum") -> tuple["Pow2Sum", "Pow2Sum"]:
+        if a.q == b.q:
+            return a, b
         q = math.lcm(a.q, b.q)
         return a._promote(q), b._promote(q)
 
-    def __add__(self, other: "Pow2Sum") -> "Pow2Sum":
+    def _plus(self, other: "Pow2Sum", k: int) -> "Pow2Sum":
+        """self + k * other for an integer k."""
         a, b = self._common(self, other)
-        return Pow2Sum(a.q, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        if a.den == b.den:
+            den, fa, fb = a.den, 1, k
+        else:
+            den = math.lcm(a.den, b.den)
+            fa, fb = den // a.den, k * (den // b.den)
+        return Pow2Sum._of(a.q, tuple(x * fa + y * fb for x, y in zip(a.nums, b.nums)), den)
 
-    def __neg__(self) -> "Pow2Sum":
-        return Pow2Sum(self.q, tuple(-c for c in self.coeffs))
+    def __add__(self, other: "Pow2Sum") -> "Pow2Sum":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Pow2Sum") -> "Pow2Sum":
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "Pow2Sum":
+        return Pow2Sum._of(self.q, tuple(-n for n in self.nums), self.den)
 
     def scale(self, c: Fraction | int) -> "Pow2Sum":
-        c = Fraction(c)
-        return Pow2Sum(self.q, tuple(x * c for x in self.coeffs))
+        c = _as_rational(c)
+        return Pow2Sum._of(self.q, tuple(n * c.numerator for n in self.nums), self.den * c.denominator)
 
     def __mul__(self, other: "Pow2Sum") -> "Pow2Sum":
         a, b = self._common(self, other)
-        out = [Fraction(0)] * a.q
-        for i, ci in enumerate(a.coeffs):
-            if not ci:
-                continue
-            for j, cj in enumerate(b.coeffs):
-                if not cj:
-                    continue
-                d, r = divmod(i + j, a.q)
-                out[r] += ci * cj * 2**d
-        return Pow2Sum(a.q, out)
+        q = a.q
+        out = [0] * (2 * q)
+        for i, x in enumerate(a.nums):
+            if x:
+                for j, y in enumerate(b.nums):
+                    if y:
+                        out[i + j] += x * y
+        # 2^((i+j)/q) = 2 * 2^((i+j-q)/q) for i + j >= q
+        return Pow2Sum._of(q, tuple(lo + 2 * hi for lo, hi in zip(out, out[q:])), a.den * b.den)
 
     def _scaled_sum(self, margin: int) -> tuple[int, int, int]:
-        """Integers (total, den, p) with total = sum n_i * floor(2^(i/q + p)),
-        where den is the common denominator and n_i the integer coefficients
-        over it: total is within sum |n_i| of the value times den * 2^p.  p
-        doubles from 32 until |total| >= margin * sum |n_i|.  The 2^(i/q) are
+        """Integers (total, den, p) with total = sum nums[i] * floor(2^(i/q + p)):
+        total is within sum |nums[i]| of the value times den * 2^p.  p doubles
+        from 32 until |total| >= margin * sum |nums[i]|.  The 2^(i/q) are
         linearly independent over Q (x^q - 2 is Eisenstein), so a nonzero
         vector has a nonzero value and the doubling ends; the zero vector
         gives total 0."""
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        ns = [c.numerator * (den // c.denominator) for c in self.coeffs]
+        ns = self.nums
         slack = sum(map(abs, ns))
         p = 32
         while True:
             total = sum(n * _floor_pow2(i, self.q, p) for i, n in enumerate(ns) if n)
             if abs(total) >= margin * slack:
-                return total, den, p
+                return total, self.den, p
             p *= 2
 
     def sign(self) -> int:
-        """-1, 0 or 1, decided in integers: once |total| >= sum |n_i| the
-        value has the sign of total."""
-        total = self._scaled_sum(1)[0]
+        """-1, 0 or 1, decided in integers.  A q == 1 value is the rational
+        nums[0] / den, so it has the sign of its numerator; otherwise, once
+        |total| >= sum |nums[i]| the value has the sign of total."""
+        total = self.nums[0] if self.q == 1 else self._scaled_sum(1)[0]
         return (total > 0) - (total < 0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Pow2Sum):
             return NotImplemented
         a, b = self._common(self, other)
-        return a.coeffs == b.coeffs
+        return all(x * b.den == y * a.den for x, y in zip(a.nums, b.nums))
 
     def __lt__(self, other: "Pow2Sum") -> bool:
         return (self - other).sign() < 0
@@ -195,6 +223,12 @@ def _format_g6(n: int, d: int) -> str:
 
 
 Weight = Union[Fraction, int, Pow2Sum]
+
+
+def _as_rational(c: Fraction | int) -> Fraction | int:
+    """c itself when it is an int or a Fraction (both carry numerator and
+    denominator), else Fraction(c)."""
+    return c if isinstance(c, (int, Fraction)) else Fraction(c)
 
 
 def _as_pow2(w: Weight) -> Pow2Sum:
@@ -397,11 +431,10 @@ class WeightedCover:
     def __post_init__(self) -> None:
         if not self.items:
             raise ValueError("cover must be nonempty")
-        for iv, w in self.items:
-            if iv.length > self.delta:
-                raise ValueError("interval longer than the mesh bound")
-            if w.sign() <= 0:
-                raise ValueError("weights must be positive")
+        if _longest(self.items) > self.delta:
+            raise ValueError("interval longer than the mesh bound")
+        if any(w.sign() <= 0 for _, w in self.items):
+            raise ValueError("weights must be positive")
 
     @classmethod
     def build(
@@ -409,8 +442,13 @@ class WeightedCover:
     ) -> "WeightedCover":
         norm = tuple((iv, _as_pow2(w)) for iv, w in items)
         if delta is None:
-            delta = max(iv.length for iv, _ in norm)
+            delta = _longest(norm)
         return cls(norm, Fraction(delta))
+
+
+def _longest(items: Sequence[tuple[DyadicInterval, Pow2Sum]]) -> Fraction:
+    """The length of the coarsest interval among the items."""
+    return Fraction(1, 2 ** min(iv.level for iv, _ in items))
 
 
 @dataclass(frozen=True)
@@ -444,31 +482,50 @@ def marstrand_check(
 ) -> MarstrandReport:
     """Check the weighted-cover inequality sum a_n |I_n|^s >= c * M^s_delta(target),
     after verifying the hypothesis that the weights over every target atom
-    exceed c."""
+    exceed c.
+
+    One pass over the weighted dyadic nodes, parents first, gives each node
+    the total weight on it and its ancestors: its nearest weighted ancestor's
+    total plus its own weight.  Each atom reads the total of its deepest
+    weighted ancestor (an atom with none fails), and ``c < total`` is decided
+    once per such node."""
     c = Fraction(c)
     s = Fraction(s)
     level, atoms = _atoms(target)
-    # the weight on each dyadic node, repeats summed: an atom's total is read
-    # from its level + 1 ancestors
+    atoms = sorted(atoms)
+    # the weight on each dyadic node, repeats summed
     weight_at: dict[tuple[int, int], Pow2Sum] = {}
     for iv, w in cover.items:
         node = (iv.level, iv.index)
         weight_at[node] = weight_at[node] + w if node in weight_at else w
+    # owner[a]: index into totals of the deepest node seen so far that holds
+    # atoms[a].  Parents come first, so the nearest weighted ancestor of a
+    # node owns the node's first atom when the node is reached.
+    owner: list[Optional[int]] = [None] * len(atoms)
+    totals: list[Pow2Sum] = []
+    for j, m in sorted(weight_at):
+        if j > level:
+            break  # no atom lies under a node deeper than the atoms
+        shift = level - j
+        lo = bisect.bisect_left(atoms, m << shift)
+        hi = bisect.bisect_left(atoms, (m + 1) << shift, lo)
+        if lo == hi:
+            continue
+        w, above = weight_at[j, m], owner[lo]
+        totals.append(w if above is None else totals[above] + w)
+        owner[lo:hi] = [len(totals) - 1] * (hi - lo)
     c_val = Pow2Sum.from_fraction(c)
-    failing = []
-    for m in sorted(atoms):
-        total = Pow2Sum.zero()
-        for j in range(level + 1):
-            w = weight_at.get((j, m >> (level - j)))
-            if w is not None:
-                total = total + w
-        if not (c_val < total):
-            failing.append(m)
-    lhs = Pow2Sum.zero()
+    exceeds = {k: k is not None and c_val < totals[k] for k in set(owner)}
+    failing = tuple(m for m, k in zip(atoms, owner) if not exceeds[k])
+    # lhs: the weights summed per level, then one multiply by 2^(-j*s) per level
+    weight_on_level: dict[int, Pow2Sum] = {}
     for (j, _), w in weight_at.items():
+        weight_on_level[j] = weight_on_level[j] + w if j in weight_on_level else w
+    lhs = Pow2Sum.zero()
+    for j, w in weight_on_level.items():
         lhs = lhs + w * Pow2Sum.from_power(-j * s)
     if failing:
-        return MarstrandReport(False, tuple(failing), lhs, Pow2Sum.zero(), None)
+        return MarstrandReport(False, failing, lhs, Pow2Sum.zero(), None)
     rhs = net_measure(target, s, cover.delta).scale(c)
     return MarstrandReport(True, (), lhs, rhs, rhs <= lhs)
 

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's optimized code paths: covers are
 checked by double loops over pairs, floors by high-precision mpmath, rational
-approximations by exhaustive scans, and net measures by enumerating every
-dyadic cover.  Expected values frozen into tests were produced by these.
+approximations by exhaustive scans, net measures by enumerating every
+dyadic cover, and the weighted-cover hypothesis by summing each atom's
+weighted ancestors one atom at a time.  Expected values frozen into tests were produced by these.
 """
 
 from __future__ import annotations
@@ -13,7 +14,14 @@ from typing import Iterable, Iterator, Sequence
 
 from mpmath import mp
 
-from complement_forge.measure import DyadicInterval, Pow2Sum
+from complement_forge.measure import (
+    DyadicInterval,
+    MarstrandReport,
+    Pow2Sum,
+    WeightedCover,
+    _atoms,
+    net_measure,
+)
 
 
 def brute_force_uncovered(k: int, base: Iterable[int], code: Iterable[int]) -> list[int]:
@@ -92,3 +100,35 @@ def oracle_net_measure(target: Sequence[DyadicInterval], t: Fraction, delta: Fra
             best = cost
     assert best is not None
     return best
+
+
+def oracle_marstrand_check(
+    cover: WeightedCover, target: Sequence[DyadicInterval], c: Fraction, s: Fraction
+) -> MarstrandReport:
+    """The weighted-cover check by a per-atom ancestor walk: every atom adds
+    up the weights on its level + 1 ancestors, and every node's weight times
+    2^(-j*s) is added to lhs on its own."""
+    c = Fraction(c)
+    s = Fraction(s)
+    level, atoms = _atoms(target)
+    weight_at: dict[tuple[int, int], Pow2Sum] = {}
+    for iv, w in cover.items:
+        node = (iv.level, iv.index)
+        weight_at[node] = weight_at[node] + w if node in weight_at else w
+    c_val = Pow2Sum.from_fraction(c)
+    failing = []
+    for m in sorted(atoms):
+        total = Pow2Sum.zero()
+        for j in range(level + 1):
+            w = weight_at.get((j, m >> (level - j)))
+            if w is not None:
+                total = total + w
+        if not (c_val < total):
+            failing.append(m)
+    lhs = Pow2Sum.zero()
+    for (j, _), w in weight_at.items():
+        lhs = lhs + w * Pow2Sum.from_power(-j * s)
+    if failing:
+        return MarstrandReport(False, tuple(failing), lhs, Pow2Sum.zero(), None)
+    rhs = net_measure(target, s, cover.delta).scale(c)
+    return MarstrandReport(True, (), lhs, rhs, rhs <= lhs)

@@ -315,6 +315,16 @@ def test_cli_decompose_paper_example(catalog, capsys):
     assert "exact: True" in out
 
 
+def test_cli_decompose_bad_x_leaves_catalog_untouched(catalog, capsys):
+    # --x is parsed before the spec is resolved, which seeds the catalog
+    run_cli("density", "--alpha", "0.8", "--n", "100")
+    before = sorted(catalog.root.rglob("*"))
+    assert len(before) == 2  # entries/ and the density entry
+    assert run_cli("decompose", "--x", "0.13", "--spec", "uniform-k3", "--depth", "2") == 2
+    assert "0.13" in capsys.readouterr().err
+    assert sorted(catalog.root.rglob("*")) == before
+
+
 def test_cli_density_json_deterministic(catalog, capsys):
     args = ("density", "--alpha", "0.8", "--n", "500", "--format", "json")
     assert run_cli(*args) == 0

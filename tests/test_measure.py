@@ -1,3 +1,4 @@
+import collections
 import decimal
 import gc
 import io
@@ -8,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import oracle_net_measure
+from _oracles import oracle_marstrand_check, oracle_net_measure
+import complement_forge.measure as measure_module
 from complement_forge.density import DensityParams
 from complement_forge.measure import (
     LEVEL_CAP,
@@ -93,6 +95,64 @@ def test_pow2sum_repr_matches_double_formatting():
         assert repr(Pow2Sum.from_fraction(c)) == f"Pow2Sum(~{x:.6g})"
     assert repr(Pow2Sum.zero()) == "Pow2Sum(~0)"
     assert repr(Pow2Sum.from_fraction(Fraction(999_9995, 10))) == "Pow2Sum(~1e+06)"
+
+
+def test_pow2sum_equality_across_unreduced_denominators():
+    half = Pow2Sum.from_fraction(Fraction(2, 4))
+    unreduced = Pow2Sum.from_fraction(Fraction(1, 4)).scale(2)
+    assert (unreduced.nums, unreduced.den) == ((2,), 4)  # numerator and denominator keep their factor 2
+    assert unreduced == half == Pow2Sum(1, [Fraction(1, 2)])
+    assert unreduced != Pow2Sum.from_fraction(Fraction(1, 4))
+    # 2^(-3/2) * 8 = 2 * 2^(1/2), held as (0, 8) over 4
+    x = Pow2Sum.from_power(Fraction(-3, 2)).scale(8)
+    assert (x.nums, x.den) == ((0, 8), 4)
+    assert x == Pow2Sum(2, [0, 2]) and x != Pow2Sum(2, [2, 0])
+    assert x - Pow2Sum(2, [0, 2]) == Pow2Sum.zero()
+
+
+def test_pow2sum_equality_across_q_promotion():
+    one = Pow2Sum.from_fraction(1)
+    assert Pow2Sum(2, [1, 0]) == one and one == Pow2Sum(2, [1, 0])
+    assert Pow2Sum(6, [0, 0, 0, 1, 0, 0]) == Pow2Sum.from_power(Fraction(1, 2))
+    assert Pow2Sum(6, [0, 0, 0, 1, 0, 0]) != Pow2Sum.from_power(Fraction(1, 3))
+    # 2^(1/2) + 2^(1/3) lives at q = 6
+    total = Pow2Sum.from_power(Fraction(1, 2)) + Pow2Sum.from_power(Fraction(1, 3))
+    assert total.q == 6 and total == Pow2Sum(6, [0, 0, 1, 1, 0, 0])
+
+
+def test_pow2sum_coeffs_round_trip():
+    rng = random.Random(12)
+    for _ in range(100):
+        q = rng.choice((1, 2, 3, 6))
+        coeffs = [Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(q)]
+        v = Pow2Sum(q, coeffs)
+        assert v.coeffs == tuple(coeffs)
+        assert all(isinstance(c, Fraction) for c in v.coeffs)
+        w = v * Pow2Sum.from_power(Fraction(rng.randint(-9, 9), q)) + v.scale(Fraction(1, 3))
+        assert Pow2Sum(w.q, w.coeffs) == w
+    assert Pow2Sum(2, [3, -1]).coeffs == (Fraction(3), Fraction(-1))
+
+
+def test_pow2sum_from_power_negative_exponents():
+    assert Pow2Sum.from_power(-5) == Pow2Sum.from_fraction(Fraction(1, 32))
+    assert Pow2Sum.from_power(Fraction(-7, 3)).coeffs == (0, 0, Fraction(1, 8))  # 2^-3 * 2^(2/3)
+    assert Pow2Sum.from_power(Fraction(-1, 2)).coeffs == (0, Fraction(1, 2))  # 2^-1 * 2^(1/2)
+    for e in (Fraction(-7, 3), Fraction(-1, 2), Fraction(-9, 10), Fraction(-4)):
+        assert Pow2Sum.from_power(e) * Pow2Sum.from_power(-e) == Pow2Sum.from_fraction(1)
+        assert Pow2Sum.zero() < Pow2Sum.from_power(e) < Pow2Sum.from_fraction(1)
+
+
+def test_pow2sum_rational_sign_needs_no_roots(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a rational value has the sign of its numerator")
+
+    monkeypatch.setattr(measure_module, "_floor_pow2", refuse)
+    a, b = 3**630, 2**1000 + 1  # about 1000 bits each
+    x, y = Pow2Sum.from_fraction(Fraction(a, b)), Pow2Sum.from_fraction(Fraction(a + 1, b))
+    assert (x - y).sign() == -1 and (y - x).sign() == 1 and (x - x).sign() == 0
+    assert x < y and not y < x and x <= x
+    assert Pow2Sum(1, [Fraction(-a, b)]).sign() == -1
+    assert WeightedCover.build([(DyadicInterval(1, 0), Fraction(a, b))]).items[0][1] == x
 
 
 # -- digit cancellation ------------------------------------------------------------
@@ -273,6 +333,78 @@ def test_marstrand_randomized_never_fails():
             held += 1
             assert rep.conclusion_ok, f"trial {i}: conclusion failed with hypothesis held"
     assert held > 20  # the generator must actually exercise the applicable case
+
+
+def _cross_check_case(rng: random.Random, irrational: bool):
+    """A seeded cover against a target: ancestors of some atoms (others get
+    none), repeated intervals, intervals deeper than the atoms, and noise."""
+    level = rng.randint(1, 6)
+    atoms = rng.sample(range(2**level), rng.randint(1, min(2**level, 12)))
+    target = [DyadicInterval(level, m) for m in atoms]
+    if rng.random() < 0.3:  # a coarser piece of the target too
+        j = rng.randint(0, level)
+        target.append(DyadicInterval(j, rng.randrange(2**j)))
+
+    def weight():
+        w = Fraction(rng.randint(1, 9), rng.randint(1, 6))
+        if irrational and rng.random() < 0.6:
+            root = Pow2Sum.from_power(rng.choice((Fraction(1, 2), Fraction(1, 3), Fraction(-2, 3))))
+            return root.scale(w)
+        return w
+
+    items = []
+    for m in atoms:
+        if rng.random() < 0.85:
+            j = rng.randint(0, level)
+            items.append((DyadicInterval(j, m >> (level - j)), weight()))
+    for _ in range(rng.randint(0, 3)):  # repeats, with their own weights
+        if items:
+            items.append((rng.choice(items)[0], weight()))
+    for _ in range(rng.randint(0, 3)):  # deeper than the atoms, or anywhere
+        j = rng.randint(level + 1, level + 3) if rng.random() < 0.5 else rng.randint(0, level)
+        items.append((DyadicInterval(j, rng.randrange(2**j)), weight()))
+    if not items:
+        items.append((DyadicInterval(level + 1, 0), weight()))
+    c = Fraction(rng.randint(1, 12), rng.randint(1, 6))
+    s = rng.choice((Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)))
+    return WeightedCover.build(items), target, c, s
+
+
+def test_marstrand_check_matches_per_atom_reference():
+    rng = random.Random(41)
+    seen = collections.Counter()
+    for i in range(400):
+        cover, target, c, s = _cross_check_case(rng, irrational=i % 2 == 1)
+        got, want = marstrand_check(cover, target, c, s), oracle_marstrand_check(cover, target, c, s)
+        assert got.hypothesis_ok == want.hypothesis_ok
+        assert got.failing_atoms == want.failing_atoms
+        assert got.lhs == want.lhs and got.rhs == want.rhs
+        assert got.conclusion_ok == want.conclusion_ok
+        level = max(iv.level for iv in target)
+        weighted = {(iv.level, iv.index) for iv, _ in cover.items}
+        nodes = [(iv.level, iv.index) for iv, _ in cover.items]
+        seen["held", i % 2] += got.hypothesis_ok
+        seen["failed", i % 2] += not got.hypothesis_ok
+        seen["deeper"] += any(j > level for j, _ in weighted)
+        seen["repeated"] += len(nodes) > len(weighted)
+        seen["unweighted atom"] += any(
+            all((j, m >> (level - j)) not in weighted for j in range(level + 1)) for m in got.failing_atoms
+        )
+    # every kind of case the reference is checked on occurs many times
+    assert min(seen.values()) >= 20, seen
+
+
+def test_weighted_cover_validation():
+    iv = DyadicInterval(2, 1)
+    assert WeightedCover.build([(iv, 1), (DyadicInterval(4, 0), 2)]).delta == Fraction(1, 4)
+    with pytest.raises(ValueError, match="mesh bound"):
+        WeightedCover.build([(iv, 1), (DyadicInterval(1, 0), 2)], delta=Fraction(1, 4))
+    with pytest.raises(ValueError, match="positive"):
+        WeightedCover.build([(iv, 1), (DyadicInterval(3, 0), Pow2Sum(2, [1, -1]))])
+    with pytest.raises(ValueError, match="positive"):
+        WeightedCover.build([(iv, 0)])
+    with pytest.raises(ValueError):
+        WeightedCover.build([])
 
 
 def test_random_marstrand_trial_rejects_levels_outside_the_cap():
