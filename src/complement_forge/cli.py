@@ -199,13 +199,16 @@ def _uniform_spec(cat: Catalog, k: int) -> FractalSpec:
 
 
 def _resolve_spec(cat: Catalog, name: str) -> FractalSpec:
-    entry = cat.find_spec(name)
-    if entry is not None:
-        return cat.spec_from_entry(entry)
+    """``uniform-kN`` is built, as ``spec-build --kind uniform`` builds it, over
+    the best code stored at k = N, so a better code found since is used; any
+    other name or id is looked up."""
     if name.startswith("uniform-k"):
         spec = _uniform_spec(cat, int(name[len("uniform-k") :]))
         cat.add_spec(spec, name)
         return spec
+    entry = cat.find_spec(name)
+    if entry is not None:
+        return cat.spec_from_entry(entry)
     raise _CliError(f"unknown spec {name!r} (build it with spec-build)")
 
 
@@ -268,8 +271,9 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             f"stage {i}: block {block_string(v, st.n)} -> a={block_string(a, st.n)} b={block_string(b, st.n)}"
         )
         blocks.append({"stage": i, "block": v, "a": a, "b": b, "n": st.n})
-    lines.append(f"reconstruction exact: {cert.is_exact()}")
-    payload = {"command": "decompose", "x": str(cert.x), "blocks": blocks, "exact": cert.is_exact()}
+    exact = cert.is_exact()
+    lines.append(f"reconstruction exact: {exact}")
+    payload = {"command": "decompose", "x": str(cert.x), "blocks": blocks, "exact": exact}
     _emit(args, lines, payload)
     return EXIT_OK
 
@@ -355,7 +359,7 @@ def _cmd_boxdim(args: argparse.Namespace) -> int:
             if spec.kind != "uniform":
                 raise _CliError("boxdim over a spec expects a uniform spec")
             stages = max(1, min(depth // st.n, 256))
-            est = box_dim_estimate(lambda i: len(st.code) ** i, [st.n * i for i in range(1, stages + 1)])
+            est = box_dim_estimate(lambda m: len(st.code) ** (m // st.n), [st.n * i for i in range(1, stages + 1)])
             target = st.gamma.value
             label = args.spec
         lines = [

@@ -94,7 +94,7 @@ class FractalSpec:
         if self.kind == "uniform":
             return self.stages[0]
         if i > len(self.stages):
-            raise IndexError(f"spec has {len(self.stages)} stages, asked for {i}")
+            raise ValueError(f"spec has {len(self.stages)} stages, asked for {i}")
         return self.stages[i - 1]
 
     def digit_depth(self, stages: int) -> int:
@@ -233,7 +233,6 @@ class DecompositionCertificate:
     stage pattern and b_i from the stage code.  Reconstruction is exact."""
 
     x: TernaryRational
-    depth: int  # stages consumed
     a_blocks: tuple[int, ...]
     b_blocks: tuple[int, ...]
     stage_offsets: tuple[int, ...]  # cumulative digit depths m_1 < m_2 < ...
@@ -246,25 +245,23 @@ class DecompositionCertificate:
         """sum b_i / 3^(m_i): the code-side point."""
         return _block_sum(self.b_blocks, self.stage_offsets)
 
-    def reconstruct(self) -> TernaryRational:
-        return self.half_c_part() + self.half_e_part()
-
     def is_exact(self) -> bool:
-        return self.reconstruct() == self.x
+        return self.half_c_part() + self.half_e_part() == self.x
 
 
 def _block_sum(blocks: Sequence[int], offsets: Sequence[int]) -> TernaryRational:
-    total = TernaryRational(0, 0)
-    for v, m in zip(blocks, offsets):
-        total = total + TernaryRational(v, m)
-    return total
+    """sum v_i / 3^(m_i) as one numerator over 3^(m_last)."""
+    last = offsets[-1]
+    return TernaryRational(sum(v * BASE ** (last - m) for v, m in zip(blocks, offsets)), last)
 
 
 def decompose(x: TernaryRational, spec: FractalSpec, depth: int) -> DecompositionCertificate:
     """Split x in [0, 1] into pattern + code parts through ``depth`` stages.
 
-    The boundary x = 1 is treated as 0.222... truncated at the consumed digit
-    depth; the certificate's ``x`` field holds the value actually decomposed.
+    x is scaled once to the integer N = x * 3^M, M the consumed digit depth;
+    stage i's block is the n_i-digit slice of N ending m_i digits in.  The
+    boundary x = 1 is treated as 0.222... truncated at depth M (N = 3^M - 1);
+    the certificate's ``x`` field holds the value actually decomposed.
     Witness pairs come from each stage's certificate (smallest a, then b), so
     the decomposition is deterministic.
     """
@@ -278,22 +275,18 @@ def decompose(x: TernaryRational, spec: FractalSpec, depth: int) -> Decompositio
         x = TernaryRational(BASE**digits_needed - 1, digits_needed)
     elif x.depth > digits_needed:
         raise ValueError(f"x has {x.depth} digits; {depth} stages only consume {digits_needed}")
+    scaled = x.numerator * BASE ** (digits_needed - x.depth)
 
     a_blocks, b_blocks, offsets = [], [], []
-    pos = 0
+    m = 0
     for i in range(1, depth + 1):
         stage = spec.stage_at(i)
-        v = 0
-        for j in range(1, stage.n + 1):
-            v = v * BASE + x.digit(pos + j)
-        pos += stage.n
-        a, b = stage.certificate.witness[v]
+        m += stage.n
+        a, b = stage.certificate.witness(scaled // BASE ** (digits_needed - m) % BASE**stage.n)
         a_blocks.append(a)
         b_blocks.append(b)
-        offsets.append(pos)
-    cert = DecompositionCertificate(
-        x=x, depth=depth, a_blocks=tuple(a_blocks), b_blocks=tuple(b_blocks), stage_offsets=tuple(offsets)
-    )
+        offsets.append(m)
+    cert = DecompositionCertificate(x, tuple(a_blocks), tuple(b_blocks), tuple(offsets))
     if not cert.is_exact():
         raise AssertionError(f"decomposition of {x} does not reconstruct it")
     return cert

@@ -491,6 +491,8 @@ def marstrand_check(
     once per such node."""
     c = Fraction(c)
     s = Fraction(s)
+    if not 0 <= s <= 1:
+        raise ValueError("exponent s must lie in [0, 1]")
     level, atoms = _atoms(target)
     atoms = sorted(atoms)
     # the weight on each dyadic node, repeats summed

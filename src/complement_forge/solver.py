@@ -99,30 +99,12 @@ class SolveStats:
     budget_exhausted: bool = False
 
 
-class WitnessTable:
-    """Lazy witness map: for each target v, the lexicographically least pair
-    (a, b) with a in base_set, b in solution and a + b = v."""
-
-    def __init__(self, instance: CoverInstance, solution: BlockCode):
-        self._instance = instance
-        self._solution = solution
-
-    def __getitem__(self, v: int) -> tuple[int, int]:
-        if not 0 <= v < self._instance.target_size:
-            raise KeyError(v)
-        for a in self._instance.base_set.values:
-            if v - a in self._solution:
-                return (a, v - a)
-        raise KeyError(f"{v} is not covered")
-
-
 @dataclass
 class CoverCertificate:
     """A verified cover with provenance.
 
     ``optimal`` is tri-state: "proven-optimal", "unknown", or
-    "proven-suboptimal".  ``witness[v]`` gives the canonical pair summing to v
-    (computed on demand; the choice is deterministic, smallest a then b).
+    "proven-suboptimal".
     """
 
     instance: CoverInstance
@@ -135,9 +117,15 @@ class CoverCertificate:
         if self.optimal not in ("proven-optimal", "unknown", "proven-suboptimal"):
             raise ValueError(f"bad optimality flag {self.optimal!r}")
 
-    @property
-    def witness(self) -> WitnessTable:
-        return WitnessTable(self.instance, self.solution)
+    def witness(self, v: int) -> tuple[int, int]:
+        """The canonical pair summing to v: the least a in base_set with
+        b = v - a in solution.  KeyError if v is off the target or uncovered."""
+        if not 0 <= v < self.instance.target_size:
+            raise KeyError(v)
+        for a in self.instance.base_set.values:
+            if v - a in self.solution:
+                return (a, v - a)
+        raise KeyError(f"{v} is not covered")
 
     @property
     def size(self) -> int:

@@ -3,8 +3,9 @@
 These deliberately avoid the library's optimized code paths: covers are
 checked by double loops over pairs, floors by high-precision mpmath, rational
 approximations by exhaustive scans, net measures by enumerating every
-dyadic cover, and the weighted-cover hypothesis by summing each atom's
-weighted ancestors one atom at a time.  Expected values frozen into tests were produced by these.
+dyadic cover, the weighted-cover hypothesis by summing each atom's
+weighted ancestors one atom at a time, and decompositions by reading one
+ternary digit at a time.  Expected values frozen into tests were produced by these.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 from mpmath import mp
 
+from complement_forge.fractal import FractalSpec
 from complement_forge.measure import (
     DyadicInterval,
     MarstrandReport,
@@ -22,6 +24,7 @@ from complement_forge.measure import (
     _atoms,
     net_measure,
 )
+from complement_forge.ternary import TernaryRational
 
 
 def brute_force_uncovered(k: int, base: Iterable[int], code: Iterable[int]) -> list[int]:
@@ -132,3 +135,58 @@ def oracle_marstrand_check(
         return MarstrandReport(False, tuple(failing), lhs, Pow2Sum.zero(), None)
     rhs = net_measure(target, s, cover.delta).scale(c)
     return MarstrandReport(True, (), lhs, rhs, rhs <= lhs)
+
+
+def oracle_decompose(x: TernaryRational, spec: FractalSpec, depth: int) -> dict:
+    """The stage-wise split of x read one ternary digit at a time, each
+    witness found by scanning the base set, and each half summed one block at
+    a time.  x = 1 is read as 0.222... cut at the consumed depth."""
+    digits_needed = spec.digit_depth(depth)
+    if x.as_fraction() == 1:
+        x = TernaryRational(3**digits_needed - 1, digits_needed)
+    a_blocks, b_blocks, offsets = [], [], []
+    pos = 0
+    for i in range(1, depth + 1):
+        stage = spec.stage_at(i)
+        v = 0
+        for j in range(1, stage.n + 1):
+            v = v * 3 + x.digit(pos + j)
+        pos += stage.n
+        a = next(a for a in stage.certificate.instance.base_set.values if v - a in stage.certificate.solution)
+        a_blocks.append(a)
+        b_blocks.append(v - a)
+        offsets.append(pos)
+
+    def block_sum(blocks):
+        total = TernaryRational(0, 0)
+        for v, m in zip(blocks, offsets):
+            total = total + TernaryRational(v, m)
+        return total
+
+    return {
+        "x": x,
+        "a_blocks": tuple(a_blocks),
+        "b_blocks": tuple(b_blocks),
+        "stage_offsets": tuple(offsets),
+        "half_c": block_sum(a_blocks),
+        "half_e": block_sum(b_blocks),
+    }
+
+
+def oracle_reflect_decompose(r: TernaryRational, spec: FractalSpec, depth: int) -> dict:
+    """The reflection of r through ``oracle_decompose``: split (2 - r)/2, cut
+    at the consumed depth, and double both halves."""
+    digits = spec.digit_depth(depth)
+    w = TernaryRational(2, 0) - r
+    u = w.halve_truncated(digits)
+    dec = oracle_decompose(u, spec, depth)
+    x = dec["half_c"].scale(2)
+    return {
+        "r": r,
+        "digit_depth": digits,
+        "decomposition": dec,
+        "cantor_point": x,
+        "e_point": dec["half_e"].scale(2),
+        "translated_point": x + r,
+        "residual": w - u.scale(2),
+    }

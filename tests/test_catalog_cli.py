@@ -17,7 +17,7 @@ from complement_forge.cli import build_parser, main
 from complement_forge.density import DensityParams, description_length
 from complement_forge.fractal import build_density_spec
 from complement_forge.solver import CoverInstance, CoverVerificationError, exact_min_complement, verify_complement
-from complement_forge.ternary import BlockCode, PatternSet, enumerate_pattern, zero_one_pattern
+from complement_forge.ternary import BlockCode, PatternSet, concat_codes, enumerate_pattern, zero_one_pattern
 
 
 @pytest.fixture()
@@ -477,3 +477,41 @@ def test_cli_rejects_flags_the_command_does_not_read(catalog, argv):
     with pytest.raises(SystemExit) as ei:
         run_cli(*argv)
     assert ei.value.code == 2
+
+
+def test_cli_boxdim_spec_estimates_the_spec_dimension(catalog, capsys):
+    # counts are |B|^(n/k) at mesh 3^-n, so every estimate is gamma itself
+    assert run_cli("boxdim", "--spec", "uniform-k3", "--depth", "30", "--format", "json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["final"] == doc["target"] == math.log(5) / (3 * math.log(3))
+
+
+def test_cli_uniform_spec_name_follows_the_best_stored_code(catalog, capsys):
+    assert run_cli("complement", "--k", "6", "--method", "greedy") == 0
+    assert run_cli("spec-build", "--kind", "uniform", "--k", "6") == 0
+    # a better k=6 code stored after uniform-k6 was first built: B3 x B3, 25 values
+    b3 = BlockCode(3, PAPER_BLOCKS[3])
+    b3b3 = concat_codes(b3, b3)
+    catalog.add_complement(verify_complement(CoverInstance(6, enumerate_pattern(zero_one_pattern(6))), b3b3), "solver")
+    assert run_cli("spec-build", "--kind", "uniform", "--k", "6") == 0
+    capsys.readouterr()
+    assert run_cli("boxdim", "--spec", "uniform-k6", "--depth", "12", "--format", "json") == 0
+    assert json.loads(capsys.readouterr().out)["target"] == math.log(25) / (6 * math.log(3))
+    assert run_cli("decompose", "--x", "0.222222", "--spec", "uniform-k6", "--depth", "1", "--format", "json") == 0
+    (block,) = json.loads(capsys.readouterr().out)["blocks"]
+    assert block["b"] in b3b3
+
+
+def test_cli_netcheck_rejects_exponents_outside_the_unit_interval(catalog, capsys):
+    # refused before any trial runs, so the exit code does not depend on the seed
+    for seed in ("0", "2"):
+        for s in ("2", "-1/2"):
+            assert run_cli("netcheck", "--trials", "1", f"--s={s}", "--seed", seed) == 2
+            assert "[0, 1]" in capsys.readouterr().err
+
+
+def test_cli_decompose_past_the_last_stage_exits_2(catalog, capsys):
+    assert run_cli("spec-build", "--kind", "quadratic", "--alpha", "0.8", "--stages", "4") == 0
+    capsys.readouterr()
+    assert run_cli("decompose", "--x", "0.1", "--spec", "quadratic-a4-5-s4", "--depth", "6") == 2
+    assert "spec has 4 stages, asked for 5" in capsys.readouterr().err

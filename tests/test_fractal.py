@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from _oracles import oracle_decompose, oracle_reflect_decompose
 from complement_forge.catalog import PAPER_BLOCKS
 from complement_forge.density import DensityParams, a_prefix
 from complement_forge.fractal import (
@@ -206,3 +207,55 @@ def test_greedy_uniform_gamma_floor():
         cert = greedy_complement(inst)
         spec = build_uniform_spec(k, cert)
         assert spec.stage_at(1).gamma.value >= (1 - DIM_C) - 1e-12
+
+
+def test_stage_past_a_quadratic_schedule_is_a_value_error():
+    spec = build_density_spec(DensityParams.from_alpha("0.8"), 2)
+    with pytest.raises(ValueError, match="spec has 2 stages, asked for 3"):
+        spec.stage_at(3)
+    with pytest.raises(ValueError, match="spec has 2 stages, asked for 3"):
+        decompose(TernaryRational(1, 1), spec, 3)
+
+
+def _decomposition_fields(cert):
+    return {
+        "x": cert.x,
+        "a_blocks": cert.a_blocks,
+        "b_blocks": cert.b_blocks,
+        "stage_offsets": cert.stage_offsets,
+        "half_c": cert.half_c_part(),
+        "half_e": cert.half_e_part(),
+    }
+
+
+def test_decompose_and_reflect_match_digit_by_digit_reference():
+    # the alpha=0.8 six-stage quadratic spec and uniform-k5, as the certify benchmark runs them
+    quadratic = build_density_spec(DensityParams.from_alpha(Fraction(4, 5)), 6)
+    rng = random.Random(15)
+    short = 0
+    for spec, stages in ((quadratic, 6), (uniform_spec(5), 8)):
+        points = [(TernaryRational(1, 0), depth) for depth in range(1, stages + 1)]
+        for _ in range(200):
+            depth = rng.randint(1, stages)
+            digits = rng.randint(0, spec.digit_depth(depth))
+            short += digits < spec.digit_depth(depth)
+            points.append((TernaryRational(rng.randrange(3**digits), digits), depth))
+        for x, depth in points:
+            assert _decomposition_fields(decompose(x, spec, depth)) == oracle_decompose(x, spec, depth)
+        translates = [(TernaryRational(0, 0), stages), (TernaryRational(2, 0), stages)]
+        for _ in range(100):
+            depth = rng.randint(1, stages)
+            digits = rng.randint(0, spec.digit_depth(depth) + 3)  # some cut by the halving
+            translates.append((TernaryRational(rng.randrange(2 * 3**digits + 1), digits), depth))
+        for r, depth in translates:
+            rc = reflect_decompose(r, spec, depth)
+            assert {
+                "r": rc.r,
+                "digit_depth": rc.digit_depth,
+                "decomposition": _decomposition_fields(rc.decomposition),
+                "cantor_point": rc.cantor_point,
+                "e_point": rc.e_point,
+                "translated_point": rc.translated_point,
+                "residual": rc.residual,
+            } == oracle_reflect_decompose(r, spec, depth)
+    assert short >= 300

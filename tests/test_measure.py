@@ -498,3 +498,12 @@ def test_mass_ratio_validation():
         mass_ratio(params, [0] * 4, [1])
     with pytest.raises(ValueError):
         mass_ratio(DensityParams.from_density(Fraction(1)), [0] * 4, [2])
+
+def test_marstrand_check_refuses_exponents_outside_the_unit_interval():
+    # refused whether or not the hypothesis holds (c = 1/2 holds, c = 5 fails)
+    target = [DyadicInterval(1, 0)]
+    cover = WeightedCover.build([(DyadicInterval(1, 0), Fraction(1))])
+    for c in (Fraction(1, 2), Fraction(5)):
+        for s in (Fraction(2), Fraction(-1, 2)):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                marstrand_check(cover, target, c, s)

@@ -79,12 +79,12 @@ def test_verify_mutation_of_b3():
 def test_witness_table():
     cert = verify_complement(c_instance(3), BlockCode(3, PAPER_BLOCKS[3]))
     for v in range(27):
-        a, b = cert.witness[v]
+        a, b = cert.witness(v)
         assert a + b == v
         assert a in cert.instance.base_set.values
         assert b in cert.solution.values
     # canonical choice: smallest a, then smallest b (the published example 020)
-    assert cert.witness[6] == (4, 2)
+    assert cert.witness(6) == (4, 2)
 
 
 def test_greedy_examples():

@@ -35,3 +35,34 @@ def test_no_unused_module_level_imports_in_src():
                     if name not in read:
                         found.append(f"{path.relative_to(SRC)}:{node.lineno} {name}")
     assert found == []
+
+
+def test_every_module_level_private_name_in_src_is_read():
+    # a private function, class or constant that nothing reads is dead code;
+    # a read is a load of the name, an attribute of that name, or an import of it
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.rglob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    found = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [
+                f"{path.relative_to(SRC)}:{node.lineno} {name}"
+                for name in names
+                if name.startswith("_") and not name.startswith("__") and name not in read
+            ]
+    assert found == []
