@@ -19,13 +19,13 @@ import random
 import re
 import sys
 from fractions import Fraction
+from itertools import takewhile
 from typing import Callable, Optional, TextIO
 
 from . import __version__, measure
 from .catalog import Catalog, CatalogError
 from .density import (
     DensityParams,
-    a_prefix,
     a_prefix_from_rational,
     box_dim_bound_ca,
     complement_enum,
@@ -203,7 +203,10 @@ def _resolve_spec(cat: Catalog, name: str) -> FractalSpec:
     the best code stored at k = N, so a better code found since is used; any
     other name or id is looked up."""
     if name.startswith("uniform-k"):
-        spec = _uniform_spec(cat, int(name[len("uniform-k") :]))
+        k = name[len("uniform-k") :]
+        if not re.fullmatch(r"[1-9][0-9]*", k):
+            raise _CliError(f"--spec {name!r}: uniform-kN needs a positive decimal N")
+        spec = _uniform_spec(cat, int(k))
         cat.add_spec(spec, name)
         return spec
     entry = cat.find_spec(name)
@@ -283,11 +286,14 @@ def _cmd_density(args: argparse.Namespace) -> int:
     n = args.n
     if n < 2:
         raise _CliError("need --n >= 2")
-    prefix = a_prefix(params, n)
     dl = description_length(params, n)
     r, s = dl.r, dl.s
-    rebuilt = a_prefix_from_rational(r, s, n)
-    agrees = rebuilt.bits == prefix.bits
+    prefix = a_prefix_from_rational(r, s, n)
+    # the paper's claim, checked against A walked one exact comparison per
+    # element: the walk's elements up to n are distinct, so they are the
+    # prefix's members when all lie in it and the counts agree
+    walked = list(takewhile(lambda k: k <= n, params.a_walk()))
+    agrees = len(walked) == prefix.count() and all(map(prefix.contains, walked))
     enum = complement_enum(params, min(n, 10_000))
     lines = [
         f"{params.describe()}  n={n}",

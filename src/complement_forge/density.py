@@ -15,15 +15,18 @@ all written once in terms of it, and every search among them is one
 gallop-and-bisect (:func:`_largest`).  Rational D (for example D = 1 or
 D = 1/2, the degenerate corners) is the second form, with integer arithmetic.
 
-A itself is never computed one floor(y/D) at a time.  Its consecutive
+A itself is never computed one floor(y/D) at a time.  Its prefix on [1, n]
+is fixed by the best rational r/s <= 1/D with s <= n (:func:`best_rational`,
+a Stern-Brocot walk of O(log n) exact comparisons), and is built from r/s as
+a word: Christoffel words for the Farey fractions on the way to r/s are
+concatenated and the last one tiled out to n (:func:`a_prefix_from_rational`).
+Where the elements themselves are needed in order (the box-dimension
+sequence, the check of a rational encoding), A is walked: consecutive
 elements k_y = floor(y/D) differ by a0 = floor(1/D) or a0 + 1, and the larger
-step is taken exactly when (k_y + a0 + 1)*D <= y + 1, so one comparison per
-element walks A in order (:meth:`DensityParams.a_walk`).  Every per-y loop
-(the prefix, the box-dimension sequence and the check of a rational
-encoding) consumes that walk; the complement is walked the same way, one
-comparison per element (:func:`complement_enum`).  Prefixes are byte
-bitmaps, bit m % 8 of byte m // 8 standing for position m, so a membership
-test is O(1).
+step is taken exactly when (k_y + a0 + 1)*D <= y + 1, one comparison per
+element (:meth:`DensityParams.a_walk`).  The complement is walked the same
+way (:func:`complement_enum`).  Prefixes are byte bitmaps, bit m % 8 of byte
+m // 8 standing for position m, so a membership test is O(1).
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import takewhile
 from typing import Callable, Iterator, Optional
 
 from .ternary import cantor_dimension, int_to_ternary, ternary_to_int
@@ -246,28 +248,92 @@ class APrefix:
         return Fraction(self.count(), self.n)
 
 
-def _bitmap(n: int, positions: Iterator[int]) -> bytes:
-    """Bitmap of the given positions, all in [1, n]."""
-    buf = bytearray((n >> 3) + 1)
-    for k in positions:
-        buf[k >> 3] |= 1 << (k & 7)
-    return bytes(buf)
-
-
-def a_prefix(params: DensityParams, n: int) -> APrefix:
-    """A's characteristic prefix on [1, n], from the walk of A."""
-    if n < 1:
-        raise ValueError("prefix length must be >= 1")
-    return APrefix(n, _bitmap(n, takewhile(lambda k: k <= n, params.a_walk())))
+def _repeat(word: int, length: int, t: int, mask: int) -> int:
+    """``word`` (``length`` letters, held as bits 1..length) written t times,
+    cut to the positions under ``mask``; pieces double, so O(log t) steps."""
+    n = mask.bit_length() - 1
+    t = min(t, -(-n // length))  # more copies than fill n positions add nothing
+    out = filled = 0
+    while t:
+        if t & 1:
+            out = (out | word << filled) & mask
+            filled += length
+        t >>= 1
+        if t and length < n:
+            word = (word | word << length) & mask
+            length *= 2
+    return out
 
 
 def a_prefix_from_rational(r: int, s: int, n: int) -> APrefix:
-    """Prefix reconstructed from the encoded fraction: positions floor(r*y/s)
-    in [1, n], which take y from ceil(s/r) to ((n + 1)*s - 1) // r."""
+    """Prefix of {floor(r*y/s) : y >= 1} on [1, n], built as a word.
+
+    r = 0 covers no position, and for 0 < r <= s the floors start at 0 or 1
+    and step by 0 or 1, so they cover every one.  For r > s, let word(p/q)
+    be the p letters on positions 1..p, position m set when m = floor(p*y/q)
+    for some y; the set has period p, so the prefix is word(r/s) tiled out
+    to n.  With a0 = floor(r/s), word(a0/1) = 0^(a0-1)1 and
+    word((a0+1)/1) = 0^a0 1, and for Farey neighbours a/b < c/d
+    (cb - ad = 1) the mediant's word is word(a/b).word(c/d):
+
+    * for y <= b its floors are those of a/b, since a fraction strictly
+      between a/b and the mediant has denominator >= 2b + d > y;
+    * for y <= d, floor((a + c)(b + y)/(b + d)) - a is
+      floor((1 + (a + c)y)/(b + d)), which exceeds c*y/d by
+      (d - y)/(d(b + d)) < 1/d and so has the floor of c*y/d.
+
+    The Stern-Brocot walk from a0/1 and (a0+1)/1 to r/s is Euclid's
+    algorithm on the distances r*b - a*s (below) and c*s - r*d (above): a
+    run lo += t*hi appends word(hi)^t to word(lo), and a run hi += u*lo
+    prepends word(lo)^u to word(hi).  Each word is an int cut to positions
+    1..n, so no a0 > n builds an a0-bit word.
+    """
     if r < 0 or s < 1 or n < 1:
         raise ValueError("need r >= 0, s >= 1 and n >= 1")
-    ys = range(-(-s // r), ((n + 1) * s - 1) // r + 1) if r else range(0)
-    return APrefix(n, _bitmap(n, (r * y // s for y in ys)))
+    nbytes = (n >> 3) + 1
+    if r == 0:
+        return APrefix(n, bytes(nbytes))
+    mask = (2 << n) - 1
+    if r <= s:
+        return APrefix(n, (mask - 1).to_bytes(nbytes, "little"))
+    g = math.gcd(r, s)
+    r, s = r // g, s // g
+    a, below = divmod(r, s)
+    above = s - below
+    lo, lo_len = (1 << a if a <= n else 0), a
+    hi, hi_len = (1 << a + 1 if a < n else 0), a + 1
+    while below:  # below = 0 leaves lo = r/s
+        if below >= above:
+            t, below = divmod(below, above)
+            if lo_len < n:
+                lo = (lo | _repeat(hi, hi_len, t, mask) << lo_len) & mask
+            lo_len += t * hi_len
+        else:
+            u, above = divmod(above, below)
+            shift = u * lo_len
+            hi = _repeat(lo, lo_len, u, mask) | (hi << shift & mask if shift < n else 0)
+            hi_len += shift
+            if above == 0:  # hi reaches r/s
+                lo, lo_len = hi, hi_len
+                break
+    return APrefix(n, _repeat(lo, lo_len, -(-n // lo_len), mask).to_bytes(nbytes, "little"))
+
+
+def a_prefix(params: DensityParams, n: int) -> APrefix:
+    """A's characteristic prefix on [1, n], from its best rational.
+
+    With r/s = best_rational(params, n), floor(y/D) = floor(r*y/s) for every
+    y <= n: r/s <= 1/D gives <=, and an integer m with y*r/s < m <= y/D would
+    put m/y in (r/s, 1/D] with denominator y <= n, against the choice of r/s.
+    Every position <= n is some k_y = floor(y/D) >= y with y <= n, because
+    D <= 1, and r/s >= floor(1/D) >= 1 keeps floor(r*y/s) >= y > n for
+    y > n.  So the prefix of A is the prefix of {floor(r*y/s)}, built by
+    :func:`a_prefix_from_rational`: O(log n) exact comparisons in place of
+    one per element.
+    """
+    if n < 1:
+        raise ValueError("prefix length must be >= 1")
+    return a_prefix_from_rational(*best_rational(params, n), n)
 
 
 # -- best rational below 1/D ----------------------------------------------------

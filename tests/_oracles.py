@@ -4,17 +4,20 @@ These deliberately avoid the library's optimized code paths: covers are
 checked by double loops over pairs, floors by high-precision mpmath, rational
 approximations by exhaustive scans, net measures by enumerating every
 dyadic cover, the weighted-cover hypothesis by summing each atom's
-weighted ancestors one atom at a time, and decompositions by reading one
-ternary digit at a time.  Expected values frozen into tests were produced by these.
+weighted ancestors one atom at a time, decompositions by reading one
+ternary digit at a time, and prefixes of the density set one element at a
+time.  Expected values frozen into tests were produced by these.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import takewhile
 from typing import Iterable, Iterator, Sequence
 
 from mpmath import mp
 
+from complement_forge.density import APrefix, DensityParams
 from complement_forge.fractal import FractalSpec
 from complement_forge.measure import (
     DyadicInterval,
@@ -52,6 +55,31 @@ def scan_best_rational(params, n: int) -> tuple[int, int]:
     numerator for each s is floor(s/D) from the high-precision floor."""
     best = max(Fraction(mp_floor_y_over_d(params.one_minus_alpha, s), s) for s in range(1, n + 1))
     return best.numerator, best.denominator
+
+
+def _bitmap(n: int, positions: Iterable[int]) -> bytes:
+    """Bitmap of the given positions, all in [1, n]: bit m % 8 of byte m // 8."""
+    buf = bytearray((n >> 3) + 1)
+    for k in positions:
+        buf[k >> 3] |= 1 << (k & 7)
+    return bytes(buf)
+
+
+def oracle_a_prefix(params: DensityParams, n: int) -> APrefix:
+    """A's prefix on [1, n] from the walk of A, one exact comparison per
+    element."""
+    if n < 1:
+        raise ValueError("prefix length must be >= 1")
+    return APrefix(n, _bitmap(n, takewhile(lambda k: k <= n, params.a_walk())))
+
+
+def oracle_a_prefix_from_rational(r: int, s: int, n: int) -> APrefix:
+    """Positions floor(r*y/s) in [1, n], one y at a time: y runs from
+    ceil(s/r) to ((n + 1)*s - 1) // r."""
+    if r < 0 or s < 1 or n < 1:
+        raise ValueError("need r >= 0, s >= 1 and n >= 1")
+    ys = range(-(-s // r), ((n + 1) * s - 1) // r + 1) if r else range(0)
+    return APrefix(n, _bitmap(n, (r * y // s for y in ys)))
 
 
 def all_dyadic_covers(

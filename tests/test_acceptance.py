@@ -12,12 +12,11 @@ import random
 import time
 from fractions import Fraction
 
-from _oracles import oracle_net_measure
+from _oracles import oracle_a_prefix, oracle_net_measure
 from complement_forge.catalog import PAPER_BLOCKS
 from complement_forge.density import (
     ENCODING_CONSTANT,
     DensityParams,
-    a_prefix,
     a_prefix_from_rational,
     best_rational,
     box_dim_bound_ca,
@@ -220,7 +219,7 @@ def test_criterion_08_density_encoding():
     c0_max = 0
     for a in ALPHAS:
         params = DensityParams.from_alpha(a)
-        direct = a_prefix(params, n)
+        direct = oracle_a_prefix(params, n)  # A walked element by element
         r, s = best_rational(params, n)
         agree &= a_prefix_from_rational(r, s, n).bits == direct.bits
         dl = description_length(params, n)

@@ -515,3 +515,26 @@ def test_cli_decompose_past_the_last_stage_exits_2(catalog, capsys):
     capsys.readouterr()
     assert run_cli("decompose", "--x", "0.1", "--spec", "quadratic-a4-5-s4", "--depth", "6") == 2
     assert "spec has 4 stages, asked for 5" in capsys.readouterr().err
+
+
+def test_cli_uniform_spec_name_needs_a_positive_decimal_k(catalog, tmp_path, capsys):
+    # refused as a --spec error before the catalog is seeded or written
+    for name in ("uniform-kfoo", "uniform-k-3", "uniform-k0", "uniform-k", "uniform-k+3", "uniform-k05", "uniform-k3 "):
+        assert run_cli("decompose", "--x", "0.1", "--spec", name, "--depth", "1") == 2, name
+        err = capsys.readouterr().err
+        assert "--spec" in err and "positive decimal" in err, (name, err)
+        assert run_cli("boxdim", "--spec", name, "--depth", "4") == 2, name
+        assert "--spec" in capsys.readouterr().err
+    cat_dir = tmp_path / "cat"
+    assert not cat_dir.exists() or not any(cat_dir.iterdir())
+
+
+def test_cli_density_prefix_match_checks_the_walk_of_a(catalog, capsys, monkeypatch):
+    # prefix_match compares the prefix built from r/s with A walked one exact
+    # comparison per element, so a wrong builder shows as a failed check
+    import complement_forge.cli as cli
+    from complement_forge.density import a_prefix_from_rational
+
+    monkeypatch.setattr(cli, "a_prefix_from_rational", lambda r, s, n: a_prefix_from_rational(r + 1, s, n))
+    assert run_cli("density", "--alpha", "0.8", "--n", "100", "--format", "json") == 3
+    assert json.loads(capsys.readouterr().out)["prefix_match"] is False

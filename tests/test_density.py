@@ -9,7 +9,13 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
-from _oracles import mp_floor_u_times_d, mp_floor_y_over_d, scan_best_rational
+from _oracles import (
+    mp_floor_u_times_d,
+    mp_floor_y_over_d,
+    oracle_a_prefix,
+    oracle_a_prefix_from_rational,
+    scan_best_rational,
+)
 from complement_forge.density import (
     ENCODING_CONSTANT,
     DensityParams,
@@ -137,10 +143,12 @@ def test_rational_encoding_equality():
 
 
 def test_prefix_via_rational_matches_direct():
+    # a_prefix is built from r/s itself, so the paper's claim is checked
+    # against A walked element by element
     for a in ALPHAS:
         p = DensityParams.from_alpha(a)
         r, s = best_rational(p, 2000)
-        assert a_prefix_from_rational(r, s, 2000).bits == a_prefix(p, 2000).bits
+        assert a_prefix_from_rational(r, s, 2000).bits == oracle_a_prefix(p, 2000).bits
 
 
 def test_encode_decode_round_trip():
@@ -335,7 +343,21 @@ def test_floor_div_far_from_the_double_estimate():
         assert DensityParams.from_density(d).floor_div(y) == y * d.denominator // d.numerator
 
 
-def test_a_prefix_makes_one_exact_floor_per_element(monkeypatch):
+# the density workload's six points at n = 3^12, with the number of exact
+# floors a_prefix makes there (all of them in best_rational)
+WORKLOAD_N = 3**12
+WORKLOAD_FLOORS = {"7/10": 108, "3/4": 94, "4/5": 117, "9/10": 130, "19/20": 196, "D=1/2": 0}
+
+
+def _params(text):
+    if text.startswith("D="):
+        return DensityParams.from_density(Fraction(text[2:]))
+    return DensityParams.from_alpha(Fraction(text))
+
+
+def test_a_prefix_makes_logarithmically_many_exact_floors(monkeypatch):
+    # the walk of A made one floor per element, about n*D of them: 42,000 to
+    # 253,000 at the log-form workload points, against a bound of 400 there
     from complement_forge import density
 
     calls = 0
@@ -346,13 +368,113 @@ def test_a_prefix_makes_one_exact_floor_per_element(monkeypatch):
         calls += 1
         return exact(j)
 
-    params = [DensityParams.from_alpha(a) for a in WALK_LOG_POINTS]
     monkeypatch.setattr(density, "_floor_log2_3", counted)
-    for p in params:
-        for n in (1, 10, 5000):
+    # from n = 4 on: floor(1/D) alone can take two floors, and n = 3 makes 5
+    for p in map(DensityParams.from_alpha, WALK_LOG_POINTS):
+        for n in (4, 10, 100, 5000, WORKLOAD_N):
             calls = 0
-            prefix = a_prefix(p, n)
-            assert calls <= prefix.count() + 3, (p.describe(), n, calls)
+            a_prefix(p, n)
+            assert calls <= n.bit_length() ** 2, (p.describe(), n, calls)
+    for text, want in WORKLOAD_FLOORS.items():
+        p = _params(text)
+        calls = 0
+        a_prefix(p, WORKLOAD_N)
+        assert calls == want, (text, calls)
+
+
+def _seeded_density_params(rng):
+    """A log-form or rational-D parameter set, from tiny D to D = 1."""
+    kind = rng.randrange(4)
+    if kind == 0:  # 1 - alpha = P/Q up to log3 2, so D in (0, 1)
+        q = rng.randint(2, 10**4)
+        return DensityParams.from_alpha(1 - Fraction(rng.randint(1, int(q * 0.6309)), q))
+    if kind == 1:  # alpha near 1: D small, floor(1/D) up to about 10^6
+        return DensityParams.from_alpha(1 - Fraction(1, rng.randint(2, 10**6)))
+    if kind == 2:
+        b = rng.randint(1, 10**4)
+        return DensityParams.from_density(Fraction(rng.randint(1, b), b))
+    return DensityParams.from_density(Fraction(1, rng.randint(1, 10**7)))
+
+
+def _value_error(f, *args):
+    with pytest.raises(ValueError) as exc:
+        f(*args)
+    return str(exc.value)
+
+
+def test_a_prefix_matches_the_walk_of_a():
+    rng = random.Random(16)
+    cases = [(_params(text), WORKLOAD_N) for text in WORKLOAD_FLOORS]
+    cases += [(_seeded_density_params(rng), rng.choice((rng.randint(1, 50), rng.randint(1, 5000)))) for _ in range(420)]
+    for p, n in cases:
+        assert a_prefix(p, n) == oracle_a_prefix(p, n), (p.describe(), n)
+    for p in (DensityParams.from_alpha("0.8"), DensityParams.from_density(Fraction(1, 2))):
+        for n in (0, -3):
+            assert _value_error(a_prefix, p, n) == _value_error(oracle_a_prefix, p, n)
+
+
+def test_a_prefix_from_rational_matches_the_per_y_floors():
+    rng = random.Random(61)
+    cases = []
+    for _ in range(2400):
+        n = rng.choice((rng.randint(1, 40), rng.randint(1, 3000)))
+        s = rng.choice((1, rng.randint(1, 60), rng.randint(1, 10**4), rng.randint(1, 10**30)))
+        r = rng.choice(
+            (
+                0,
+                rng.randint(1, s),  # r <= s
+                s,
+                rng.randint(s, 6 * s),  # floor(r/s) from 1 to 6
+                s * rng.randint(1, n + 2) + rng.randint(0, s - 1),  # floor(r/s) around n
+                s * rng.randint(n + 1, 10**9) + rng.randint(0, s - 1),  # r >> n
+            )
+        )
+        g = rng.choice((1, 1, 2, 6, 10**12))  # non-reduced r/s
+        cases.append((r * g, s * g, n))
+    assert sum(r == 0 for r, _, _ in cases) > 100 and sum(s == 1 or r // s > n for r, s, _ in cases) > 100
+    for r, s, n in cases:
+        assert a_prefix_from_rational(r, s, n) == oracle_a_prefix_from_rational(r, s, n), (r, s, n)
+    for r, s, n in ((-1, 3, 10), (1, 0, 10), (1, -2, 10), (3, 2, 0), (0, 0, 0)):
+        assert _value_error(a_prefix_from_rational, r, s, n) == _value_error(oracle_a_prefix_from_rational, r, s, n)
+
+
+def _word(p, q):
+    """The p letters of p/q by definition: position m is 1 when m = floor(p*y/q)."""
+    ones = {p * y // q for y in range(1, q + 1)}
+    return "".join("1" if m in ones else "0" for m in range(1, p + 1))
+
+
+def test_christoffel_words_follow_the_mediant_rule():
+    # word(lo + hi) = word(lo).word(hi) for Farey neighbours lo = a/b < hi = c/d
+    # (cb - ad = 1) in [1, 4] with b, d < 12: the rule a_prefix_from_rational
+    # builds every prefix by
+    pairs = 0
+    for b in range(1, 12):
+        for d in range(1, 12):
+            for a in range(b, 4 * b + 1):
+                c, rem = divmod(1 + a * d, b)
+                if rem or c > 4 * d:
+                    continue
+                mediant = _word(a + c, b + d)
+                assert mediant == _word(a, b) + _word(c, d), (a, b, c, d)
+                prefix = a_prefix_from_rational(a + c, b + d, a + c)
+                assert "".join("01"[prefix.contains(m)] for m in range(1, a + c + 1)) == mediant
+                pairs += 1
+    assert pairs == 249
+
+
+def test_best_rational_encodes_the_prefix():
+    # the lemma a_prefix rests on: floor(y/D) = floor(r*y/s) for y <= n
+    rng = random.Random(38)
+    cases = [(_seeded_density_params(rng), rng.randint(1, 2000)) for _ in range(150)]
+    for n in (1, 2, 7, 60, 999):
+        for m in (n - 1, n, n + 1):  # D or 1/D with denominator m, around n
+            for a in {1, max(1, m // 3), max(1, m - 1)}:
+                if m >= 1 and a <= m:
+                    d = Fraction(a, m)
+                    cases += [(DensityParams.from_density(d), n), (DensityParams.from_density(1 / (1 + d)), n)]
+    for p, n in cases:
+        assert verify_rational_encoding(p, *best_rational(p, n), n).ok, (p.describe(), n)
 
 
 def test_a_prefix_from_rational_edge_numerators():
