@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import random
 import re
 import sys
@@ -111,24 +112,29 @@ def _alpha_params(raw: str) -> DensityParams:
 
 
 def _cmd_complement(args: argparse.Namespace) -> int:
+    budgets = (("--budget-nodes", args.budget_nodes), ("--budget-secs", args.budget_secs))
+    given = [flag for flag, value in budgets if value is not None]
+    if args.method == "greedy" and given:
+        raise _CliError(f"--method greedy reads no budget; drop {', '.join(given)}")
     if args.budget_nodes is not None and args.budget_nodes <= 0:
-        raise _CliError("node budget must be positive")
-    if args.budget_secs <= 0:
-        raise _CliError("time budget must be positive")
+        raise _CliError("--budget-nodes must be positive")
+    # a NaN deadline is never passed, and neither NaN nor inf is valid JSON
+    if args.budget_secs is not None and not (math.isfinite(args.budget_secs) and args.budget_secs > 0):
+        raise _CliError(f"--budget-secs must be a positive finite number of seconds, not {args.budget_secs}")
     if args.k < 1:
         raise _CliError("need k >= 1")
     inst = _instance(args.k, args.range)
-    budget = SolverBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_secs)
+    budget = None
     if args.method == "greedy":
         cert = greedy_complement(inst)
     else:
-        cert = exact_min_complement(inst, budget)
+        solver_budget = SolverBudget(max_nodes=args.budget_nodes)
+        if args.budget_secs is not None:
+            solver_budget.max_seconds = args.budget_secs
+        cert = exact_min_complement(inst, solver_budget)
+        budget = {"nodes": solver_budget.max_nodes, "secs": solver_budget.max_seconds}
     cat = Catalog.default()
-    entry_id = cat.add_complement(
-        cert,
-        source="solver",
-        budget={"nodes": args.budget_nodes, "secs": args.budget_secs},
-    )
+    entry_id = cat.add_complement(cert, source="solver", budget=budget)
     gamma = GammaValue(cert.size, args.k).value
     lines = [
         f"k={args.k} method={cert.method} size={cert.size} optimal={cert.optimal}",
@@ -551,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("greedy", "exact"), default="greedy")
     p.add_argument("--range", choices=("nonneg", "signed"), default="nonneg")
     p.add_argument("--budget-nodes", type=int, default=None, help="exact-solver node budget")
-    p.add_argument("--budget-secs", type=float, default=600.0, help="exact-solver time budget (s)")
+    p.add_argument("--budget-secs", type=float, default=None, help="exact-solver time budget (s, default 600)")
     _add_output(p)
     p.set_defaults(func=_cmd_complement)
 

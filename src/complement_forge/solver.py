@@ -203,6 +203,60 @@ def counting_lower_bound(instance: CoverInstance) -> int:
 # -- greedy (the classical covering argument, run literally) ------------------
 
 
+#: The scatter's cost per (target, base value) pair, in units of one element
+#: of the digit-pass estimate passes * (span + max base).  Timed per step on
+#: {0,1} bases at k = 9..12 (numpy 2.4), an indexed ``ufunc.at`` unit cost
+#: 10 to 22 such elements.
+_SCATTER_WEIGHT = 16
+
+
+def _digit_places(base, k: int) -> Optional[list[tuple[int, tuple[int, ...]]]]:
+    """(3^i, D_i) for every place i whose digit set D_i among the k-digit
+    base values (a numpy array) is not {0}, largest place first, which cuts
+    the digit passes' window fastest; None when the base is not the digit
+    product of its D_i, i.e. prod |D_i| != |base|."""
+    import numpy as np
+
+    places, product = [], 1
+    for i in range(k):
+        digits = tuple(np.flatnonzero(np.bincount(base // BASE**i % BASE)).tolist())
+        product *= len(digits)
+        if digits != (0,):
+            places.append((BASE**i, digits))
+    return places[::-1] if product == len(base) else None
+
+
+def _retire_by_digits(ext, ext_lo: int, t, a_min: int, a_max: int, places) -> None:
+    """ext[x - ext_lo] -= #{a in base : x + a in t} for every translate x, the
+    base being the digit product given by ``places`` (see :func:`_digit_places`)
+    and ``t`` the ascending targets a step newly covered.
+
+    The decrements g(x) live on the window [w_lo, w_lo + span) with
+    w_lo = t[0] - a_max and span = t[-1] - a_min - w_lo + 1.  Start from the
+    indicator h of t - w_lo and let place i turn h(j) into
+    sum_{d in D_i} h(j + d 3^i): one vector add per nonzero digit.  Once the
+    places in P are done, h(j) = #{a in the sub-product over P : w_lo + j + a
+    in t} for every j a later place can still read, a tail that shrinks by
+    max(D_i) 3^i per place; after the last place, h[:span] is g exactly.
+    """
+    import numpy as np
+
+    w_lo = int(t[0]) - a_max
+    span = int(t[-1]) - a_min - w_lo + 1
+    h = np.zeros(span + a_max, dtype=np.int32)
+    h[t - w_lo] = 1
+    valid = len(h)
+    for s, digits in places:
+        valid -= digits[-1] * s
+        moved = [h[d * s : valid + d * s] for d in digits if d]
+        moved = moved[0] if len(moved) == 1 else moved[0] + moved[1]
+        if digits[0]:
+            h[:valid] = moved
+        else:
+            h[:valid] += moved
+    ext[w_lo - ext_lo : w_lo - ext_lo + span] -= h[:span]
+
+
 def greedy_complement(instance: CoverInstance) -> CoverCertificate:
     """Max-coverage greedy: repeatedly take the translate covering the most
     still-uncovered targets, ties broken by smallest value.
@@ -218,11 +272,20 @@ def greedy_complement(instance: CoverInstance) -> CoverCertificate:
       smallest-value tie-break.  The array is rebuilt (one O(3^k) pass) only
       once every entry has dropped below L, at most once per distinct level.
     * The marginals live in one array padded to every value t - a can take,
-      the candidates [lo, hi) being a view into it, so the decrements of a
-      step are one indexed scatter (``np.subtract.at``) of |base| units per
-      newly covered target, with no range mask.
+      the candidates [lo, hi) being a view into it, so a step's decrements
+      need no range mask.  They are retired one of two exact ways, whichever
+      touches fewer elements.  An indexed scatter (``np.subtract.at``) of
+      |base| units per newly covered target touches |T| |base| elements.  A
+      base that is a digit product (every pattern enumeration is) can instead
+      correlate T with the base one digit place at a time
+      (:func:`_retire_by_digits`), touching about passes * (span + max base)
+      elements, where passes counts the nonzero digits over all places and
+      span is the step's window of translates.  Whether that can ever win is
+      settled once per instance, at the largest step (|T| = |base|) and the
+      smallest window, so a small base such as a density-spec stage's pays
+      nothing per step for it.
 
-    A step thus costs O(|base|^2) plus its share of the rebuilds.  The
+    A scatter step costs O(|base|^2) plus its share of the rebuilds.  The
     scatter needs numpy >= 1.25, whose indexed ``ufunc.at`` loops run as fast
     as ``bincount``; older numpy gives the same covers, many times slower.
 
@@ -242,6 +305,7 @@ def greedy_complement(instance: CoverInstance) -> CoverCertificate:
     import numpy as np
 
     base = np.array(instance.base_set.values, dtype=np.int64)
+    nb = len(base)
     a_min, a_max = instance.base_set.values[0], instance.base_set.values[-1]
 
     # every t - a with 0 <= t < 3^k lies in [ext_lo, ext_hi)
@@ -253,6 +317,16 @@ def greedy_complement(instance: CoverInstance) -> CoverCertificate:
     marginals[:] = np.searchsorted(base, size - b_arr) - np.searchsorted(base, -b_arr)
     del b_arr
     shift = base + ext_lo  # the slot of t - a is t - shift[a]
+
+    # a step's digit passes touch about passes * (t_max - t_min + pad) elements
+    # and its scatter |T| |base|; when even a one-target window loses against
+    # the largest step, |T| = |base|, every step scatters
+    places = _digit_places(base, instance.k)
+    if places is not None:
+        passes = sum(len(digits) - (digits[0] == 0) for _, digits in places)
+        pad = 2 * a_max - a_min + 1
+        if passes * pad >= _SCATTER_WEIGHT * nb * nb:
+            places = None
 
     # every a + b with b in [lo, hi), and every target, lies in [u_lo, u_hi);
     # the padding outside [0, 3^k) counts as covered
@@ -278,8 +352,11 @@ def greedy_complement(instance: CoverInstance) -> CoverCertificate:
         uncovered[t - u_lo] = False
         remaining -= len(t)
         # each newly covered target t retires one unit from every translate t - a
-        for start in range(0, len(t), 512):
-            np.subtract.at(ext, (t[start : start + 512, None] - shift).ravel(), 1)
+        if places is not None and passes * (int(t[-1] - t[0]) + pad) < _SCATTER_WEIGHT * nb * len(t):
+            _retire_by_digits(ext, ext_lo, t, a_min, a_max, places)
+        else:
+            for start in range(0, len(t), 512):
+                np.subtract.at(ext, (t[start : start + 512, None] - shift).ravel(), 1)
     code = BlockCode.from_iterable(instance.k, chosen)
     return verify_complement(instance, code, method="greedy", optimal="unknown")
 
@@ -337,28 +414,34 @@ def _packing_counts(
     passes.
 
     The incidence is never stored: the translates covering v are ``rows[v]``,
-    and their targets rows[v] + base, built per step as index arrays (an
-    out-of-range target goes to a sink slot past 3^k).  The floats only pass
-    through elementwise adds and multiplies, bincount's in-order sums, an
-    exactly rounded fsum and argmin (no BLAS, no libm), so the counts are the
-    same on every machine.
+    kept as slots b - lo, which index the translate lengths directly and,
+    plus a, every target b + a in one load array padded to all of them, of
+    which the targets [0, 3^k) are a view.  A step is then one bincount over
+    the padded array.  The floats only pass through elementwise adds and
+    multiplies, bincount's in-order sums, an exactly rounded fsum and argmin
+    (no BLAS, no libm), so the counts are the same on every machine.
     """
     import numpy as np
 
     size = instance.target_size
     lo, hi = instance.lo, instance.hi
-    base = np.array(instance.base_set.values, dtype=np.int64)
+    base = np.array(instance.base_set.values, dtype=np.intp)
+    nb = len(base)
     covering = len(set().union(*rows))
-    rows = [np.array(r, dtype=np.int64) for r in rows]
+    slots = [np.array(r, dtype=np.intp) - lo for r in rows]
+    # ext[i] is the load of target lo + i.  Row 0 holds some b >= lo with
+    # b + a = 0, so lo <= 0, and row 3^k - 1 some b < hi with b + a = 3^k - 1,
+    # so 3^k <= hi + a_max: the targets [0, 3^k) lie inside ext.
+    ext = np.zeros(hi - lo + int(base[-1]), dtype=np.float64)
     # col[v] = sum of the lengths of the translates covering v; lengths start at 1
-    col = np.array([len(r) for r in rows], dtype=np.float64)
+    col = ext[-lo : size - lo]
+    col[:] = [len(r) for r in rows]
     length = np.ones(hi - lo, dtype=np.float64)
     total = float(covering)
     # stop once sum(length) >= 1/delta, delta = (1+eps) * ((1+eps) m)^(-1/eps)
     stop = 1.0 / (1.0 + _MWU_EPS)
     for _ in range(round(1 / _MWU_EPS)):
         stop *= (1.0 + _MWU_EPS) * covering
-    sink = np.uint64(size)
     counts = [0] * size
     steps = 0
     while total < stop:
@@ -367,11 +450,11 @@ def _packing_counts(
             _check_clock(deadline)
         v = int(np.argmin(col))
         counts[v] += 1
-        row = rows[v]
-        inc = length[row - lo] * _MWU_EPS
-        hit = np.minimum((row[:, None] + base).view(np.uint64), sink).ravel()
-        col += np.bincount(hit, weights=np.repeat(inc, len(base)), minlength=size + 1)[:size]
-        length[row - lo] += inc
+        slot = slots[v]
+        held = length[slot]
+        inc = held * _MWU_EPS
+        ext += np.bincount((slot[:, None] + base).ravel(), weights=inc.repeat(nb), minlength=len(ext))
+        length[slot] = held + inc
         total += math.fsum(inc.tolist())
     return counts
 

@@ -5,16 +5,19 @@ checked by double loops over pairs, floors by high-precision mpmath, rational
 approximations by exhaustive scans, net measures by enumerating every
 dyadic cover, the weighted-cover hypothesis by summing each atom's
 weighted ancestors one atom at a time, decompositions by reading one
-ternary digit at a time, and prefixes of the density set one element at a
-time.  Expected values frozen into tests were produced by these.
+ternary digit at a time, prefixes of the density set one element at a time, and the
+multiplicative-weights counts with every step's targets built as a sinked
+index array.  Expected values frozen into tests were produced by these.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import takewhile
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
 from mpmath import mp
 
 from complement_forge.density import APrefix, DensityParams
@@ -27,6 +30,7 @@ from complement_forge.measure import (
     _atoms,
     net_measure,
 )
+from complement_forge.solver import _MWU_EPS, CoverInstance
 from complement_forge.ternary import TernaryRational
 
 
@@ -34,6 +38,35 @@ def brute_force_uncovered(k: int, base: Iterable[int], code: Iterable[int]) -> l
     """Set-cover check by enumerating all sums."""
     sums = {a + b for a in base for b in code}
     return [v for v in range(3**k) if v not in sums]
+
+
+def oracle_packing_counts(instance: CoverInstance, rows: list[tuple[int, ...]]) -> list[int]:
+    """The multiplicative-weights counts of ``solver._packing_counts``, each
+    step's targets rows[v] + base built as an index array in which every
+    target off [0, 3^k) goes to one sink slot past the end."""
+    size = instance.target_size
+    lo, hi = instance.lo, instance.hi
+    base = np.array(instance.base_set.values, dtype=np.int64)
+    covering = len(set().union(*rows))
+    rows = [np.array(r, dtype=np.int64) for r in rows]
+    col = np.array([len(r) for r in rows], dtype=np.float64)
+    length = np.ones(hi - lo, dtype=np.float64)
+    total = float(covering)
+    stop = 1.0 / (1.0 + _MWU_EPS)
+    for _ in range(round(1 / _MWU_EPS)):
+        stop *= (1.0 + _MWU_EPS) * covering
+    sink = np.uint64(size)
+    counts = [0] * size
+    while total < stop:
+        v = int(np.argmin(col))
+        counts[v] += 1
+        row = rows[v]
+        inc = length[row - lo] * _MWU_EPS
+        hit = np.minimum((row[:, None] + base).view(np.uint64), sink).ravel()
+        col += np.bincount(hit, weights=np.repeat(inc, len(base)), minlength=size + 1)[:size]
+        length[row - lo] += inc
+        total += math.fsum(inc.tolist())
+    return counts
 
 
 def mp_floor_y_over_d(one_minus_alpha: Fraction, y: int, dps: int = 60) -> int:

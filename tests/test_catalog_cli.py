@@ -308,6 +308,43 @@ def test_cli_exit_codes(catalog, capsys):
     assert ei.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (("--method", "exact", "--budget-secs", "nan"), "--budget-secs"),
+        (("--method", "exact", "--budget-secs", "inf"), "--budget-secs"),
+        (("--method", "exact", "--budget-secs=-inf"), "--budget-secs"),
+        (("--method", "exact", "--budget-secs", "0"), "--budget-secs"),
+        (("--method", "exact", "--budget-nodes", "0"), "--budget-nodes"),
+        (("--method", "greedy", "--budget-nodes", "5", "--budget-secs", "1"), "--budget-nodes, --budget-secs"),
+        (("--budget-secs", "1"), "--budget-secs"),  # the greedy is the default method
+    ],
+)
+def test_cli_complement_refuses_budgets_it_cannot_honour(catalog, capsys, argv, flags):
+    # a NaN deadline is never passed, NaN and inf are not JSON, and the greedy
+    # reads neither budget: each is invalid input and stores nothing
+    assert run_cli("complement", "--k", "3", "--method", "exact") == 0
+    before = sorted(catalog.root.rglob("*"))
+    capsys.readouterr()
+    assert run_cli("complement", "--k", "3", *argv) == 2
+    assert flags in capsys.readouterr().err
+    assert sorted(catalog.root.rglob("*")) == before
+
+
+def test_cli_complement_records_only_the_budgets_it_read(catalog, capsys):
+    provenance = {}
+    for method in ("greedy", "exact"):
+        assert run_cli("complement", "--k", "3", "--method", method, "--format", "json") == 0
+        entry_id = json.loads(capsys.readouterr().out)["catalog_id"]
+        provenance[method] = catalog.load_entry(entry_id)["provenance"]["budget"]
+    assert provenance == {"greedy": None, "exact": {"nodes": None, "secs": 600.0}}
+    # entry ids leave provenance out, so this run stores a code of its own range
+    args = ("complement", "--k", "3", "--range", "signed", "--method", "exact", "--budget-nodes", "5000")
+    assert run_cli(*args, "--budget-secs", "30", "--format", "json") == 0
+    entry_id = json.loads(capsys.readouterr().out)["catalog_id"]
+    assert catalog.load_entry(entry_id)["provenance"]["budget"] == {"nodes": 5000, "secs": 30.0}
+
+
 def test_cli_decompose_paper_example(catalog, capsys):
     assert run_cli("decompose", "--x", "0.020", "--spec", "uniform-k3", "--depth", "3") == 0
     out = capsys.readouterr().out

@@ -69,15 +69,25 @@ def test_greedy_matches_naive_selection():
     # one-element bases, where each translate covers at most one target
     instances += [CoverInstance(2, BlockCode(2, (0,))), CoverInstance(3, BlockCode(3, (0,)))]
     instances += [CoverInstance.signed(2, BlockCode(2, (a,))) for a in (0, 4, 8)]
+    # digit products at k = 5..7, whose large steps retire their targets one
+    # digit place at a time; the mixed places include {0,1,2} and {1}
+    infeasible = [CoverInstance(2, BlockCode(2, (1,)))]
+    mixed = ((0, 1, 2), (1,), (0, 1), (0, 2), (2,), (1, 2), (0, 1, 2))
+    for k in (5, 6, 7):
+        for allowed in (((0, 1),) * k, ((0, 2),) * k, ((1, 2),) * k, mixed[:k]):
+            base = enumerate_pattern(PatternSet(k, tuple(map(frozenset, allowed))))
+            instances.append(CoverInstance.signed(k, base))
+            # a base without 0 leaves target 0 uncovered by the translates [0, 3^k)
+            (instances if base.values[0] == 0 else infeasible).append(CoverInstance(k, base))
     for inst in instances:
         got = list(greedy_complement(inst).solution.values)
         assert got == sorted(naive_greedy(inst))
-    # base {1} over [0, 9) leaves target 0 uncovered: both refuse
-    infeasible = CoverInstance(2, BlockCode(2, (1,)))
-    with pytest.raises(AssertionError, match="infeasible"):
-        naive_greedy(infeasible)
-    with pytest.raises(InfeasibleCoverError):
-        greedy_complement(infeasible)
+    # e.g. base {1} over [0, 9): both refuse
+    for inst in infeasible:
+        with pytest.raises(AssertionError, match="infeasible"):
+            naive_greedy(inst)
+        with pytest.raises(InfeasibleCoverError):
+            greedy_complement(inst)
 
 
 def exhaustive_min_cover_size(instance):

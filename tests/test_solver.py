@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from _oracles import brute_force_uncovered
+from _oracles import brute_force_uncovered, oracle_packing_counts
 from complement_forge import solver
 from complement_forge.catalog import PAPER_BLOCKS
 from complement_forge.density import DensityParams
@@ -29,7 +29,7 @@ from complement_forge.solver import (
     uncovered_values,
     verify_complement,
 )
-from complement_forge.ternary import BlockCode, enumerate_pattern, zero_one_pattern
+from complement_forge.ternary import BlockCode, PatternSet, enumerate_pattern, zero_one_pattern
 
 
 def c_instance(k, signed=False):
@@ -113,15 +113,35 @@ def _values_digest(code):
     return hashlib.sha256(",".join(map(str, code.values)).encode()).hexdigest()
 
 
-def test_greedy_codes_are_pinned():
-    # any change in the selection or its tie-break moves these digests
-    g10 = greedy_complement(c_instance(10)).solution
-    assert len(g10) == 248
-    assert _values_digest(g10) == "b219b623f3ec60e0825992a20c4b04e1bf508b0c30d9fc491844df47e7909f90"
+def test_greedy_codes_are_pinned(monkeypatch):
+    # any change in the selection or its tie-break moves these digests; the
+    # count of steps retired by digit places shows which decrement path ran
+    digit_steps = []
+    retire_by_digits = solver._retire_by_digits
+
+    def counting(*args):
+        digit_steps[-1] += 1
+        retire_by_digits(*args)
+
+    monkeypatch.setattr(solver, "_retire_by_digits", counting)
+
+    def greedy(inst):
+        digit_steps.append(0)
+        return greedy_complement(inst).solution
+
+    for k, signed, size, digest in (
+        (9, True, 139, "e3315b7f9ee04b87611c191c21dc095f8889c1b008058d1a882678e7604319dd"),
+        (10, False, 248, "b219b623f3ec60e0825992a20c4b04e1bf508b0c30d9fc491844df47e7909f90"),
+        (11, False, 414, "cef7dcaad497d7ca7dec3eece5f64399610f4c3f1914bbf35597bcdd6911cf69"),
+    ):
+        g = greedy(c_instance(k, signed))
+        assert (len(g), _values_digest(g)) == (size, digest)
+        assert 0 < digit_steps[-1] < size  # both paths ran
     stage6 = build_density_spec(DensityParams.from_alpha("0.8"), 6).stages[5]
-    g6 = greedy_complement(stage6.certificate.instance).solution
+    g6 = greedy(stage6.certificate.instance)
     assert len(g6) == 24_696
     assert _values_digest(g6) == "90d344ea59f3c4862cb0fea7f47fe7b157a8d4848547d4d7957c96c6b084e7ab"
+    assert digit_steps[-1] == 0  # eight values over 3^11: the scatter always wins
 
 
 def test_counting_lower_bound():
@@ -164,11 +184,46 @@ def test_exact_leq_greedy_and_bounds():
         assert e.verify() and g.verify()
 
 
+def _pattern_instance(k, overrides):
+    """The {0,1} pattern at block length k with the digits of some places
+    (3^j: digits) overridden, over the translates [0, 3^k)."""
+    pattern = PatternSet(k, tuple(frozenset(overrides.get(j, (0, 1))) for j in range(k)))
+    return CoverInstance(k, enumerate_pattern(pattern))
+
+
 def test_exact_node_counts_are_pinned():
     # the counting and dual bounds are deterministic, so node counts are too
-    for signed, nodes in ((False, 127), (True, 5087)):
-        cert = exact_min_complement(c_instance(4, signed), SolverBudget(max_nodes=None, max_seconds=None))
-        assert (cert.size, cert.optimal, cert.stats.nodes) == (9, "proven-optimal", nodes)
+    for inst, size, nodes in (
+        (c_instance(4), 9, 127),
+        (c_instance(4, signed=True), 9, 5087),
+        (_pattern_instance(5, {0: (0, 1, 2)}), 9, 950),
+        (_pattern_instance(5, {2: (0,)}), 24, 4887),
+    ):
+        cert = exact_min_complement(inst, SolverBudget(max_nodes=None, max_seconds=None))
+        assert (cert.size, cert.optimal, cert.stats.nodes) == (size, "proven-optimal", nodes)
+
+
+def test_packing_counts_match_the_sinked_index_oracle():
+    # the padded load array sums the same floats in the same order as the
+    # per-step index arrays with a sink slot, so the counts agree exactly
+    instances = [c_instance(k, signed) for k in range(1, 6) for signed in (False, True)]
+    # the patterns of the exact searches the search benchmark pins
+    instances += [
+        _pattern_instance(5, {2: (0,)}),
+        _pattern_instance(5, {j: (0, 2) for j in range(5)}),
+        _pattern_instance(5, {0: (0, 1, 2)}),
+    ]
+    rng = random.Random(40)
+    for _ in range(50):
+        k = rng.randint(1, 3)
+        vals = rng.sample(range(3**k), rng.randint(1, 3**k))
+        if rng.random() < 0.5:
+            instances.append(CoverInstance.signed(k, BlockCode.from_iterable(k, vals)))
+        else:
+            instances.append(CoverInstance(k, BlockCode.from_iterable(k, {0, *vals})))
+    for inst in instances:
+        rows = solver._translate_rows(inst)
+        assert solver._packing_counts(inst, rows) == oracle_packing_counts(inst, rows)
 
 
 def _loads(weights, coverages):
