@@ -10,23 +10,23 @@ precision.  No power of 3 is ever built and no precision cap can run out.
 
 Each parameter form supplies just the exact comparison u*D <= x, bound once
 per parameter set (:attr:`DensityParams.le_d`); floor(y/D), comparisons
-against 1/D, the walks of A and of its complement and the D <= 1 check are
+against 1/D, the walk of A, the complement's bound and the D <= 1 check are
 all written once in terms of it, and every search among them is one
 gallop-and-bisect (:func:`_largest`).  Rational D (for example D = 1 or
 D = 1/2, the degenerate corners) is the second form, with integer arithmetic.
 
 A itself is never computed one floor(y/D) at a time.  Its prefix on [1, n]
 is fixed by the best rational r/s <= 1/D with s <= n (:func:`best_rational`,
-a Stern-Brocot walk of O(log n) exact comparisons), and is built from r/s as
-a word: Christoffel words for the Farey fractions on the way to r/s are
-concatenated and the last one tiled out to n (:func:`a_prefix_from_rational`).
-Where the elements themselves are needed in order (the box-dimension
-sequence, the check of a rational encoding), A is walked: consecutive
-elements k_y = floor(y/D) differ by a0 = floor(1/D) or a0 + 1, and the larger
-step is taken exactly when (k_y + a0 + 1)*D <= y + 1, one comparison per
-element (:meth:`DensityParams.a_walk`).  The complement is walked the same
-way (:func:`complement_enum`).  Prefixes are byte bitmaps, bit m % 8 of byte
-m // 8 standing for position m, so a membership test is O(1).
+a Stern-Brocot walk of O(log n) exact comparisons): floor(y/D) = floor(r*y/s)
+for every y <= n.  The prefix is built from r/s as a word: Christoffel words
+for the Farey fractions on the way to r/s are concatenated and the last one
+tiled out to n (:func:`a_prefix_from_rational`).  The box-dimension sequence
+k_y is read off the same kind of rational (:func:`box_dim_bound_ca`), and so
+is the complement, whose i-th element is (i*r - 1) // (r - s) below the
+bound the rational is taken at (:func:`complement_enum`).  Only the
+independent checks walk A one comparison per element
+(:meth:`DensityParams.a_walk`).  Prefixes are byte bitmaps, bit m % 8 of
+byte m // 8 standing for position m, so a membership test is O(1).
 """
 
 from __future__ import annotations
@@ -502,30 +502,34 @@ class ComplementEnumeration:
 
 
 def complement_enum(params: DensityParams, count: int) -> ComplementEnumeration:
-    """Enumerate the first ``count`` complement elements.
+    """Enumerate the first ``count`` complement elements, read off a best
+    rational.
 
-    With c(u) = |complement & [1, u]| = floor((u + 1)(1 - D)), the i-th
-    element is u_i = ceil(i/(1 - D)) - 1, the largest u with u(1 - D) < i,
-    that is with not u*D <= u - i.  u_1 is found by galloping from 1 (near
-    D = 1 it is about 1/(1 - D), where a double estimate of 1 - D cancels to
-    0), and since ceil(x + y) is ceil(x) + ceil(y) or one less,
-    u_(i+1) - u_i is u_1 or u_1 + 1: one exact comparison per element.
+    The i-th element is u_i = ceil(i/(1 - D)) - 1, the largest u with
+    u(1 - D) < i, that is with not u*D <= u - i.  N = u_count is at least
+    ``count`` and is found by one gallop-and-bisect from there (near D = 1
+    it is about count/(1 - D), where a double estimate of 1 - D cancels to
+    0).  Let r/s = best_rational(params, N).
+
+    For u <= N, |A & [1, u]| = ceil((u + 1)s/r) - 1: a y with
+    floor(y/D) <= u has y <= floor(y/D) <= N, as D <= 1, and for y <= N
+    floor(y/D) = floor(r*y/s) (the argument of :func:`a_prefix`), while
+    r/s >= 1 gives y <= floor(r*y/s) too; so the count is
+    #{y >= 1 : r*y/s < u + 1}.  The complement count is then
+    c(u) = (u + 1) - ceil((u + 1)s/r) = floor((u + 1)(r - s)/r).  Since
+    u_1 <= N is a complement element, c(N) >= 1 forces r > s, and u_i, the
+    least u with c(u) >= i, is ceil(i*r/(r - s)) - 1 = (i*r - 1) // (r - s)
+    for every i <= count (u_i <= N, where the two counts agree).  So the
+    enumeration takes O(log N) exact comparisons in place of one per element.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if params.d_exact == 1:  # D = 1: A is all of N (the log form is never 1)
         return ComplementEnumeration(elements=(), empty=True)
     le_d = params.le_d
-
-    def below(u: int, i: int) -> bool:  # u(1 - D) < i
-        return not le_d(u, u - i)
-
-    step = u = _largest(lambda u: below(u, 1), 1)
-    out = [u]
-    for i in range(2, count + 1):
-        u += step + 1 if below(u + step + 1, i) else step
-        out.append(u)
-    return ComplementEnumeration(elements=tuple(out), empty=False)
+    r, s = best_rational(params, _largest(lambda u: not le_d(u, u - count), count))
+    gap = r - s
+    return ComplementEnumeration(elements=tuple([(x - 1) // gap for x in range(r, count * r + 1, r)]), empty=False)
 
 
 # -- finite box-dimension report for C_A ------------------------------------------
@@ -547,14 +551,18 @@ class BoxDimReport:
 
 
 def box_dim_bound_ca(params: DensityParams, depth: int) -> BoxDimReport:
+    """The covering estimates for n = 1..depth, read off a best rational.
+
+    With r/q = best_rational(params, depth), k_n = floor(n/D) = r*n // q for
+    every n <= depth, by the argument of :func:`a_prefix`; so the sequence
+    takes O(log depth) exact comparisons in place of one per element.
+    """
     if depth < 2:
         raise ValueError("need depth >= 2")
+    r, q = best_rational(params, depth)
     log2, log3 = math.log(2), math.log(3)
-    entries = []
-    for n, k in zip(range(1, depth + 1), params.a_walk()):
-        if k < 2:
-            continue  # k_1 = 1 happens only at D = 1; skip the degenerate ratio
-        entries.append((n, k, n * log2 / ((k - 1) * log3)))
+    # k_1 = 1 happens only at D = 1; skip the degenerate ratio
+    entries = [(n, k, n * log2 / ((k - 1) * log3)) for n in range(1, depth + 1) if (k := r * n // q) >= 2]
     tail = [e for _, _, e in entries[len(entries) // 2 :]]
     return BoxDimReport(
         entries=tuple(entries),

@@ -5,9 +5,10 @@ checked by double loops over pairs, floors by high-precision mpmath, rational
 approximations by exhaustive scans, net measures by enumerating every
 dyadic cover, the weighted-cover hypothesis by summing each atom's
 weighted ancestors one atom at a time, decompositions by reading one
-ternary digit at a time, prefixes of the density set one element at a time, and the
-multiplicative-weights counts with every step's targets built as a sinked
-index array.  Expected values frozen into tests were produced by these.
+ternary digit at a time, the density set's prefixes, complement and
+box-dimension sequence one element at a time, and the multiplicative-weights
+counts with every step's targets built as a sinked index array.  Expected
+values frozen into tests were produced by these.
 """
 
 from __future__ import annotations
@@ -20,7 +21,13 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from mpmath import mp
 
-from complement_forge.density import APrefix, DensityParams
+from complement_forge.density import (
+    APrefix,
+    BoxDimReport,
+    ComplementEnumeration,
+    DensityParams,
+    _largest,
+)
 from complement_forge.fractal import FractalSpec
 from complement_forge.measure import (
     DyadicInterval,
@@ -31,7 +38,7 @@ from complement_forge.measure import (
     net_measure,
 )
 from complement_forge.solver import _MWU_EPS, CoverInstance
-from complement_forge.ternary import TernaryRational
+from complement_forge.ternary import TernaryRational, cantor_dimension
 
 
 def brute_force_uncovered(k: int, base: Iterable[int], code: Iterable[int]) -> list[int]:
@@ -113,6 +120,49 @@ def oracle_a_prefix_from_rational(r: int, s: int, n: int) -> APrefix:
         raise ValueError("need r >= 0, s >= 1 and n >= 1")
     ys = range(-(-s // r), ((n + 1) * s - 1) // r + 1) if r else range(0)
     return APrefix(n, _bitmap(n, (r * y // s for y in ys)))
+
+
+def oracle_complement_enum(params: DensityParams, count: int) -> ComplementEnumeration:
+    """The first ``count`` complement elements, walked one exact comparison
+    per element.  With c(u) = floor((u + 1)(1 - D)), u_i = ceil(i/(1 - D)) - 1
+    is the largest u with u(1 - D) < i; u_1 is galloped from 1, and since
+    ceil(x + y) is ceil(x) + ceil(y) or one less, u_(i+1) - u_i is u_1 or
+    u_1 + 1."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if params.d_exact == 1:
+        return ComplementEnumeration(elements=(), empty=True)
+    le_d = params.le_d
+
+    def below(u: int, i: int) -> bool:  # u(1 - D) < i
+        return not le_d(u, u - i)
+
+    step = u = _largest(lambda u: below(u, 1), 1)
+    out = [u]
+    for i in range(2, count + 1):
+        u += step + 1 if below(u + step + 1, i) else step
+        out.append(u)
+    return ComplementEnumeration(elements=tuple(out), empty=False)
+
+
+def oracle_box_dim_bound_ca(params: DensityParams, depth: int) -> BoxDimReport:
+    """The covering estimates n*log2 / ((k_n - 1)*log3) with k_n taken from
+    the walk of A, one exact comparison per element."""
+    if depth < 2:
+        raise ValueError("need depth >= 2")
+    log2, log3 = math.log(2), math.log(3)
+    entries = []
+    for n, k in zip(range(1, depth + 1), params.a_walk()):
+        if k < 2:
+            continue
+        entries.append((n, k, n * log2 / ((k - 1) * log3)))
+    tail = [e for _, _, e in entries[len(entries) // 2 :]]
+    return BoxDimReport(
+        entries=tuple(entries),
+        tail_sup=max(tail),
+        target=1.0 - params.alpha_float,
+        complement_lower_bound=cantor_dimension() + params.alpha_float - 1.0,
+    )
 
 
 def all_dyadic_covers(

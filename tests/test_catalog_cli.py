@@ -309,6 +309,32 @@ def test_cli_exit_codes(catalog, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, k_max",
+    [
+        (("--k", "20"), 13),
+        (("--k", "14", "--range", "signed"), 13),
+        (("--k", "20", "--method", "exact"), 8),
+        (("--k", "9", "--method", "exact", "--budget-nodes", "1"), 8),
+    ],
+)
+def test_cli_complement_refuses_an_oversized_k(catalog, capsys, monkeypatch, argv, k_max):
+    # the greedy at k=20 would allocate over 100 GB before its first step, and
+    # the exact search's table grows as 6^k; the refusal comes before either
+    # solver runs and before the catalog opens
+    import complement_forge.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solver reached")
+
+    monkeypatch.setattr(cli, "greedy_complement", unreachable)
+    monkeypatch.setattr(cli, "exact_min_complement", unreachable)
+    assert run_cli("complement", *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"--k must be between 1 and {k_max}" in captured.err
+    assert not catalog.root.exists()
+
+
+@pytest.mark.parametrize(
     "argv, flags",
     [
         (("--method", "exact", "--budget-secs", "nan"), "--budget-secs"),

@@ -14,6 +14,8 @@ from _oracles import (
     mp_floor_y_over_d,
     oracle_a_prefix,
     oracle_a_prefix_from_rational,
+    oracle_box_dim_bound_ca,
+    oracle_complement_enum,
     scan_best_rational,
 )
 from complement_forge.density import (
@@ -382,6 +384,33 @@ def test_a_prefix_makes_logarithmically_many_exact_floors(monkeypatch):
         assert calls == want, (text, calls)
 
 
+def test_complement_and_box_sequence_make_logarithmically_many_comparisons(monkeypatch):
+    # the walks they replaced made one exact comparison per element: more
+    # than 10^4 each at n = 10^4, against a ceiling of 168 there
+    from complement_forge import density
+
+    calls = 0
+
+    def counting(compare):
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return compare(*args)
+
+        return counted
+
+    monkeypatch.setattr(density, "_floor_log2_3", counting(density._floor_log2_3))
+    for text in ("7/10", "4/5", "19/20", "D=1/2"):
+        for n in (2, 10, 100, 10_000):
+            p = _params(text)
+            if p.d_exact is not None:  # the rational form never takes a floor of log2 3
+                vars(p)["le_d"] = counting(p.le_d)
+            for f in (complement_enum, box_dim_bound_ca):
+                calls = 0
+                f(p, n)
+                assert 0 < calls <= 12 * n.bit_length(), (text, f.__name__, n, calls)
+
+
 def _seeded_density_params(rng):
     """A log-form or rational-D parameter set, from tiny D to D = 1."""
     kind = rng.randrange(4)
@@ -411,6 +440,29 @@ def test_a_prefix_matches_the_walk_of_a():
     for p in (DensityParams.from_alpha("0.8"), DensityParams.from_density(Fraction(1, 2))):
         for n in (0, -3):
             assert _value_error(a_prefix, p, n) == _value_error(oracle_a_prefix, p, n)
+
+
+def test_complement_and_box_sequence_match_the_walks():
+    # field for field against the walks the closed forms replaced: elements
+    # and empty, entries with their floats, tail_sup and the two constants
+    rng = random.Random(18)
+    sizes = (1, 2, 3, 10, 99, 1000, 10_000)
+    fixed = [DensityParams.from_alpha(a) for a in ("0.37", "0.5", "2/3", *ALPHAS, "0.95", "0.99")]
+    fixed += [DensityParams.from_density(Fraction(d)) for d in ("1", "1/2", "1/10000000", "999/1000")]
+    cases = [(p, n) for p in fixed for n in sizes]
+    cases += [(_seeded_density_params(rng), rng.choice(sizes[:-1]) + rng.randint(0, 50)) for _ in range(120)]
+    # D = 1 - 1e-17: u_1 is about 10^17, and A holds every position below it
+    near_one = DensityParams.from_alpha(Fraction(3162561947227, 8568997305610))
+    cases += [(near_one, n) for n in (1, 2, 10, 300)]
+    for p, n in cases:
+        assert complement_enum(p, n) == oracle_complement_enum(p, n), (p.describe(), n)
+        if n >= 2:
+            assert box_dim_bound_ca(p, n) == oracle_box_dim_bound_ca(p, n), (p.describe(), n)
+        else:
+            assert _value_error(box_dim_bound_ca, p, n) == _value_error(oracle_box_dim_bound_ca, p, n)
+    p = DensityParams.from_alpha("0.8")
+    for n in (0, -3):
+        assert _value_error(complement_enum, p, n) == _value_error(oracle_complement_enum, p, n)
 
 
 def test_a_prefix_from_rational_matches_the_per_y_floors():

@@ -44,6 +44,43 @@ def test_verify_paper_sets():
         assert cert.size == len(values)
 
 
+#: A k=6 cover of 23 values, found by a row-weighting local search; the
+#: smallest known at k=6 (B3 x B3 has 25).
+K6_COVER_23 = (0, 2, 7, 14, 21, 55, 62, 69, 76, 164, 198, 205, 212, 219, 226, 326, 334, 341, 355, 386, 393, 400, 591)
+
+
+def _reflect(k, values):
+    r = (3**k - 1) // 2
+    return BlockCode.from_iterable(k, (r - b for b in values))
+
+
+def test_reflection_maps_signed_covers_to_signed_covers():
+    # the {0,1} base is fixed by a -> R - a with R = (3^k - 1)/2, so
+    # base + (R - code) = 2R - (base + code): b -> R - b takes a signed-range
+    # cover to one, and takes what a non-cover misses through v -> 3^k - 1 - v
+    codes = [(k, values) for k, values in PAPER_BLOCKS.items()] + [(6, K6_COVER_23)]
+    codes += [(k, exact_min_complement(c_instance(k)).solution.values) for k in range(1, 5)]
+    codes += [(k, exact_min_complement(c_instance(k, signed=True)).solution.values) for k in range(1, 4)]
+    for k, values in codes:
+        inst = c_instance(k, signed=True)
+        reflected = _reflect(k, values)
+        assert verify_complement(inst, reflected).size == len(values), (k, values)
+        assert _reflect(k, reflected.values).values == tuple(sorted(values))
+    rng = random.Random(24)
+    misses = 0
+    for k, values in codes + codes:
+        # drop members and add translates from [-R, 3^k), where every
+        # translate meets the target and so reflects into the signed range
+        kept = rng.sample(values, rng.randint(1, len(values) - 1))
+        kept += rng.sample(range(-(3**k - 1) // 2, 3**k), rng.randint(0, 2))
+        code = BlockCode.from_iterable(k, kept)
+        inst = c_instance(k, signed=True)
+        missed = uncovered_values(inst, code)
+        misses += bool(missed)
+        assert uncovered_values(inst, _reflect(k, code.values)) == sorted(3**k - 1 - v for v in missed), (k, kept)
+    assert misses > len(codes)
+
+
 def test_instance_refuses_negative_base_values():
     with pytest.raises(ValueError, match="negative"):
         CoverInstance(2, BlockCode.from_iterable(2, [-1, 0, 1]))
