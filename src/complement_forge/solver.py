@@ -9,7 +9,14 @@ Three entry points share one certificate type:
 The search state is a single arbitrary-precision integer used as a bitset over
 the target [0, 3^k): the coverage of a translate b is one shift, one AND and
 one popcount, which is what makes the exact search at k = 4..5 feasible in
-pure Python.  All tie-breaking is fixed, so identical instances always yield
+pure Python.  Its lower bounds are decided for each child in the parent's
+loop: the counting bound from the parent's count less the removed
+coverage, the LP-dual bound from the parent's dual weight less the removed
+weight, memoised per call, so a child the bounds cut is never a call.  The
+dual weights come from a multiplicative-weights loop whose step touches only
+the window of loads one translate-table row reaches, and the greedy finds
+its next translate by galloping through the list of those at the top
+marginal.  All tie-breaking is fixed, so identical instances always yield
 identical certificates.
 """
 
@@ -150,12 +157,6 @@ def _shifted(mask: int, b: int) -> int:
     return mask << b if b >= 0 else mask >> -b
 
 
-def coverage_mask(instance: CoverInstance, b: int) -> int:
-    """Bitset of targets covered by translate b (i.e. {a + b} inside [0, 3^k))."""
-    full = (1 << instance.target_size) - 1
-    return _shifted(base_mask(instance.base_set), b) & full
-
-
 def uncovered_values(instance: CoverInstance, code: BlockCode) -> list[int]:
     """All target values not expressible as a + b; empty means the cover holds."""
     if code.k != instance.k:
@@ -193,11 +194,6 @@ def verify_complement(
     if missing:
         raise CoverVerificationError(missing)
     return CoverCertificate(instance, code, method=method, optimal=optimal)
-
-
-def counting_lower_bound(instance: CoverInstance) -> int:
-    """ceil(3^k / |base_set|): every translate covers at most |base_set| targets."""
-    return -(-instance.target_size // len(instance.base_set))
 
 
 # -- greedy (the classical covering argument, run literally) ------------------
@@ -257,6 +253,37 @@ def _retire_by_digits(ext, ext_lo: int, t, a_min: int, a_max: int, places) -> No
     ext[w_lo - ext_lo : w_lo - ext_lo + span] -= h[:span]
 
 
+#: How many entries the greedy's level scan reads one at a time before it
+#: gallops: a read costs about a twentieth of a numpy window's compare, and
+#: the next entry at the level is mostly one or two past the last pick.
+_SCAN_ALONE = 8
+
+
+def _next_at_level(marginals, at_level, pos: int, level: int) -> int:
+    """The first i >= pos with marginals[at_level[i]] == level, or
+    len(at_level) if there is none.  The first ``_SCAN_ALONE`` entries are
+    read one at a time; past them the scan gallops through windows
+    [pos + 2^j, pos + 2^(j+1)) read as one numpy compare each, so a hit at
+    offset d costs about log2(d) array operations instead of d Python
+    steps."""
+    n = len(at_level)
+    stop = min(n, pos + _SCAN_ALONE)
+    while pos < stop:
+        if marginals[at_level[pos]] == level:
+            return pos
+        pos += 1
+    import numpy as np
+
+    width = _SCAN_ALONE
+    while pos < n:
+        hits = np.flatnonzero(marginals[at_level[pos : pos + width]] == level)
+        if len(hits):
+            return pos + int(hits[0])
+        pos += width
+        width *= 2
+    return n
+
+
 def greedy_complement(instance: CoverInstance) -> CoverCertificate:
     """Max-coverage greedy: repeatedly take the translate covering the most
     still-uncovered targets, ties broken by smallest value.
@@ -269,8 +296,12 @@ def greedy_complement(instance: CoverInstance) -> CoverCertificate:
       translates that had marginal L when it was built, and takes the first
       entry still at L.  Marginals only fall, so no translate rises back to
       L: that entry is the smallest translate of maximum marginal, the
-      smallest-value tie-break.  The array is rebuilt (one O(3^k) pass) only
-      once every entry has dropped below L, at most once per distinct level.
+      smallest-value tie-break.  The scan for it starts where the last one
+      ended and gallops through windows that double in size
+      (:func:`_next_at_level`), so a long run of dropped entries costs a
+      few array compares, not one Python step each.  The array is rebuilt
+      (one O(3^k) pass) only once every entry has dropped below L, at most
+      once per distinct level.
     * The marginals live in one array padded to every value t - a can take,
       the candidates [lo, hi) being a view into it, so a step's decrements
       need no range mask.  They are retired one of two exact ways, whichever
@@ -338,8 +369,7 @@ def greedy_complement(instance: CoverInstance) -> CoverCertificate:
     chosen: list[int] = []
     level, at_level, pos = 0, np.empty(0, dtype=np.intp), 0
     while remaining:
-        while pos < len(at_level) and marginals[at_level[pos]] != level:
-            pos += 1
+        pos = _next_at_level(marginals, at_level, pos, level)
         if pos == len(at_level):
             level = int(marginals.max())
             if level <= 0:
@@ -416,10 +446,14 @@ def _packing_counts(
     The incidence is never stored: the translates covering v are ``rows[v]``,
     kept as slots b - lo, which index the translate lengths directly and,
     plus a, every target b + a in one load array padded to all of them, of
-    which the targets [0, 3^k) are a view.  A step is then one bincount over
-    the padded array.  The floats only pass through elementwise adds and
-    multiplies, bincount's in-order sums, an exactly rounded fsum and argmin
-    (no BLAS, no libm), so the counts are the same on every machine.
+    which the targets [0, 3^k) are a view.  A step raises the lengths of the
+    translates in one row, so it changes only the loads of the window
+    [min slot + a_min, max slot + a_max]: one bincount over that window,
+    added into it.  Outside the window an add over the whole array would add
+    0.0, so the loads are the same floats either way.  The floats only pass
+    through elementwise adds and multiplies, bincount's in-order sums, an
+    exactly rounded fsum and argmin (no BLAS, no libm), so the counts are the
+    same on every machine.
     """
     import numpy as np
 
@@ -427,15 +461,19 @@ def _packing_counts(
     lo, hi = instance.lo, instance.hi
     base = np.array(instance.base_set.values, dtype=np.intp)
     nb = len(base)
+    a_min, a_max = int(base[0]), int(base[-1])
     covering = len(set().union(*rows))
-    slots = [np.array(r, dtype=np.intp) - lo for r in rows]
+    # a row lists v - a in base order, so its last slot is its least: keep
+    # that slot and the row's offsets above it
+    rows_at = [(r[-1] - lo, np.array(r, dtype=np.intp) - r[-1]) for r in rows]
     # ext[i] is the load of target lo + i.  Row 0 holds some b >= lo with
     # b + a = 0, so lo <= 0, and row 3^k - 1 some b < hi with b + a = 3^k - 1,
     # so 3^k <= hi + a_max: the targets [0, 3^k) lie inside ext.
-    ext = np.zeros(hi - lo + int(base[-1]), dtype=np.float64)
+    ext = np.zeros(hi - lo + a_max, dtype=np.float64)
     # col[v] = sum of the lengths of the translates covering v; lengths start at 1
     col = ext[-lo : size - lo]
     col[:] = [len(r) for r in rows]
+    offsets = base - a_min
     length = np.ones(hi - lo, dtype=np.float64)
     total = float(covering)
     # stop once sum(length) >= 1/delta, delta = (1+eps) * ((1+eps) m)^(-1/eps)
@@ -448,13 +486,15 @@ def _packing_counts(
         steps += 1
         if steps % 256 == 0:
             _check_clock(deadline)
-        v = int(np.argmin(col))
+        v = int(col.argmin())
         counts[v] += 1
-        slot = slots[v]
-        held = length[slot]
+        first, rel = rows_at[v]
+        window = length[first:]
+        held = window[rel]
         inc = held * _MWU_EPS
-        ext += np.bincount((slot[:, None] + base).ravel(), weights=inc.repeat(nb), minlength=len(ext))
-        length[slot] = held + inc
+        loads = np.bincount((rel[:, None] + offsets).ravel(), weights=inc.repeat(nb))
+        ext[first + a_min : first + a_min + len(loads)] += loads
+        window[rel] = held + inc
         total += math.fsum(inc.tolist())
     return counts
 
@@ -480,37 +520,45 @@ def _weight_of(planes: list[tuple[int, int]], mask: int) -> int:
     return total
 
 
-def gate_dual_weights(weights: list[int], coverages: list[int]) -> list[int]:
+def gate_dual_weights(weights: list[int], rows: list[tuple[int, ...]]) -> list[int]:
     """The exact check that makes integer dual weights safe: the load
-    sum_{v in cov(b)} w_v of every translate's coverage bitset must be at
-    most W.  If the largest load L exceeds W, every weight becomes w*W // L,
-    after which no load exceeds W.  Only integers are involved, so no float
-    error upstream can make the resulting bound unsound."""
-    planes = bit_planes(weights)
-    heaviest = max((_weight_of(planes, c) for c in coverages), default=0)
+    sum_{v in cov(b)} w_v of every translate b must be at most W.  The loads
+    are summed along the translate table (b covers v iff b is in rows[v]),
+    one integer addition per (target, translate) pair.  If the largest load
+    L exceeds W, every weight becomes w*W // L, after which no load exceeds
+    W.  Only integers are involved, so no float error upstream can make the
+    resulting bound unsound."""
+    loads: dict[int, int] = {}
+    for w, row in zip(weights, rows):
+        if w:
+            for b in row:
+                loads[b] = loads.get(b, 0) + w
+    heaviest = max(loads.values(), default=0)
     if heaviest <= DUAL_SCALE:
         return list(weights)
     return [w * DUAL_SCALE // heaviest for w in weights]
 
 
-def dual_weights(instance: CoverInstance, coverages: list[int]) -> list[int]:
-    """Integer dual weights w_v over W with every translate's load at most W.
+def gated_dual_weights(
+    instance: CoverInstance, rows: list[tuple[int, ...]], deadline: Optional[float] = None
+) -> list[int]:
+    """Integer dual weights w_v over W with every translate's load at most W,
+    built from the translate table ``rows`` (see :func:`_translate_rows`).
     The multiplicative-weights counts times W go through the exact gate,
     which turns them into count_v * W // L, L the largest count load: the
-    largest feasible multiple of the counts.  ``coverages`` must hold the
-    coverage bitset of every in-range translate that covers some target."""
-    counts = _packing_counts(instance, _translate_rows(instance))
-    return gate_dual_weights([c * DUAL_SCALE for c in counts], coverages)
-
-
-def dual_bound(planes: list[tuple[int, int]], uncovered: int) -> int:
-    """ceil(sum_{v in uncovered} w_v / W).  A gated dual restricted to the
-    uncovered targets stays feasible, so this bounds the number of translates
-    any cover of them needs (LP duality: Lovasz 1975, Chvatal 1979)."""
-    return -(-_weight_of(planes, uncovered) // DUAL_SCALE)
+    largest feasible multiple of the counts.  A gated dual restricted to any
+    set U of targets stays feasible, so ceil(sum_{v in U} w_v / W) bounds the
+    number of translates any cover of U needs (LP duality: Lovasz 1975,
+    Chvatal 1979).  Raises _BudgetExhausted once ``deadline`` passes."""
+    counts = _packing_counts(instance, rows, deadline)
+    return gate_dual_weights([c * DUAL_SCALE for c in counts], rows)
 
 
 # -- exact minimal (branch and bound) -----------------------------------------
+
+#: The removed-weight table is emptied when it reaches this many entries, so
+#: it stays small at every k.
+_REMOVED_CAP = 1 << 12
 
 
 def exact_min_complement(
@@ -523,16 +571,25 @@ def exact_min_complement(
     Branches on the least uncovered target v: every solution must contain some
     b in {v - a : a in base_set} within range.  Candidates inside a branch are
     ordered by descending marginal coverage, then ascending value.  Pruning
-    combines the counting bound ceil(|uncovered| / |base_set|) with the
-    fractional-cover bound ceil(sum of uncovered dual weights / W) (see
-    :func:`dual_weights`, computed once per call and gated in exact integers),
-    dominance elimination inside a branch, and sibling bans (a candidate whose
-    subtree is exhausted cannot reappear later at the same node).  The greedy
-    cover (or ``initial``, if smaller) is the first incumbent.  The search
-    order is fixed, the dual weights are machine-independent and budgets
-    count nodes, so results are reproducible.  The bounds only cut subtrees
-    that cannot beat the incumbent, so a tighter bound changes node counts
-    but never the cover a completed search returns.
+    combines the counting bound ceil(|U| / |base_set|) on the uncovered set U
+    with the fractional-cover bound ceil(w(U) / W), w the dual weights of
+    :func:`gated_dual_weights` (computed once per call and gated in exact
+    integers), dominance elimination inside a branch, and sibling bans (a
+    candidate whose subtree is exhausted cannot reappear later at the same
+    node).  The greedy cover (or ``initial``, if smaller) is the first
+    incumbent.  The search order is fixed, the dual weights are
+    machine-independent and budgets count nodes, so results are
+    reproducible.  The bounds only cut subtrees that cannot beat the
+    incumbent, so a tighter bound changes node counts but never the cover a
+    completed search returns.
+
+    Each child is counted, and its bounds are tested, in its parent's loop,
+    so only a child that passes both becomes a call.  Choosing b removes
+    cu = cov(b) & U from U, so the child's |U| is |U| - |cu|, which the sort
+    key already holds, and its w(U) is the parent's less the removed weight
+    w(cu).  Most tests meet a cu seen before, so w(cu) is memoised per call
+    in a table emptied whenever it reaches ``_REMOVED_CAP`` entries, and is
+    summed from the weights' bit planes only on a miss.
 
     Budget exhaustion is not an error: the certificate carries the best
     solution found with optimal="unknown" and stats.budget_exhausted set.
@@ -554,58 +611,77 @@ def exact_min_complement(
         best = list(initial.values)
 
     offset = -instance.lo  # banned-translate bitset index
+    removed: dict[int, int] = {}  # w(cu) by cu
 
-    def search(uncovered: int, chosen: list[int], banned: int) -> None:
-        stats.nodes += 1
-        if node_cap is not None and stats.nodes > node_cap:
-            raise _BudgetExhausted
-        if stats.nodes % 4096 == 0:
-            _check_clock(deadline)
-        if not uncovered:
-            best[:] = sorted(chosen)
-            return
-        need = len(best) - len(chosen)
-        if -(-uncovered.bit_count() // base_len) >= need or dual_bound(planes, uncovered) >= need:
-            return
+    def expand(uncovered: int, weight: int, chosen: list[int], banned: int) -> None:
+        """Branch below a node that passed its bounds; ``weight`` is w(uncovered)."""
         v = (uncovered & -uncovered).bit_length() - 1
         cands = []
-        for b, c in cands_of[v]:
-            if not banned >> (b + offset) & 1:
+        for b, c, bit in cands_of[v]:
+            if not banned & bit:
                 cu = c & uncovered
-                cands.append((-cu.bit_count(), b, cu))
+                cands.append((-cu.bit_count(), b, cu, bit))
         cands.sort()
         # Drop dominated candidates: if b1's remaining coverage is contained
         # in b2's, any cover using b1 maps to one using b2 of the same size.
-        kept: list[tuple[int, int]] = []
-        for _, b, cu in cands:
-            for _, k in kept:
-                if not cu & ~k:
+        kept = []
+        masks: list[int] = []
+        for cand in cands:
+            cu = cand[2]
+            for k in masks:
+                if (cu & k) == cu:
                     break
             else:
-                kept.append((b, cu))
+                kept.append(cand)
+                masks.append(cu)
+        left = uncovered.bit_count()
         # Inclusion-exclusion: once the subtree containing b is exhausted,
         # every cover using b has been seen, so later siblings may ban it.
-        for b, c in kept:
+        for minus, b, cu, bit in kept:
+            stats.nodes += 1
+            if node_cap is not None and stats.nodes > node_cap:
+                raise _BudgetExhausted
+            if stats.nodes % 4096 == 0:
+                _check_clock(deadline)
             chosen.append(b)
-            search(uncovered & ~c, chosen, banned)
+            if left == -minus:
+                best[:] = sorted(chosen)
+            else:
+                # a bound ceil(x / d) falls below need iff x <= (need - 1) d
+                room = len(best) - len(chosen) - 1
+                if left + minus <= room * base_len:
+                    w = removed.get(cu)
+                    if w is None:
+                        if len(removed) >= _REMOVED_CAP:
+                            removed.clear()
+                        w = removed[cu] = _weight_of(planes, cu)
+                    if weight - w <= room * DUAL_SCALE:
+                        expand(uncovered ^ cu, weight - w, chosen, banned)
             chosen.pop()
-            banned |= 1 << (b + offset)
+            banned |= bit
 
     try:
         rows = _translate_rows(instance, deadline)
         bmask = base_mask(instance.base_set)
-        cover = {b: _shifted(bmask, b) & full for b in set().union(*rows)}
-        # cands_of[v] pairs each translate covering v with its coverage bitset
-        cands_of = [tuple((b, cover[b]) for b in row) for row in rows]
-        counts = _packing_counts(instance, rows, deadline)
-        planes = bit_planes(gate_dual_weights([c * DUAL_SCALE for c in counts], list(cover.values())))
-        search(full, [], 0)
+        # one (b, coverage bitset, ban bit) per translate, shared by the rows
+        entry = {b: (b, _shifted(bmask, b) & full, 1 << (b + offset)) for b in set().union(*rows)}
+        cands_of = [tuple(entry[b] for b in row) for row in rows]
+        weights = gated_dual_weights(instance, rows, deadline)
+        planes = bit_planes(weights)
+        # the root is node 1, bounded like every other node
+        stats.nodes = 1
+        if node_cap is not None and node_cap < 1:
+            raise _BudgetExhausted
+        room = len(best) - 1
+        total = sum(weights)
+        if instance.target_size <= room * base_len and total <= room * DUAL_SCALE:
+            expand(full, total, [], 0)
     except _BudgetExhausted:
         stats.budget_exhausted = True
-    # search's closure holds search itself; emptying that cell breaks the
+    # expand's closure holds expand itself; emptying that cell breaks the
     # cycle, so the tables go with this frame instead of waiting for the
     # cycle collector (which let every call's tables pile up).
-    del search
+    del expand
     stats.elapsed = time.perf_counter() - t0
 
     optimal = "unknown" if stats.budget_exhausted else "proven-optimal"

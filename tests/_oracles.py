@@ -6,9 +6,10 @@ approximations by exhaustive scans, net measures by enumerating every
 dyadic cover, the weighted-cover hypothesis by summing each atom's
 weighted ancestors one atom at a time, decompositions by reading one
 ternary digit at a time, the density set's prefixes, complement and
-box-dimension sequence one element at a time, and the multiplicative-weights
-counts with every step's targets built as a sinked index array.  Expected
-values frozen into tests were produced by these.
+box-dimension sequence one element at a time, the multiplicative-weights
+counts with every step's targets built as a sinked index array, and the
+exact search with every node bounded on entry.  Expected values frozen into
+tests were produced by these.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from complement_forge.measure import (
     _atoms,
     net_measure,
 )
-from complement_forge.solver import _MWU_EPS, CoverInstance
+from complement_forge import solver
+from complement_forge.solver import _MWU_EPS, DUAL_SCALE, CoverInstance
 from complement_forge.ternary import TernaryRational, cantor_dimension
 
 
@@ -74,6 +76,73 @@ def oracle_packing_counts(instance: CoverInstance, rows: list[tuple[int, ...]]) 
         length[row - lo] += inc
         total += math.fsum(inc.tolist())
     return counts
+
+
+def oracle_exact_search(instance: CoverInstance, max_nodes: int | None) -> tuple[tuple[int, ...], str, int, bool]:
+    """(solution, optimal, nodes, budget_exhausted) of the branch and bound
+    in ``solver.exact_min_complement``, run with no clock the way it ran
+    before children were bounded in their parents: every child is a call
+    that counts itself and tests both bounds on entry, the dual bound
+    summing the uncovered weight from the bit planes at every node, and the
+    weights are gated against the coverage bitsets.  It shares the greedy
+    incumbent, the translate table and the multiplicative-weights counts
+    with the solver, which are checked on their own."""
+    full = (1 << instance.target_size) - 1
+    base_len = len(instance.base_set)
+    best = list(solver.greedy_complement(instance).solution.values)
+    offset = -instance.lo
+    rows = solver._translate_rows(instance)
+    bmask = sum(1 << a for a in instance.base_set.values)
+    cover = {b: (bmask << b if b >= 0 else bmask >> -b) & full for b in set().union(*rows)}
+    cands_of = [tuple((b, cover[b]) for b in row) for row in rows]
+    weights = [c * DUAL_SCALE for c in solver._packing_counts(instance, rows)]
+    planes = solver.bit_planes(weights)
+
+    def weight_of(mask: int) -> int:
+        return sum((mask & p).bit_count() << j for j, p in planes)
+
+    heaviest = max(weight_of(c) for c in cover.values())
+    if heaviest > DUAL_SCALE:
+        planes = solver.bit_planes([w * DUAL_SCALE // heaviest for w in weights])
+    nodes = 0
+
+    class Exhausted(Exception):
+        pass
+
+    def search(uncovered: int, chosen: list[int], banned: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            raise Exhausted
+        if not uncovered:
+            best[:] = sorted(chosen)
+            return
+        need = len(best) - len(chosen)
+        if -(-uncovered.bit_count() // base_len) >= need or -(-weight_of(uncovered) // DUAL_SCALE) >= need:
+            return
+        v = (uncovered & -uncovered).bit_length() - 1
+        cands = []
+        for b, c in cands_of[v]:
+            if not banned >> (b + offset) & 1:
+                cu = c & uncovered
+                cands.append((-cu.bit_count(), b, cu))
+        cands.sort()
+        kept: list[tuple[int, int]] = []
+        for _, b, cu in cands:
+            if all(cu & ~k for _, k in kept):
+                kept.append((b, cu))
+        for b, c in kept:
+            chosen.append(b)
+            search(uncovered & ~c, chosen, banned)
+            chosen.pop()
+            banned |= 1 << (b + offset)
+
+    try:
+        search(full, [], 0)
+        exhausted = False
+    except Exhausted:
+        exhausted = True
+    return tuple(best), "unknown" if exhausted else "proven-optimal", nodes, exhausted
 
 
 def mp_floor_y_over_d(one_minus_alpha: Fraction, y: int, dps: int = 60) -> int:

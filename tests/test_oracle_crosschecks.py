@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from _oracles import oracle_exact_search
+from complement_forge import solver
 from complement_forge.density import DensityParams, complement_enum
 from complement_forge.fractal import build_density_spec
 from complement_forge.measure import Pow2Sum, mass_ratio
 from complement_forge.solver import (
     CoverInstance,
     InfeasibleCoverError,
+    SolverBudget,
     exact_min_complement,
     greedy_complement,
     uncovered_values,
@@ -121,6 +124,51 @@ def test_exact_signed_matches_exhaustive_minimum():
         cert = exact_min_complement(inst)
         assert cert.optimal == "proven-optimal"
         assert cert.size == exhaustive_min_cover_size(inst)
+
+
+def test_exact_search_matches_the_bound_on_entry_oracle(monkeypatch):
+    # bounding each child in its parent's loop, with the removed weight
+    # memoised, must visit the same nodes as bounding it on entry: same
+    # cover, optimality, node count and exhaustion point under every cap
+    rng = random.Random(19)
+    instances = []
+    for _ in range(12):
+        k = rng.randint(2, 4)
+        vals = rng.sample(range(3**k), rng.randint(3, 3 * k))
+        if rng.random() < 0.5:
+            instances.append(CoverInstance.signed(k, BlockCode.from_iterable(k, vals)))
+        else:
+            instances.append(CoverInstance(k, BlockCode.from_iterable(k, {0, *vals})))
+    # the patterns of the exact searches the search benchmark pins
+    for k, overrides, signed in (
+        (4, {}, False),
+        (4, {}, True),
+        (5, {2: (0,)}, False),
+        (5, {j: (0, 2) for j in range(5)}, False),
+        (5, {0: (0, 1, 2)}, False),
+    ):
+        pattern = PatternSet(k, tuple(frozenset(overrides.get(j, (0, 1))) for j in range(k)))
+        base = enumerate_pattern(pattern)
+        instances.append(CoverInstance.signed(k, base) if signed else CoverInstance(k, base))
+    # both sides take the same counts, checked against their own oracle
+    # elsewhere; one run per instance keeps this test short
+    packing_counts = solver._packing_counts
+    memo = {}
+
+    def memoised(inst, rows, deadline=None):
+        if inst not in memo:
+            memo[inst] = packing_counts(inst, rows)
+        return memo[inst]
+
+    monkeypatch.setattr(solver, "_packing_counts", memoised)
+    exhausted = 0
+    for inst in instances:
+        for cap in (1, 2, 10, 127, 2000, 4096, 5000):
+            cert = exact_min_complement(inst, SolverBudget(max_nodes=cap, max_seconds=None))
+            got = (cert.solution.values, cert.optimal, cert.stats.nodes, cert.stats.budget_exhausted)
+            assert got == oracle_exact_search(inst, cap), (inst, cap)
+            exhausted += cert.stats.budget_exhausted
+    assert 0 < exhausted < 7 * len(instances)
 
 
 def cf_convergents(q, terms):

@@ -3,6 +3,7 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
 from _oracles import brute_force_uncovered, oracle_packing_counts
@@ -16,13 +17,9 @@ from complement_forge.solver import (
     CoverInstance,
     CoverVerificationError,
     SolverBudget,
-    bit_planes,
-    counting_lower_bound,
-    coverage_mask,
-    dual_bound,
-    dual_weights,
     exact_min_complement,
     gate_dual_weights,
+    gated_dual_weights,
     greedy_complement,
     greedy_size_bound,
     product_probe,
@@ -181,11 +178,32 @@ def test_greedy_codes_are_pinned(monkeypatch):
     assert digit_steps[-1] == 0  # eight values over 3^11: the scatter always wins
 
 
-def test_counting_lower_bound():
-    assert counting_lower_bound(c_instance(3)) == 4  # ceil(27/8)
-    assert counting_lower_bound(c_instance(5)) == 8  # ceil(243/32)
-    full = CoverInstance(2, BlockCode.from_iterable(2, range(9)))
-    assert counting_lower_bound(full) == 1
+def test_next_at_level_finds_the_first_entry_still_at_level():
+    # the scan reads entries pos to pos + 7 one at a time, then windows
+    # [pos + 2^j, pos + 2^(j+1)): hits on both edges of every window, at the
+    # last entry and nowhere, with entries before pos at the level too and
+    # every entry after the hit at it
+    level, pos, n = 7, 5, 100
+    at_level = np.arange(3, 3 + 2 * n, 2)
+    offsets = [0, 1] + [d for j in range(1, 7) for d in (2**j - 1, 2**j)] + [n - 1 - pos, None]
+    for offset in offsets:
+        marginals = np.full(3 + 2 * n, level - 1)
+        marginals[at_level[:pos]] = level
+        if offset is not None:
+            marginals[at_level[pos + offset :]] = level
+        want = n if offset is None else pos + offset
+        assert solver._next_at_level(marginals, at_level, pos, level) == want, offset
+    assert solver._next_at_level(marginals, at_level, n, level) == n
+    assert solver._next_at_level(marginals, at_level[:0], 0, level) == 0
+    rng = random.Random(41)
+    for _ in range(200):
+        marginals = np.array([rng.choice((level, level - 1, level - 2)) for _ in range(60)])
+        at_level = np.array(sorted(rng.sample(range(60), rng.randint(0, 60))), dtype=np.intp)
+        pos = rng.randint(0, len(at_level))
+        want = pos
+        while want < len(at_level) and marginals[at_level[want]] != level:
+            want += 1
+        assert solver._next_at_level(marginals, at_level, pos, level) == want
 
 
 def test_exact_small_k():
@@ -197,12 +215,33 @@ def test_exact_small_k():
 
 
 def _coverages(inst):
-    return [coverage_mask(inst, b) for b in range(inst.lo, inst.hi)]
+    """The bitset of targets each translate in range covers, by shifting."""
+    full = (1 << inst.target_size) - 1
+    mask = sum(1 << a for a in inst.base_set.values)
+    return [(mask << b if b >= 0 else mask >> -b) & full for b in range(inst.lo, inst.hi)]
 
 
-def _root_dual_bound(inst):
-    weights = dual_weights(inst, _coverages(inst))
-    return dual_bound(bit_planes(weights), (1 << inst.target_size) - 1)
+def _counting_bound(inst):
+    """ceil(3^k / |base_set|): every translate covers at most |base_set| targets."""
+    return -(-inst.target_size // len(inst.base_set))
+
+
+def _root_dual_bound(weights):
+    return -(-sum(weights) // DUAL_SCALE)
+
+
+def _weights(inst):
+    return gated_dual_weights(inst, solver._translate_rows(inst))
+
+
+def test_root_bounds():
+    # the counting bound and the dual bound of the gated weights over all of
+    # [0, 3^k), and a search whose greedy cover meets them ends at its root
+    full = CoverInstance(2, BlockCode.from_iterable(2, range(9)))
+    for inst, counting, dual in ((c_instance(3), 4, 5), (c_instance(5), 8, 12), (full, 1, 1)):
+        assert (_counting_bound(inst), _root_dual_bound(_weights(inst))) == (counting, dual)
+    cert = exact_min_complement(full, SolverBudget(max_nodes=None, max_seconds=None))
+    assert (cert.size, cert.optimal, cert.stats.nodes) == (1, "proven-optimal", 1)
 
 
 def test_exact_leq_greedy_and_bounds():
@@ -216,8 +255,8 @@ def test_exact_leq_greedy_and_bounds():
         g = greedy_complement(inst)
         e = exact_min_complement(inst)
         assert e.size <= g.size
-        assert e.size >= counting_lower_bound(inst)
-        assert e.size >= _root_dual_bound(inst)
+        assert e.size >= _counting_bound(inst)
+        assert e.size >= _root_dual_bound(_weights(inst))
         assert e.verify() and g.verify()
 
 
@@ -270,18 +309,22 @@ def _loads(weights, coverages):
 def test_dual_gate_rescales_overloaded_weights():
     inst = c_instance(4)
     covs = _coverages(inst)
-    full = (1 << inst.target_size) - 1
-    weights = dual_weights(inst, covs)
+    rows = solver._translate_rows(inst)
+    weights = gated_dual_weights(inst, rows)
     assert sum(weights) == 30393  # the same multiplicative-weights run on every machine
     assert max(_loads(weights, covs)) <= DUAL_SCALE
-    assert dual_bound(bit_planes(weights), full) == 8
+    assert _root_dual_bound(weights) == 8
     tampered = list(weights)
     tampered[40] += DUAL_SCALE // 2
-    assert max(_loads(tampered, covs)) > DUAL_SCALE
-    gated = gate_dual_weights(tampered, covs)
+    heaviest = max(_loads(tampered, covs))
+    assert heaviest > DUAL_SCALE
+    # the gate sums the loads along the translate table; they must be the
+    # loads of the coverage bitsets
+    gated = gate_dual_weights(tampered, rows)
+    assert gated == [w * DUAL_SCALE // heaviest for w in tampered]
     assert max(_loads(gated, covs)) <= DUAL_SCALE
-    assert dual_bound(bit_planes(gated), full) <= KNOWN_MIN_SIZES[4]
-    assert gate_dual_weights(weights, covs) == weights  # feasible weights pass unchanged
+    assert _root_dual_bound(gated) <= KNOWN_MIN_SIZES[4]
+    assert gate_dual_weights(weights, rows) == weights  # feasible weights pass unchanged
 
 
 def test_exact_budget_exhaustion_is_not_an_error():
