@@ -99,6 +99,12 @@ def _reject_beside_id(args: argparse.Namespace, *flags: str) -> None:
         raise _CliError(f"--id reads a stored entry with its own k, values and range; drop {', '.join(given)}")
 
 
+def _at_least(flag: str, value: Optional[int], minimum: int = 1, where: str = "") -> None:
+    """Refuse a given ``flag`` whose value is below ``minimum``."""
+    if value is not None and value < minimum:
+        raise _CliError(f"{flag} must be at least {minimum}{where}, not {value}")
+
+
 def _alpha_params(raw: str) -> DensityParams:
     try:
         if raw.startswith("D="):
@@ -164,10 +170,11 @@ def _cmd_complement(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _at_least("--k", args.k)
     if args.id:
         _reject_beside_id(args, "--k", "--values", "--ternary", "--range")
         _, cert = Catalog.default().load_complement(args.id)
-    elif args.values and args.k:
+    elif args.values is not None and args.k is not None:
         code = _parse_values(args.values, args.k, args.ternary)
         try:
             cert = verify_complement(_instance(args.k, args.range or "nonneg"), code)
@@ -184,12 +191,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_gamma(args: argparse.Namespace) -> int:
+    _at_least("--k", args.k)
     cat = Catalog.default()
     if args.id:
         _reject_beside_id(args, "--k")
         entry, _ = cat.load_complement(args.id)
     else:
-        if not args.k:
+        if args.k is None:
             raise _CliError("need --k or --id")
         cat.ensure_seeded()
         entry, _ = cat.best_complement(args.k)
@@ -227,9 +235,11 @@ def _resolve_spec(cat: Catalog, name: str) -> FractalSpec:
 
 
 def _cmd_spec_build(args: argparse.Namespace) -> int:
+    _at_least("--k", args.k)
+    _at_least("--stages", args.stages)
     cat = Catalog.default()
     if args.kind == "uniform":
-        if not args.k:
+        if args.k is None:
             raise _CliError("uniform specs need --k")
         if args.alpha is not None or args.stages is not None:
             raise _CliError("uniform specs take --k, not --alpha or --stages")
@@ -237,7 +247,7 @@ def _cmd_spec_build(args: argparse.Namespace) -> int:
         name = f"uniform-k{args.k}"
         params_desc = None
     else:
-        if not args.alpha or not args.stages:
+        if args.alpha is None or args.stages is None:
             raise _CliError("quadratic specs need --alpha and --stages")
         if args.k is not None:
             raise _CliError("quadratic specs take --alpha and --stages, not --k")
@@ -342,7 +352,9 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 def _cmd_boxdim(args: argparse.Namespace) -> int:
     depth = args.depth
+    _at_least("--depth", depth)
     if args.alpha is not None:
+        _at_least("--depth", depth, 2, " for --alpha")
         params = _alpha_params(args.alpha)
         report = box_dim_bound_ca(params, depth)
         lines = [
@@ -375,7 +387,8 @@ def _cmd_boxdim(args: argparse.Namespace) -> int:
             st = spec.stage_at(1)
             if spec.kind != "uniform":
                 raise _CliError("boxdim over a spec expects a uniform spec")
-            stages = max(1, min(depth // st.n, 256))
+            _at_least("--depth", depth, st.n, f" for --spec {args.spec}, one block")
+            stages = min(depth // st.n, 256)
             est = box_dim_estimate(lambda m: len(st.code) ** (m // st.n), [st.n * i for i in range(1, stages + 1)])
             target = st.gamma.value
             label = args.spec

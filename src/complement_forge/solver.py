@@ -499,27 +499,6 @@ def _packing_counts(
     return counts
 
 
-def bit_planes(weights: list[int]) -> list[tuple[int, int]]:
-    """(j, P_j) for every nonzero P_j, the bitset of targets whose weight has
-    bit j set, so sum_{v in U} w_v = sum_j 2^j popcount(U & P_j)."""
-    planes = []
-    for j in range(max(weights, default=0).bit_length()):
-        p = 0
-        for v, w in enumerate(weights):
-            if w >> j & 1:
-                p |= 1 << v
-        if p:
-            planes.append((j, p))
-    return planes
-
-
-def _weight_of(planes: list[tuple[int, int]], mask: int) -> int:
-    total = 0
-    for j, p in planes:
-        total += (mask & p).bit_count() << j
-    return total
-
-
 def gate_dual_weights(weights: list[int], rows: list[tuple[int, ...]]) -> list[int]:
     """The exact check that makes integer dual weights safe: the load
     sum_{v in cov(b)} w_v of every translate b must be at most W.  The loads
@@ -588,8 +567,8 @@ def exact_min_complement(
     cu = cov(b) & U from U, so the child's |U| is |U| - |cu|, which the sort
     key already holds, and its w(U) is the parent's less the removed weight
     w(cu).  Most tests meet a cu seen before, so w(cu) is memoised per call
-    in a table emptied whenever it reaches ``_REMOVED_CAP`` entries, and is
-    summed from the weights' bit planes only on a miss.
+    in a table emptied whenever it reaches ``_REMOVED_CAP`` entries; only on
+    a miss is it summed, from the weights of cu's targets.
 
     Budget exhaustion is not an error: the certificate carries the best
     solution found with optimal="unknown" and stats.budget_exhausted set.
@@ -654,7 +633,12 @@ def exact_min_complement(
                     if w is None:
                         if len(removed) >= _REMOVED_CAP:
                             removed.clear()
-                        w = removed[cu] = _weight_of(planes, cu)
+                        w, rest = 0, cu
+                        while rest:
+                            t = rest.bit_length() - 1
+                            w += weights[t]
+                            rest ^= 1 << t
+                        removed[cu] = w
                     if weight - w <= room * DUAL_SCALE:
                         expand(uncovered ^ cu, weight - w, chosen, banned)
             chosen.pop()
@@ -667,7 +651,6 @@ def exact_min_complement(
         entry = {b: (b, _shifted(bmask, b) & full, 1 << (b + offset)) for b in set().union(*rows)}
         cands_of = [tuple(entry[b] for b in row) for row in rows]
         weights = gated_dual_weights(instance, rows, deadline)
-        planes = bit_planes(weights)
         # the root is node 1, bounded like every other node
         stats.nodes = 1
         if node_cap is not None and node_cap < 1:

@@ -78,6 +78,15 @@ def oracle_packing_counts(instance: CoverInstance, rows: list[tuple[int, ...]]) 
     return counts
 
 
+def _bit_planes(weights: list[int]) -> list[tuple[int, int]]:
+    """(j, P_j) for every bit j of the weights, P_j the bitset of targets
+    whose weight has bit j set, so sum_{v in U} w_v = sum_j 2^j |U & P_j|."""
+    return [
+        (j, sum(1 << v for v, w in enumerate(weights) if w >> j & 1))
+        for j in range(max(weights, default=0).bit_length())
+    ]
+
+
 def oracle_exact_search(instance: CoverInstance, max_nodes: int | None) -> tuple[tuple[int, ...], str, int, bool]:
     """(solution, optimal, nodes, budget_exhausted) of the branch and bound
     in ``solver.exact_min_complement``, run with no clock the way it ran
@@ -96,14 +105,14 @@ def oracle_exact_search(instance: CoverInstance, max_nodes: int | None) -> tuple
     cover = {b: (bmask << b if b >= 0 else bmask >> -b) & full for b in set().union(*rows)}
     cands_of = [tuple((b, cover[b]) for b in row) for row in rows]
     weights = [c * DUAL_SCALE for c in solver._packing_counts(instance, rows)]
-    planes = solver.bit_planes(weights)
+    planes = _bit_planes(weights)
 
     def weight_of(mask: int) -> int:
         return sum((mask & p).bit_count() << j for j, p in planes)
 
     heaviest = max(weight_of(c) for c in cover.values())
     if heaviest > DUAL_SCALE:
-        planes = solver.bit_planes([w * DUAL_SCALE // heaviest for w in weights])
+        planes = _bit_planes([w * DUAL_SCALE // heaviest for w in weights])
     nodes = 0
 
     class Exhausted(Exception):

@@ -87,6 +87,7 @@ def test_criterion_01_exact_minimal_sizes():
         and k4_elapsed < 60.0
         and cert5.size == 14
         and cert5.optimal == "proven-optimal"
+        and cert5.stats.nodes == 937_128
     )
     _criterion(
         1,

@@ -592,6 +592,43 @@ def test_cli_uniform_spec_name_needs_a_positive_decimal_k(catalog, tmp_path, cap
     assert not cat_dir.exists() or not any(cat_dir.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("gamma", "--k", "0"), "--k"),
+        (("gamma", "--k", "-1"), "--k"),
+        (("spec-build", "--kind", "uniform", "--k", "0"), "--k"),
+        (("spec-build", "--kind", "uniform", "--k", "-1"), "--k"),
+        (("spec-build", "--kind", "quadratic", "--alpha", "0.8", "--stages", "0"), "--stages"),
+        (("verify", "--k", "0", "--values", "0"), "--k"),
+    ],
+)
+def test_cli_refuses_a_k_or_stages_below_one(catalog, capsys, argv, flag):
+    # a given 0 is not a missing flag, and a negative k is refused before the
+    # catalog is seeded
+    assert run_cli(*argv) == 2
+    assert f"{flag} must be at least 1" in capsys.readouterr().err
+    assert not catalog.root.exists() or not any(catalog.root.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, minimum",
+    [
+        (("--set", "cantor", "--depth", "0"), "1"),
+        (("--spec", "uniform-k3", "--depth", "-7"), "1"),
+        (("--alpha", "0.8", "--depth", "0"), "1"),
+        (("--alpha", "0.8", "--depth", "1"), "2 for --alpha"),
+        (("--spec", "uniform-k3", "--depth", "2"), "3 for --spec uniform-k3"),
+    ],
+)
+def test_cli_boxdim_refuses_a_depth_below_what_it_reads(catalog, capsys, argv, minimum):
+    # --set cantor reads one digit, --alpha two, and --spec one block
+    assert run_cli("boxdim", *argv) == 2
+    assert f"--depth must be at least {minimum}" in capsys.readouterr().err
+    if minimum == "1":
+        assert not catalog.root.exists()
+
+
 def test_cli_density_prefix_match_checks_the_walk_of_a(catalog, capsys, monkeypatch):
     # prefix_match compares the prefix built from r/s with A walked one exact
     # comparison per element, so a wrong builder shows as a failed check

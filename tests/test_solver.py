@@ -274,6 +274,7 @@ def test_exact_node_counts_are_pinned():
         (c_instance(4, signed=True), 9, 5087),
         (_pattern_instance(5, {0: (0, 1, 2)}), 9, 950),
         (_pattern_instance(5, {2: (0,)}), 24, 4887),
+        (_pattern_instance(5, {j: (0, 2) for j in range(5)}), 18, 159673),
     ):
         cert = exact_min_complement(inst, SolverBudget(max_nodes=None, max_seconds=None))
         assert (cert.size, cert.optimal, cert.stats.nodes) == (size, "proven-optimal", nodes)

@@ -5,6 +5,10 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+# imported only inside the functions that need them, so importing the CLI
+# loads none of them
+_LAZY_MODULES = {"numpy", "mpmath", "scipy"}
+
 
 def test_no_assert_statements_in_src():
     # a check must raise: `python -O` strips assert statements
@@ -65,4 +69,27 @@ def test_every_module_level_private_name_in_src_is_read():
                 for name in names
                 if name.startswith("_") and not name.startswith("__") and name not in read
             ]
+    assert found == []
+
+
+def _run_at_import(node):
+    """The nodes below ``node`` that run when the module is imported: all but
+    function and lambda bodies."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _run_at_import(child)
+
+
+def test_numpy_mpmath_and_scipy_are_imported_only_inside_functions():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in _run_at_import(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.relative_to(SRC)}:{node.lineno} {n}" for n in names if n.partition(".")[0] in _LAZY_MODULES]
     assert found == []
