@@ -283,6 +283,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         x = TernaryRational.from_digit_string(args.x)
     except ValueError as exc:
         raise _CliError(str(exc))
+    _at_least("--depth", args.depth)
     spec = _resolve_spec(Catalog.default(), args.spec)
     cert = decompose(x, spec, args.depth)
     lines = [f"x = {cert.x} through {args.depth} stage(s)"]
@@ -640,6 +641,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--seed", type=int, default=0, help="seed for randomized harnesses")
     _add_output(p)
+    # read a range that starts with a minus ("-2:3") as a value, not as an option
+    p._negative_number_matcher = re.compile(r"^-\d")
     p.set_defaults(func=_cmd_massratio)
 
     p = sub.add_parser("report", help="summary tables from the catalog")

@@ -13,11 +13,13 @@ pure Python.  Its lower bounds are decided for each child in the parent's
 loop: the counting bound from the parent's count less the removed
 coverage, the LP-dual bound from the parent's dual weight less the removed
 weight, memoised per call, so a child the bounds cut is never a call.  The
-dual weights come from a multiplicative-weights loop whose step touches only
-the window of loads one translate-table row reaches, and the greedy finds
-its next translate by galloping through the list of those at the top
-marginal.  All tie-breaking is fixed, so identical instances always yield
-identical certificates.
+dual weights come from a multiplicative-weights loop (step 0.2) whose step
+is one bincount of a run of a base-pair table built once, added into the
+window of loads one translate-table row reaches; after the exact integer
+gate, a maximal pass raises each target until one of its translates is
+loaded to W.  The greedy finds its next translate by galloping through the
+list of those at the top marginal.  All tie-breaking is fixed, so identical
+instances always yield identical certificates.
 """
 
 from __future__ import annotations
@@ -239,7 +241,9 @@ def _retire_by_digits(ext, ext_lo: int, t, a_min: int, a_max: int, places) -> No
 
     w_lo = int(t[0]) - a_max
     span = int(t[-1]) - a_min - w_lo + 1
-    h = np.zeros(span + a_max, dtype=np.int32)
+    # h never exceeds the digit product's size
+    narrow = math.prod(len(digits) for _, digits in places) < 1 << 15
+    h = np.zeros(span + a_max, dtype=np.int16 if narrow else np.int32)
     h[t - w_lo] = 1
     valid = len(h)
     for s, digits in places:
@@ -431,7 +435,10 @@ def _translate_rows(instance: CoverInstance, deadline: Optional[float] = None) -
 
 #: W, the common denominator of the integer dual weights.
 DUAL_SCALE = 1 << 12
-_MWU_EPS = 0.1
+#: The multiplicative-weights step: 0.2 takes about a quarter of the steps
+#: 0.1 takes, and the maximal pass in :func:`gated_dual_weights` makes up
+#: what the coarser packing leaves.
+_MWU_EPS = 0.2
 
 
 def _packing_counts(
@@ -443,37 +450,46 @@ def _packing_counts(
     (y up to a common factor); raises _BudgetExhausted once ``deadline``
     passes.
 
-    The incidence is never stored: the translates covering v are ``rows[v]``,
-    kept as slots b - lo, which index the translate lengths directly and,
-    plus a, every target b + a in one load array padded to all of them, of
-    which the targets [0, 3^k) are a view.  A step raises the lengths of the
-    translates in one row, so it changes only the loads of the window
-    [min slot + a_min, max slot + a_max]: one bincount over that window,
-    added into it.  Outside the window an add over the whole array would add
-    0.0, so the loads are the same floats either way.  The floats only pass
-    through elementwise adds and multiplies, bincount's in-order sums, an
-    exactly rounded fsum and argmin (no BLAS, no libm), so the counts are the
-    same on every machine.
+    The incidence is never stored.  Row v lists v - a for a run
+    base[i0:i1] of the base, kept as the slots v - a - lo, which index the
+    translate lengths.  A step raises those lengths, so translate v - a_i
+    adds to the load of target v - a_i + a_j for every j, which is
+    (v - a_max + a_min) + pairs[i, j] with
+    pairs[i, j] = (a_max - a_i) + (a_j - a_min), a table built once.  The
+    loads live in one array padded on the left by a_max - a_min, so that
+    target t sits at t - lo + a_max - a_min and row v's window starts at
+    v - lo: one bincount of pairs[i0:i1], added into it.  The targets
+    [0, 3^k) are a view of that array.  Outside the window an add over the
+    whole array would add 0.0, so the loads are the same floats either way.
+    The floats only pass through elementwise adds and multiplies, bincount's
+    in-order sums, an exactly rounded fsum and argmin (no BLAS, no libm), so
+    the counts are the same on every machine.
     """
     import numpy as np
 
     size = instance.target_size
     lo, hi = instance.lo, instance.hi
-    base = np.array(instance.base_set.values, dtype=np.intp)
+    values = instance.base_set.values
+    base = np.array(values, dtype=np.intp)
     nb = len(base)
-    a_min, a_max = int(base[0]), int(base[-1])
+    a_min, a_max = values[0], values[-1]
+    pad = a_max - a_min
     covering = len(set().union(*rows))
-    # a row lists v - a in base order, so its last slot is its least: keep
-    # that slot and the row's offsets above it
-    rows_at = [(r[-1] - lo, np.array(r, dtype=np.intp) - r[-1]) for r in rows]
-    # ext[i] is the load of target lo + i.  Row 0 holds some b >= lo with
-    # b + a = 0, so lo <= 0, and row 3^k - 1 some b < hi with b + a = 3^k - 1,
-    # so 3^k <= hi + a_max: the targets [0, 3^k) lie inside ext.
-    ext = np.zeros(hi - lo + a_max, dtype=np.float64)
+    pairs = (a_max - base)[:, None] + (base - a_min)
+    # row v lists v - a in base order, for the a in (v - hi, v - lo]
+    at = {a: i for i, a in enumerate(values)}
+    rows_at = []
+    for v, r in enumerate(rows):
+        i0 = at[v - r[0]]
+        rows_at.append((np.array(r, dtype=np.intp) - lo, pairs[i0 : i0 + len(r)].ravel()))
+    # ext[i] is the load of target lo - pad + i.  Row 0 holds some b >= lo
+    # with b + a = 0, so lo <= 0, and row 3^k - 1 some b < hi with
+    # b + a = 3^k - 1, so 3^k <= hi + a_max: the targets [0, 3^k) lie
+    # inside ext, and so does every window.
+    ext = np.zeros(pad + hi - lo + a_max, dtype=np.float64)
     # col[v] = sum of the lengths of the translates covering v; lengths start at 1
-    col = ext[-lo : size - lo]
+    col = ext[pad - lo : pad - lo + size]
     col[:] = [len(r) for r in rows]
-    offsets = base - a_min
     length = np.ones(hi - lo, dtype=np.float64)
     total = float(covering)
     # stop once sum(length) >= 1/delta, delta = (1+eps) * ((1+eps) m)^(-1/eps)
@@ -488,13 +504,12 @@ def _packing_counts(
             _check_clock(deadline)
         v = int(col.argmin())
         counts[v] += 1
-        first, rel = rows_at[v]
-        window = length[first:]
-        held = window[rel]
+        slots, bins = rows_at[v]
+        held = length[slots]
         inc = held * _MWU_EPS
-        loads = np.bincount((rel[:, None] + offsets).ravel(), weights=inc.repeat(nb))
-        ext[first + a_min : first + a_min + len(loads)] += loads
-        window[rel] = held + inc
+        loads = np.bincount(bins, weights=inc.repeat(nb))
+        ext[v - lo : v - lo + len(loads)] += loads
+        length[slots] = held + inc
         total += math.fsum(inc.tolist())
     return counts
 
@@ -507,30 +522,52 @@ def gate_dual_weights(weights: list[int], rows: list[tuple[int, ...]]) -> list[i
     L exceeds W, every weight becomes w*W // L, after which no load exceeds
     W.  Only integers are involved, so no float error upstream can make the
     resulting bound unsound."""
-    loads: dict[int, int] = {}
-    for w, row in zip(weights, rows):
-        if w:
-            for b in row:
-                loads[b] = loads.get(b, 0) + w
-    heaviest = max(loads.values(), default=0)
+    heaviest = max(_translate_loads(weights, rows).values(), default=0)
     if heaviest <= DUAL_SCALE:
         return list(weights)
     return [w * DUAL_SCALE // heaviest for w in weights]
+
+
+def _translate_loads(weights: list[int], rows: list[tuple[int, ...]]) -> dict[int, int]:
+    """The load sum_{v in cov(b)} w_v of every translate b in the table."""
+    loads = dict.fromkeys(set().union(*rows), 0)
+    for w, row in zip(weights, rows):
+        if w:
+            for b in row:
+                loads[b] += w
+    return loads
 
 
 def gated_dual_weights(
     instance: CoverInstance, rows: list[tuple[int, ...]], deadline: Optional[float] = None
 ) -> list[int]:
     """Integer dual weights w_v over W with every translate's load at most W,
-    built from the translate table ``rows`` (see :func:`_translate_rows`).
-    The multiplicative-weights counts times W go through the exact gate,
-    which turns them into count_v * W // L, L the largest count load: the
-    largest feasible multiple of the counts.  A gated dual restricted to any
-    set U of targets stays feasible, so ceil(sum_{v in U} w_v / W) bounds the
-    number of translates any cover of U needs (LP duality: Lovasz 1975,
-    Chvatal 1979).  Raises _BudgetExhausted once ``deadline`` passes."""
+    and each target on a translate loaded to exactly W, built from the
+    translate table ``rows`` (see :func:`_translate_rows`).
+
+    The multiplicative-weights counts (step ``_MWU_EPS``) times W go through
+    the exact gate, which turns them into count_v * W // L, L the largest
+    count load: the largest feasible multiple of the counts.  A maximal pass
+    then visits the targets in order of fewest covering translates, ties by
+    ascending target, and raises each w_v by its least slack W - load(b)
+    over the b in rows[v].  Every load stays at most W, and once v is
+    visited one of its translates is at W, so no weight can rise further.
+    A dual restricted to any set U of targets stays feasible, so
+    ceil(sum_{v in U} w_v / W) bounds the number of translates any cover of
+    U needs (LP duality: Lovasz 1975, Chvatal 1979).  Raises
+    _BudgetExhausted once ``deadline`` passes."""
     counts = _packing_counts(instance, rows, deadline)
-    return gate_dual_weights([c * DUAL_SCALE for c in counts], rows)
+    weights = gate_dual_weights([c * DUAL_SCALE for c in counts], rows)
+    loads = _translate_loads(weights, rows)
+    # a stable sort keeps equal rows in ascending target order
+    for v in sorted(range(len(rows)), key=lambda v: len(rows[v])):
+        row = rows[v]
+        slack = DUAL_SCALE - max(loads[b] for b in row)
+        if slack:
+            weights[v] += slack
+            for b in row:
+                loads[b] += slack
+    return weights
 
 
 # -- exact minimal (branch and bound) -----------------------------------------

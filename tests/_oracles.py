@@ -93,9 +93,10 @@ def oracle_exact_search(instance: CoverInstance, max_nodes: int | None) -> tuple
     before children were bounded in their parents: every child is a call
     that counts itself and tests both bounds on entry, the dual bound
     summing the uncovered weight from the bit planes at every node, and the
-    weights are gated against the coverage bitsets.  It shares the greedy
-    incumbent, the translate table and the multiplicative-weights counts
-    with the solver, which are checked on their own."""
+    weights are gated and raised to a maximal dual against the coverage
+    bitsets.  It shares the greedy incumbent, the translate table and the
+    multiplicative-weights counts with the solver, which are checked on
+    their own."""
     full = (1 << instance.target_size) - 1
     base_len = len(instance.base_set)
     best = list(solver.greedy_complement(instance).solution.values)
@@ -112,7 +113,18 @@ def oracle_exact_search(instance: CoverInstance, max_nodes: int | None) -> tuple
 
     heaviest = max(weight_of(c) for c in cover.values())
     if heaviest > DUAL_SCALE:
-        planes = _bit_planes([w * DUAL_SCALE // heaviest for w in weights])
+        weights = [w * DUAL_SCALE // heaviest for w in weights]
+        planes = _bit_planes(weights)
+    # the maximal pass, read off the coverage bitsets: raise each target, the
+    # least covered first, by the least slack of the translates covering it
+    loads = {b: weight_of(c) for b, c in cover.items()}
+    covering = [[b for b, c in cover.items() if c >> v & 1] for v in range(instance.target_size)]
+    for v in sorted(range(instance.target_size), key=lambda v: (len(covering[v]), v)):
+        slack = DUAL_SCALE - max(loads[b] for b in covering[v])
+        weights[v] += slack
+        for b in covering[v]:
+            loads[b] += slack
+    planes = _bit_planes(weights)
     nodes = 0
 
     class Exhausted(Exception):

@@ -629,6 +629,18 @@ def test_cli_boxdim_refuses_a_depth_below_what_it_reads(catalog, capsys, argv, m
         assert not catalog.root.exists()
 
 
+def test_cli_decompose_refuses_a_depth_below_one_before_seeding(catalog, capsys):
+    assert run_cli("decompose", "--x", "0.1", "--spec", "uniform-k3", "--depth", "0") == 2
+    assert "--depth must be at least 1" in capsys.readouterr().err
+    assert not catalog.root.exists() or not any(catalog.root.iterdir())
+
+
+def test_cli_massratio_reads_a_negative_level_range_as_a_value(catalog, capsys):
+    # "-2:3" is the --levels value, refused because levels start at 2
+    assert run_cli("massratio", "--alpha", "0.8", "--levels", "-2:3") == 2
+    assert "levels start at f = 2" in capsys.readouterr().err
+
+
 def test_cli_density_prefix_match_checks_the_walk_of_a(catalog, capsys, monkeypatch):
     # prefix_match compares the prefix built from r/s with A walked one exact
     # comparison per element, so a wrong builder shows as a failed check

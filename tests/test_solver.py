@@ -268,16 +268,32 @@ def _pattern_instance(k, overrides):
 
 
 def test_exact_node_counts_are_pinned():
-    # the counting and dual bounds are deterministic, so node counts are too
-    for inst, size, nodes in (
-        (c_instance(4), 9, 127),
-        (c_instance(4, signed=True), 9, 5087),
-        (_pattern_instance(5, {0: (0, 1, 2)}), 9, 950),
-        (_pattern_instance(5, {2: (0,)}), 24, 4887),
-        (_pattern_instance(5, {j: (0, 2) for j in range(5)}), 18, 159673),
+    # the counting and dual bounds are deterministic, so node counts are
+    # too; a tighter bound moves the counts but never the cover a completed
+    # search returns
+    for inst, nodes, cover in (
+        (c_instance(4), 95, (0, 2, 7, 18, 23, 25, 34, 39, 41)),
+        (c_instance(4, signed=True), 5301, (0, 2, 7, 18, 23, 25, 34, 39, 41)),
+        (_pattern_instance(5, {0: (0, 1, 2)}), 739, (0, 6, 21, 54, 69, 75, 102, 117, 123)),
+        (
+            _pattern_instance(5, {2: (0,)}),
+            1802,
+            (0, 2, 7, 9, 14, 16, 21, 23, 55, 57, 62, 64, 69, 71, 76, 78, 110, 112, 117, 119, 124, 126, 131, 132),
+        ),
+        (
+            _pattern_instance(5, {j: (0, 2) for j in range(5)}),
+            119259,
+            (0, 1, 4, 5, 14, 15, 28, 29, 42, 43, 64, 65, 72, 73, 76, 77, 86, 87),
+        ),
     ):
         cert = exact_min_complement(inst, SolverBudget(max_nodes=None, max_seconds=None))
-        assert (cert.size, cert.optimal, cert.stats.nodes) == (size, "proven-optimal", nodes)
+        assert (cert.optimal, cert.stats.nodes, cert.solution.values) == ("proven-optimal", nodes, cover)
+
+
+def test_root_dual_bound_at_k7_is_27():
+    # the maximal dual sums to about 26.3 W at k=7, so a cover needs 27
+    # translates (the multiplicative weights alone give 25.8 W)
+    assert _root_dual_bound(_weights(c_instance(7))) == 27
 
 
 def test_packing_counts_match_the_sinked_index_oracle():
@@ -312,8 +328,11 @@ def test_dual_gate_rescales_overloaded_weights():
     covs = _coverages(inst)
     rows = solver._translate_rows(inst)
     weights = gated_dual_weights(inst, rows)
-    assert sum(weights) == 30393  # the same multiplicative-weights run on every machine
-    assert max(_loads(weights, covs)) <= DUAL_SCALE
+    assert sum(weights) == 30953  # the same multiplicative-weights run on every machine
+    loads = _loads(weights, covs)
+    assert max(loads) <= DUAL_SCALE
+    # maximal: every target lies on a translate loaded to exactly W
+    assert all(any(loads[b - inst.lo] == DUAL_SCALE for b in row) for row in rows)
     assert _root_dual_bound(weights) == 8
     tampered = list(weights)
     tampered[40] += DUAL_SCALE // 2
