@@ -4,9 +4,8 @@ D is the density parameter (1 - alpha) / (log 2 / log 3).  For rational alpha
 short of 1, D = (P/Q) * log2 3 with 1 - alpha = P/Q is irrational, and every
 floor and comparison here goes through one exact primitive, floor(j * log2 3)
 for j >= 1.  Since 3^j is odd, j * log2 3 is never an integer, so the floor is
-settled by evaluating it closely enough: a double when its fractional part
-clears a margin that grows with the value, otherwise mpmath at doubling
-precision.  No power of 3 is ever built and no precision cap can run out.
+settled in integers, by a fixed-point bracket of log2 3 refined until it
+decides (:func:`_floor_log2_3`); no float, power of 3 or precision cap enters.
 
 Each parameter form supplies just the exact comparison u*D <= x, bound once
 per parameter set (:attr:`DensityParams.le_d`); floor(y/D), comparisons
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
@@ -49,35 +48,45 @@ _LOG2_3 = math.log(3) / math.log(2)
 ENCODING_CONSTANT = 12
 
 
-def _floor_log2_3(j: int) -> int:
-    """floor(j * log2 3) for j >= 1, exact.
+@cache
+def _log2_3_bracket(p: int) -> tuple[int, int]:
+    """Integers lo < 2^p log2 3 < hi (hi - lo is 1), from log2 3 =
+    1 + atanh(1/5)/atanh(1/3) with each atanh summed in q = p + 16 bits.
 
-    The double est = j * _LOG2_3 is within est * 2^-51 of the true value (the
-    constant is off by under an ulp and the product rounds once), so its floor
-    is trusted when the fractional part clears est * 2^-48.  That margin
-    reaches 1/2 near j = 2^47, beyond which the double cannot decide anything.
-    """
+    Floor division by n^2, repeated from floor(2^q/n), gives exactly
+    floor(2^q/n^(2k+1)); its floor quotient by 2k+1 is under 1 below the k-th
+    term of 2^q atanh(1/n), and once it is 0 the rest of the series is below
+    n^2/(n^2 - 1) < 2.  So the sum s of `terms` terms puts 2^q atanh(1/n) in
+    [s, s + terms + 2); the quotient of the brackets, floored and ceiled,
+    brackets 2^p (log2 3 - 1)."""
+    ends = []
+    for n in (5, 3):
+        s = terms = 0
+        num = (1 << p + 16) // n
+        while num:
+            s += num // (2 * terms + 1)
+            terms += 1
+            num //= n * n
+        ends += [s, s + terms + 2]
+    lo5, hi5, lo3, hi3 = ends
+    return (1 << p) + (lo5 << p) // hi3, (1 << p) - (-hi5 << p) // lo3
+
+
+def _floor_log2_3(j: int) -> int:
+    """floor(j * log2 3) for j >= 1, exact: with lo < 2^p log2 3 < hi, it is
+    j*lo >> p once that equals j*hi >> p.  j * log2 3 is never an integer (3^j
+    is odd) and each doubling of p halves the width j*(hi - lo)/2^p, so that
+    happens for every j.  p starts 64 bits over j, doubling up from 128."""
     if j < 1:
         raise ValueError("exponent must be >= 1")
-    if j < 1 << 47:
-        est = j * _LOG2_3
-        floor = int(est)
-        margin = est * 2.0**-48
-        if margin < est - floor < 1 - margin:
-            return floor
-    from mpmath import mp
-
-    # mpf(j) is exact at this precision; the logs, product and quotient add at
-    # most 4 ulps, well inside the 2^8-ulp margin
-    prec = j.bit_length() + 64
+    p = 128
+    while p < j.bit_length() + 64:
+        p *= 2
     while True:
-        with mp.workprec(prec):
-            est = mp.mpf(j) * mp.log(3) / mp.log(2)
-            floor = int(mp.floor(est))
-            margin = mp.ldexp(est, 8 - prec)
-            if margin < est - floor < 1 - margin:
-                return floor
-        prec *= 2
+        lo, hi = _log2_3_bracket(p)
+        if j * lo >> p == j * hi >> p:
+            return j * lo >> p
+        p *= 2
 
 
 def _largest(pred: Callable[[int], bool], lo: int, hi: Optional[int] = None) -> int:

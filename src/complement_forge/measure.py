@@ -32,13 +32,10 @@ LEVEL_CAP = 24  # dyadic tree depth limit for exact net-measure work
 
 def _floor_pow2(i: int, q: int, p: int) -> int:
     """floor(2^(i/q + p)) for 0 <= i < q, p >= 0: the integer q-th root of
-    n = 2^(i + q*p).  Integer Newton steps never fall below the floor and
-    strictly decrease above it, so any start with x^q >= n is correct; the
-    double seed only saves steps (from 2^(p+1) Newton takes about q)."""
+    n = 2^(i + q*p), by integer Newton steps from 2^(p+1) > n^(1/q); they
+    never fall below the floor and strictly decrease above it."""
     n = 1 << (i + q * p)
-    x = ((int(2 ** (i / q) * 2**52) + 4) << p >> 52) + 1
-    if x**q < n:
-        x = 2 << p
+    x = 2 << p
     while True:
         y = ((q - 1) * x + n // x ** (q - 1)) // q
         if y >= x:

@@ -168,14 +168,8 @@ def uncovered_values(instance: CoverInstance, code: BlockCode) -> list[int]:
     covered = 0
     for b in code.values:
         covered |= _shifted(bmask, b)
-    covered &= full
     missing = full & ~covered
-    out = []
-    while missing:
-        v = (missing & -missing).bit_length() - 1
-        out.append(v)
-        missing &= missing - 1
-    return out
+    return [v for v, bit in enumerate(bin(missing)[:1:-1]) if bit == "1"]
 
 
 def verify_complement(

@@ -17,7 +17,7 @@ from complement_forge.cli import build_parser, main
 from complement_forge.density import DensityParams, description_length
 from complement_forge.fractal import build_density_spec
 from complement_forge.solver import CoverInstance, CoverVerificationError, exact_min_complement, verify_complement
-from complement_forge.ternary import BlockCode, PatternSet, concat_codes, enumerate_pattern, zero_one_pattern
+from complement_forge.ternary import BlockCode, PatternSet, concat_codes, enumerate_pattern, zero_one_base, zero_one_pattern
 
 
 @pytest.fixture()
@@ -461,6 +461,28 @@ def test_cli_massratio_rejects_empty_inputs(catalog, capsys):
     for levels in ("5:4", "5", "a:b"):
         assert run_cli("massratio", "--alpha", "0.8", "--levels", levels) == 2
         assert "--levels" in capsys.readouterr().err
+
+
+def test_cli_verify_lists_half_a_million_uncovered_targets_promptly(tmp_path):
+    # {0} leaves 527,345 of the 3^12 targets uncovered; a pass over the
+    # 3^12-bit mask per target would take about half a minute
+    from _oracles import brute_force_uncovered
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+        "COMPLEMENT_FORGE_CATALOG": str(tmp_path / "catalog"),
+    }
+    cmd = [sys.executable, "-m", "complement_forge.cli", "verify", "--k", "12", "--values", "0", "--format", "json"]
+    try:
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=20)
+    except subprocess.TimeoutExpired:
+        pytest.fail("verify --k 12 --values 0 did not return within 20 s")
+    assert proc.returncode == 3, proc.stderr
+    uncovered = json.loads(proc.stdout)["uncovered"]
+    assert len(uncovered) == 527_345
+    assert uncovered == brute_force_uncovered(12, zero_one_base(12).values, [0])
 
 
 def test_cli_import_leaves_numpy_and_mpmath_unloaded():

@@ -62,6 +62,64 @@ def test_floor_at_eleven_digit_arguments():
     assert p.floor_div(10439860591) == 19760456010
 
 
+def _log2_3_denominators(limit):
+    """The continued-fraction denominators of log2 3 up to limit, from
+    60-digit mpmath."""
+    with mp.workdps(60):
+        x = mp.log(3) / mp.log(2)
+        before, last, out = 1, 0, []
+        while True:
+            a = int(mp.floor(x))
+            before, last = last, a * last + before
+            if last > limit:
+                return out
+            out.append(last)
+            x = 1 / (x - a)
+
+
+def test_floor_log2_3_matches_high_precision_oracle():
+    # j * log2 3 comes closest to an integer at the continued-fraction
+    # denominators and their small multiples; past 2^47 a double's error
+    # in j * log2 3 can exceed 1/2
+    from complement_forge.density import _floor_log2_3
+
+    dens = _log2_3_denominators(10**15)
+    assert len(dens) == 31 and dens[-1] == 483615324366283
+    js = [j for d in dens for j in (d - 1, d, d + 1) if j >= 1]
+    js += range(2**47 - 2, 2**47 + 3)
+    js += [m * d for d in dens[-4:] for m in (1 + 2**47 // d, 3 + 2**50 // d)]
+    rng = random.Random(23)
+    js += [rng.randint(1, 2**200) for _ in range(2000)]
+    js.append(10**400 + 7)
+    for j in js:
+        assert _floor_log2_3(j) == mp_floor_u_times_d(Fraction(1), j, dps=len(str(j)) + 40), j
+
+
+_FLOORS_WITHOUT_MPMATH = """
+import sys
+from complement_forge.density import DensityParams, _floor_log2_3
+print(_floor_log2_3(2**47 + 1), _floor_log2_3(10**400 + 7), DensityParams.from_alpha("0.8").floor_div(10**400 + 7))
+print("mpmath" in sys.modules)
+"""
+
+
+def test_floors_past_the_double_range_load_no_mpmath():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _FLOORS_WITHOUT_MPMATH], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    floors, loaded = proc.stdout.split("\n")[:2]
+    big = 10**400 + 7
+    assert floors.split() == [
+        str(mp_floor_u_times_d(Fraction(1), 2**47 + 1)),
+        str(mp_floor_u_times_d(Fraction(1), big, dps=450)),
+        str(mp_floor_y_over_d(Fraction(1, 5), big, dps=450)),
+    ]
+    assert loaded == "False"
+
+
 def test_params_accept_density_just_below_one():
     # P log2 3 < Q by 8e-5 with P ~ 5.4e12, so D = 1 - 1e-17
     p = DensityParams.from_alpha(1 - Fraction(5406435358383, 8568997305610))

@@ -81,6 +81,21 @@ def _run_at_import(node):
             yield from _run_at_import(child)
 
 
+def test_no_module_in_src_imports_mpmath():
+    # every decision in src/ is made in integers; mpmath is the tests' oracle
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.relative_to(SRC)}:{node.lineno} {n}" for n in names if n.partition(".")[0] == "mpmath"]
+    assert found == []
+
+
 def test_numpy_mpmath_and_scipy_are_imported_only_inside_functions():
     found = []
     for path in sorted(SRC.rglob("*.py")):
