@@ -464,15 +464,18 @@ class DescriptionLength:
 def description_length(params: DensityParams, n: int) -> DescriptionLength:
     """Length of the concrete (r, s, n) encoding, with its logarithmic bound.
 
-    The length is guaranteed (and asserted) to stay within
-    4*log3(n) + encoding_constant(params) ternary symbols.
+    The length is guaranteed to stay within 4*log3(n) + c0 ternary symbols,
+    c0 = encoding_constant(params), and the guarantee is checked in integers
+    as 3^(length - c0) <= n^4 (a length at most c0 always holds, as n >= 2);
+    ``bound`` reports the same limit as a float.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     r, s = best_rational(params, n)
     encoded = encode_rsn(r, s, n)
-    bound = 4 * math.log(n) / math.log(3) + encoding_constant(params)
-    if len(encoded) > bound:
+    c0 = encoding_constant(params)
+    bound = 4 * math.log(n) / math.log(3) + c0
+    if 3 ** max(len(encoded) - c0, 0) > n**4:
         raise AssertionError(
             f"encoding length {len(encoded)} exceeds {bound:.2f} for n={n}; "
             "the measured constant needs recalibration"

@@ -9,9 +9,9 @@ one common denominator in the basis {2^(i/q)}, and each order comparison is
 the sign of such a vector, decided in integers by :meth:`Pow2Sum.sign` (a
 rational value by the sign of its numerator).  The weighted-cover check sums
 the weight on each dyadic node and its ancestors once, parents first, and
-compares the threshold once per node.  Floating point appears only in
-reported estimates and in ``mass_ratio``'s ``within_bound``, a float
-comparison with 1e-9 slack.
+compares the threshold once per node.  ``mass_ratio`` decides its bound
+from the integer count of intervals a ball meets.  Floating point appears
+only in reported estimates.
 """
 
 from __future__ import annotations
@@ -567,7 +567,22 @@ def mass_ratio(
     (each of measure 2^-(f-1)); the count is exact integer arithmetic.  The
     ratio bound is 8 * 3^(beta t / (1 - D)) / 2^beta with the shift t of
     :attr:`ComplementEnumeration.t_shift`, which is 0, so the bound is
-    8 / 2^beta.  Float comparisons carry a 1e-9 slack.
+    8 / 2^beta.
+
+    An entry is within the bound iff its count is at most 4, decided from the
+    count alone.  With u = u_f, the ratio is count * 2^-(f-1) / (2 * 3^-u)^beta,
+    and beta * log2 3 = 1 - D in both parameter forms, so
+    ratio / bound = count * 2^(u - uD - f - 2).  As in the ``t_shift``
+    argument, floor(uD) = u - f and uD is not an integer, so
+    ratio / bound = (count / 4) * 2^-frac(uD) with 0 < frac(uD) < 1: a count
+    of at most 4 is within the bound and one of 8 or more is not.  Counts
+    5 to 7 never occur, as the count is 1 or 2.  Two level-(f-1) sums that
+    first differ at index i differ by L = 3^-u_(f-1) if i = f - 1, and
+    otherwise by at least 3^-u_i - sum_{j > i} 3^-u_j >= 3^-u_i / 2 >= 3L/2,
+    so the intervals' left ends lie at least L apart; the ball's width
+    2 * 3^-u <= 2L/3 < L is too short to meet three closed intervals of
+    length L, and x lies in its own interval.  The reported ``ratio`` and
+    ``bound`` are floats on the same formulas.
     """
     if any(b not in (0, 1) for b in bits):
         raise ValueError("digit choices must be 0 or 1")
@@ -605,7 +620,7 @@ def mass_ratio(
                 meeting_intervals=count,
                 ratio=math.exp(ratio_log),
                 bound=math.exp(bound_log),
-                within_bound=ratio_log <= bound_log + 1e-9,
+                within_bound=count <= 4,
             )
         )
     return MassRatioReport(

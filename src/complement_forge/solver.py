@@ -604,7 +604,11 @@ def exact_min_complement(
     Budget exhaustion is not an error: the certificate carries the best
     solution found with optimal="unknown" and stats.budget_exhausted set.
     The time budget covers the translate table and the dual weights as well
-    as the search, so at large k it ends with the greedy cover.
+    as the search, so at large k it ends with the greedy cover.  The stack
+    is a budget too: ``expand`` recurses once per chosen translate, so a
+    branch deeper than the interpreter's recursion limit ends the search in
+    the same way, at a depth that depends on how deep the caller's own stack
+    already is.
     """
     budget = budget or SolverBudget()
     full = (1 << instance.target_size) - 1
@@ -690,7 +694,7 @@ def exact_min_complement(
         total = sum(weights)
         if instance.target_size <= room * base_len and total <= room * DUAL_SCALE:
             expand(full, total, [], 0)
-    except _BudgetExhausted:
+    except (_BudgetExhausted, RecursionError):
         stats.budget_exhausted = True
     # expand's closure holds expand itself; emptying that cell breaks the
     # cycle, so the tables go with this frame instead of waiting for the

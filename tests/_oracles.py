@@ -338,6 +338,16 @@ def oracle_marstrand_check(
     return MarstrandReport(True, (), lhs, rhs, rhs <= lhs)
 
 
+def oracle_within_bound(params: DensityParams, f: int, count: int, u_f: int) -> bool:
+    """The mass-ratio verdict taken in floats: log(ratio) against log(bound),
+    ratio = count * 2^-(f-1) / (2 * 3^-u_f)^beta and bound = 8 / 2^beta,
+    with a 1e-9 slack."""
+    beta = params.beta_float
+    log2, log3 = math.log(2), math.log(3)
+    ratio_log = math.log(count) - (f - 1) * log2 - beta * (log2 - u_f * log3)
+    return ratio_log <= math.log(8) - beta * log2 + 1e-9
+
+
 def oracle_decompose(x: TernaryRational, spec: FractalSpec, depth: int) -> dict:
     """The stage-wise split of x read one ternary digit at a time, each
     witness found by scanning the base set, and each half summed one block at

@@ -292,12 +292,12 @@ def test_criterion_11_mass_ratio_bound():
         rep = mass_ratio(params, bits, range(5, 16))
         all_within &= rep.all_within
         max_meet = max(max_meet, rep.max_meeting)
-    ok = all_within and max_meet <= 4
+    ok = all_within and max_meet <= 2
     _criterion(
         11,
         ok,
         f"50 sampled points, levels 5..15: all ratios within 8*3^(bt/c)/2^b (t={rep.t_shift}): "
-        f"{all_within}; max intervals meeting a ball: {max_meet} (cap 4)",
+        f"{all_within}; max intervals meeting a ball: {max_meet} (at most 2)",
     )
 
 

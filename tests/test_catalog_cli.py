@@ -334,6 +334,21 @@ def test_cli_complement_refuses_an_oversized_k(catalog, capsys, monkeypatch, arg
     assert not catalog.root.exists()
 
 
+def test_cli_verify_refuses_a_k_past_13(catalog, capsys, monkeypatch):
+    # a check lists up to 3^k targets, about three times the time and memory
+    # per step in k; no stored or greedy code is longer than 13
+    import complement_forge.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("check reached")
+
+    monkeypatch.setattr(cli, "verify_complement", unreachable)
+    assert run_cli("verify", "--k", "14", "--values", "0") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--k must be between 1 and 13, not 14" in captured.err
+    assert not catalog.root.exists()
+
+
 @pytest.mark.parametrize(
     "argv, flags",
     [
@@ -486,9 +501,9 @@ def test_cli_verify_lists_half_a_million_uncovered_targets_promptly(tmp_path):
 
 
 def test_cli_import_leaves_numpy_and_mpmath_unloaded():
-    # only the solvers and density's rare fallback need them, so every command
-    # pays for them only when it runs that code; the exact solver's dual
-    # weights come from numpy alone, so scipy is never loaded
+    # only the solvers need numpy, so every command pays for it only when it
+    # runs one, and mpmath is the tests' oracle alone; the exact solver's
+    # dual weights come from numpy alone, so scipy is never loaded
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     code = (

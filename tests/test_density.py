@@ -248,6 +248,21 @@ def test_description_length_bound_sweep():
     assert worst <= ENCODING_CONSTANT  # the frozen base covers the sweep max
 
 
+def test_description_length_guarantee_is_decided_in_integers(monkeypatch):
+    # at alpha = 4/5, n = 3^5 the encoding has 27 symbols and c0 = base + 2;
+    # with base 5 the length equals 4*5 + c0 exactly, which holds, while the
+    # float 4*log3(243) reads 19.999999999999996 and would refuse it
+    from complement_forge import density
+
+    p = DensityParams.from_alpha(Fraction(4, 5))
+    monkeypatch.setattr(density, "ENCODING_CONSTANT", 5)
+    dl = description_length(p, 243)
+    assert (dl.length, density.encoding_constant(p)) == (27, 7)
+    monkeypatch.setattr(density, "ENCODING_CONSTANT", 4)
+    with pytest.raises(AssertionError, match="encoding length 27 exceeds 26.00 for n=243"):
+        description_length(p, 243)
+
+
 def test_complement_examples():
     ph = DensityParams.from_density(Fraction(1, 2))
     ce = complement_enum(ph, 50)

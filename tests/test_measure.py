@@ -487,7 +487,7 @@ def test_mass_ratio_alpha_08_samples():
         bits = [rng.randint(0, 1) for _ in range(15)]
         rep = mass_ratio(params, bits, range(5, 16))
         assert rep.all_within
-        assert rep.max_meeting <= 4 and not rep.flagged
+        assert rep.max_meeting <= 2 and not rep.flagged
 
 
 def test_mass_ratio_validation():

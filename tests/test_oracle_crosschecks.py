@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from _oracles import oracle_exact_search
+from _oracles import oracle_exact_search, oracle_within_bound
 from complement_forge import solver
 from complement_forge.density import DensityParams, complement_enum
 from complement_forge.fractal import build_density_spec
@@ -237,3 +237,27 @@ def test_mass_ratio_counts_match_enumeration():
             for e in rep.entries:
                 expect = brute_force_meeting_count(u, bits, e.f, u[len(bits) - 1])
                 assert e.meeting_intervals == expect
+
+
+def test_mass_ratio_verdict_matches_the_float_oracle():
+    # the bound holds iff a ball meets at most 4 intervals, and a ball meets
+    # 1 or 2; against the float verdict over log-form alphas (two with large
+    # denominators) and rational D, levels 2..20, which also puts counts 4
+    # and 8 on either side of the bound
+    forms = [DensityParams.from_alpha(a) for a in ("0.631", "0.64", "0.7", "0.75", "0.8", "0.9", "0.95")]
+    forms += [DensityParams.from_alpha(1 - Fraction(p, q)) for p, q in ((123456789, 987654321), (10**12 + 39, 3 * 10**12))]
+    forms += [DensityParams.from_density(Fraction(d)) for d in ("1/2", "2/3", "3/7", "5/8", "99/100")]
+    rng = random.Random(31)
+    entries = 0
+    for params in forms:
+        u = complement_enum(params, 20).elements
+        for _ in range(12):
+            rep = mass_ratio(params, [rng.randint(0, 1) for _ in range(20)], range(2, 21))
+            assert 1 <= rep.max_meeting <= 2 and not rep.flagged
+            for e in rep.entries:
+                assert e.meeting_intervals in (1, 2)
+                assert e.within_bound == oracle_within_bound(params, e.f, e.meeting_intervals, u[e.f - 1])
+                assert oracle_within_bound(params, e.f, 4, u[e.f - 1])
+                assert not oracle_within_bound(params, e.f, 8, u[e.f - 1])
+                entries += 1
+    assert entries == 14 * 12 * 19

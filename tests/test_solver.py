@@ -354,6 +354,17 @@ def test_exact_budget_exhaustion_is_not_an_error():
     assert cert.verify()  # best-found is still a verified cover
 
 
+def test_exact_search_deeper_than_the_stack_ends_as_a_budget():
+    # the greedy cover here has 1,095 translates, so the first branch runs
+    # past the recursion limit long before 1,500 nodes; the stack ends the
+    # search like any budget, with the incumbent
+    inst = CoverInstance(7, BlockCode(7, (0, 4)))
+    cert = exact_min_complement(inst, SolverBudget(max_nodes=1500, max_seconds=None))
+    assert cert.stats.budget_exhausted and cert.optimal == "unknown"
+    assert brute_force_uncovered(7, (0, 4), cert.solution.values) == []
+    assert cert.size <= greedy_complement(inst).size
+
+
 def test_exact_time_budget_keeps_the_greedy_cover():
     inst = c_instance(5)
     budget = SolverBudget(max_nodes=None, max_seconds=1e-9)

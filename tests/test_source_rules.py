@@ -108,3 +108,23 @@ def test_numpy_mpmath_and_scipy_are_imported_only_inside_functions():
                 continue
             found += [f"{path.relative_to(SRC)}:{node.lineno} {n}" for n in names if n.partition(".")[0] in _LAZY_MODULES]
     assert found == []
+
+
+def _float_compares(tree):
+    """Each comparison with a float literal anywhere in its operands."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(
+            isinstance(c, ast.Constant) and isinstance(c.value, float) for c in ast.walk(node)
+        ):
+            yield node
+
+
+def test_no_comparison_in_src_has_a_float_literal_operand():
+    # a slack such as `x <= y + 1e-9` marks a verdict taken in floats; every
+    # decision in src/ is made in integers, and floats are only reported
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno} {ast.unparse(node)}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in _float_compares(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
