@@ -546,11 +546,16 @@ class MassRatioReport:
     entries: tuple[MassRatioEntry, ...]
     t_shift: int
     max_meeting: int
-    flagged: bool  # True if any ball met more than 4 intervals
 
     @property
     def all_within(self) -> bool:
         return all(e.within_bound for e in self.entries)
+
+    @property
+    def flagged(self) -> bool:
+        """Whether some ball met more than 4 intervals: every
+        ``within_bound`` is a count of at most 4, so this is the same fact."""
+        return not self.all_within
 
 
 def mass_ratio(
@@ -627,7 +632,6 @@ def mass_ratio(
         entries=tuple(entries),
         t_shift=enum.t_shift,
         max_meeting=max_meet,
-        flagged=max_meet > 4,
     )
 
 

@@ -18,8 +18,11 @@ is one bincount of a run of a base-pair table built once, added into the
 window of loads one translate-table row reaches; after the exact integer
 gate, a maximal pass raises each target until one of its translates is
 loaded to W.  The greedy finds its next translate by galloping through the
-list of those at the top marginal.  All tie-breaking is fixed, so identical
-instances always yield identical certificates.
+list of those at the top marginal, and takes in the same round every later
+one still at it that lies less than the base's least gap away, since such
+translates cover disjoint targets.  The cover check shifts the bitset of the
+larger of base and code by each value of the smaller.  All tie-breaking is
+fixed, so identical instances always yield identical certificates.
 """
 
 from __future__ import annotations
@@ -147,12 +150,17 @@ class CoverCertificate:
 # -- bitset plumbing ----------------------------------------------------------
 
 
-def base_mask(code: BlockCode) -> int:
-    """Bitset of a nonnegative code (bit a set iff a in code)."""
-    m = 0
+def base_mask(code: BlockCode, offset: int = 0) -> int:
+    """Bitset of a code shifted by ``offset`` (bit v + offset set iff v in
+    code), every v + offset nonnegative.  Built in one pass over a
+    bytearray read as a little-endian int, not by |code| big-int ORs."""
+    if not code.values:
+        return 0
+    buf = bytearray((code.values[-1] + offset) // 8 + 1)
     for v in code.values:
-        m |= 1 << v
-    return m
+        v += offset
+        buf[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(buf, "little")
 
 
 def _shifted(mask: int, b: int) -> int:
@@ -160,14 +168,21 @@ def _shifted(mask: int, b: int) -> int:
 
 
 def uncovered_values(instance: CoverInstance, code: BlockCode) -> list[int]:
-    """All target values not expressible as a + b; empty means the cover holds."""
+    """All target values not expressible as a + b; empty means the cover holds.
+
+    The sumset base + code is symmetric, so the bitset of the larger side
+    is shifted by each value of the smaller one: |code| shifts of the
+    base's bitset, or |base| shifts of the code's, offset by the code's
+    least value when that is negative."""
     if code.k != instance.k:
         raise ValueError(f"code has block length {code.k}, expected {instance.k}")
     full = (1 << instance.target_size) - 1
-    bmask = base_mask(instance.base_set)
+    small, large = sorted((code, instance.base_set), key=len)
+    offset = -min(large.values[0], 0)
+    mask = base_mask(large, offset)
     covered = 0
-    for b in code.values:
-        covered |= _shifted(bmask, b)
+    for b in small.values:
+        covered |= _shifted(mask, b - offset)
     missing = full & ~covered
     return [v for v, bit in enumerate(bin(missing)[:1:-1]) if bit == "1"]
 
@@ -300,6 +315,14 @@ def greedy_complement(instance: CoverInstance) -> CoverCertificate:
       few array compares, not one Python step each.  The array is rebuilt
       (one O(3^k) pass) only once every entry has dropped below L, at most
       once per distinct level.
+    * A round takes a run of picks, not one.  With g the base's least gap,
+      two translates less than g apart cover disjoint targets, so taking
+      one leaves the other's marginal as it was.  Every entry in
+      [b0, b0 + g) still at L, b0 the first, is then what one pick at a
+      time would take next, in the same order, and the round takes them
+      all and retires their targets (a + picks, already ascending) in one
+      step.  A base with g = 1, such as a {0,1} pattern, takes one pick a
+      round.
     * The marginals live in one array padded to every value t - a can take,
       the candidates [lo, hi) being a view into it, so a step's decrements
       need no range mask.  They are retired one of two exact ways, whichever
@@ -314,9 +337,10 @@ def greedy_complement(instance: CoverInstance) -> CoverCertificate:
       smallest window, so a small base such as a density-spec stage's pays
       nothing per step for it.
 
-    A scatter step costs O(|base|^2) plus its share of the rebuilds.  The
-    scatter needs numpy >= 1.25, whose indexed ``ufunc.at`` loops run as fast
-    as ``bincount``; older numpy gives the same covers, many times slower.
+    A scatter step costs O(|base|^2) per pick plus its share of the
+    rebuilds.  The scatter needs numpy >= 1.25, whose indexed ``ufunc.at``
+    loops run as fast as ``bincount``; older numpy gives the same covers,
+    many times slower.
 
     A one-element base {a} is answered directly: every translate covers at
     most one target, so the greedy takes each b with 0 <= a + b < 3^k in
@@ -363,6 +387,8 @@ def greedy_complement(instance: CoverInstance) -> CoverCertificate:
     uncovered = np.zeros(u_hi - u_lo, dtype=bool)
     uncovered[-u_lo : size - u_lo] = True
 
+    # translates less than the least gap apart cover disjoint targets
+    gap = int(np.diff(base).min())
     remaining = size
     chosen: list[int] = []
     level, at_level, pos = 0, np.empty(0, dtype=np.intp), 0
@@ -373,9 +399,14 @@ def greedy_complement(instance: CoverInstance) -> CoverCertificate:
             if level <= 0:
                 raise InfeasibleCoverError("no translate covers the remaining targets")
             at_level, pos = np.flatnonzero(marginals == level), 0
-        b = int(at_level[pos]) + lo
-        chosen.append(b)
-        t = base + b
+        # the round's picks: the entries in [b0, b0 + gap) still at the level
+        run = at_level[pos : pos + gap]
+        run = run[run < run[0] + gap]
+        pos += len(run)
+        picks = run[marginals[run] == level] + lo
+        chosen += picks.tolist()
+        # ascending, as the picks span less than the gap between base values
+        t = (base[:, None] + picks).ravel()
         t = t[uncovered[t - u_lo]]
         uncovered[t - u_lo] = False
         remaining -= len(t)

@@ -93,6 +93,41 @@ def test_greedy_matches_naive_selection():
             greedy_complement(inst)
 
 
+def test_greedy_runs_on_wide_gap_bases_match_naive_selection(monkeypatch):
+    # bases whose least gap g is above 1, where a round takes every entry
+    # still at the top marginal in [b0, b0 + g): the stage-6 shape (places
+    # 0-1 fixed to {0}, {0,1} elsewhere) at k = 5..7, {0, 9} patterns and
+    # seeded non-product bases, each over the signed and the nonneg range
+    rounds = []
+    next_at_level = solver._next_at_level
+
+    def counting(*args):
+        rounds[-1] += 1
+        return next_at_level(*args)
+
+    monkeypatch.setattr(solver, "_next_at_level", counting)
+    zero, free = frozenset((0,)), frozenset((0, 1))
+    bases = [enumerate_pattern(PatternSet(k, (zero, zero) + (free,) * (k - 2))) for k in (5, 6, 7)]
+    bases += [BlockCode(k, (0, 9)) for k in (3, 4, 5)]
+    bases += [enumerate_pattern(PatternSet(5, (zero, zero, free, zero, free)))]  # {0, 9, 81, 90}
+    rng = random.Random(26)
+    for _ in range(6):
+        k = rng.randint(3, 5)
+        gap = rng.randint(2, 5)
+        vals = [0]
+        for _ in range(rng.randint(1, 5)):
+            vals.append(vals[-1] + rng.randint(gap, 3 * gap))
+        bases.append(BlockCode.from_iterable(k, [v for v in vals if v < 3**k]))
+    picks = 0
+    for base in bases:
+        for inst in (CoverInstance(base.k, base), CoverInstance.signed(base.k, base)):
+            rounds.append(0)
+            got = list(greedy_complement(inst).solution.values)
+            assert got == sorted(naive_greedy(inst)), (inst.k, base.values, inst.lo)
+            picks += len(got)
+    assert sum(rounds) < picks / 2  # runs of several picks were taken
+
+
 def exhaustive_min_cover_size(instance):
     candidates = list(range(instance.lo, instance.hi))
     for size in range(1, len(candidates) + 1):

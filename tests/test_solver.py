@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from _oracles import brute_force_uncovered, oracle_packing_counts
-from complement_forge import solver
+from complement_forge import fractal, solver
 from complement_forge.catalog import PAPER_BLOCKS
 from complement_forge.density import DensityParams
 from complement_forge.fractal import build_density_spec
@@ -26,7 +26,7 @@ from complement_forge.solver import (
     uncovered_values,
     verify_complement,
 )
-from complement_forge.ternary import BlockCode, PatternSet, enumerate_pattern, zero_one_pattern
+from complement_forge.ternary import BlockCode, PatternSet, enumerate_pattern, zero_one_base, zero_one_pattern
 
 
 def c_instance(k, signed=False):
@@ -99,6 +99,34 @@ def test_verify_against_brute_force():
         inst = c_instance(k)
         code = BlockCode.from_iterable(k, rng.sample(range(3**k), rng.randint(1, 3**k)))
         assert uncovered_values(inst, code) == brute_force_uncovered(k, inst.base_set.values, code.values)
+
+
+def test_cover_check_shifts_either_side():
+    # the larger of base and code is the shifted bitset: codes smaller and
+    # larger than the base, negative code values (signed ranges), bases that
+    # are not digit products, and the empty code
+    rng = random.Random(25)
+    cases = []
+    for k in range(1, 6):
+        size = 3**k
+        bases = [zero_one_base(k).values, (0,), tuple(range(size))]
+        bases += [tuple(sorted(rng.sample(range(size), rng.randint(2, min(size, 12))))) for _ in range(3)]
+        for base in bases:
+            for lo in (0, -size + 1):
+                for n in (0, 1, len(base) - 1, len(base), len(base) + 1, rng.randint(1, size)):
+                    code = rng.sample(range(lo, size), min(n, size - lo))
+                    cases.append((k, base, lo, code))
+    larger = negative = 0
+    for k, base, lo, code in cases:
+        base_set = BlockCode.from_iterable(k, base)
+        inst = CoverInstance(k, base_set, lo=lo)
+        code = BlockCode.from_iterable(k, code)
+        larger += len(code) > len(base_set)
+        negative += bool(code.values) and code.values[0] < 0
+        assert uncovered_values(inst, code) == brute_force_uncovered(k, base, code.values), (k, base, code)
+    assert larger > 50 and negative > 50
+    for k in (1, 3):
+        assert uncovered_values(c_instance(k), BlockCode(k, ())) == list(range(3**k))
 
 
 def test_verify_mutation_of_b3():
@@ -176,6 +204,31 @@ def test_greedy_codes_are_pinned(monkeypatch):
     assert len(g6) == 24_696
     assert _values_digest(g6) == "90d344ea59f3c4862cb0fea7f47fe7b157a8d4848547d4d7957c96c6b084e7ab"
     assert digit_steps[-1] == 0  # eight values over 3^11: the scatter always wins
+
+
+def test_greedy_takes_a_run_of_picks_a_round(monkeypatch):
+    # translates less than the base's least gap apart cover disjoint
+    # targets, so a round takes every one of them still at the top marginal:
+    # nine picks a round at stage 6 (least gap 9), three at stage 4 (gap 3);
+    # one pick a round made 24,696 and 588 scans there
+    rounds = []
+    next_at_level, greedy = solver._next_at_level, fractal.greedy_complement
+
+    def counting(*args):
+        rounds[-1] += 1
+        return next_at_level(*args)
+
+    def counted_greedy(inst):
+        rounds.append(0)
+        return greedy(inst)
+
+    monkeypatch.setattr(solver, "_next_at_level", counting)
+    monkeypatch.setattr(fractal, "greedy_complement", counted_greedy)
+    spec = build_density_spec(DensityParams.from_alpha("0.8"), 6)
+    assert rounds == [0, 5, 70, 196, 2_896, 2_744]
+    assert [len(stage.certificate.solution) for stage in spec.stages][3:] == [588, 2_896, 24_696]
+    g6 = spec.stages[5].certificate.solution
+    assert _values_digest(g6) == "90d344ea59f3c4862cb0fea7f47fe7b157a8d4848547d4d7957c96c6b084e7ab"
 
 
 def test_next_at_level_finds_the_first_entry_still_at_level():
