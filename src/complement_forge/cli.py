@@ -469,7 +469,7 @@ def _cmd_massratio(args: argparse.Namespace) -> int:
         bits = [rng.randint(0, 1) for _ in range(max(levels))]
         rep = mass_ratio(params, bits, levels)
         max_meet = max(max_meet, rep.max_meeting)
-        flagged += rep.flagged
+        flagged += not rep.all_within
         bound = rep.entries[0].bound
         for e in rep.entries:
             worst_ratio = max(worst_ratio, e.ratio)

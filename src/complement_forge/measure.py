@@ -551,12 +551,6 @@ class MassRatioReport:
     def all_within(self) -> bool:
         return all(e.within_bound for e in self.entries)
 
-    @property
-    def flagged(self) -> bool:
-        """Whether some ball met more than 4 intervals: every
-        ``within_bound`` is a count of at most 4, so this is the same fact."""
-        return not self.all_within
-
 
 def mass_ratio(
     params: DensityParams,

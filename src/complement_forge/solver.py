@@ -12,7 +12,7 @@ one popcount, which is what makes the exact search at k = 4..5 feasible in
 pure Python.  Its lower bounds are decided for each child in the parent's
 loop: the counting bound from the parent's count less the removed
 coverage, the LP-dual bound from the parent's dual weight less the removed
-weight, memoised per call, so a child the bounds cut is never a call.  The
+weight, memoised per call, so a child the bounds cut is never pushed.  The
 dual weights come from a multiplicative-weights loop (step 0.2) whose step
 is one bincount of a run of a base-pair table built once, added into the
 window of loads one translate-table row reaches; after the exact integer
@@ -624,22 +624,23 @@ def exact_min_complement(
     incumbent, so a tighter bound changes node counts but never the cover a
     completed search returns.
 
-    Each child is counted, and its bounds are tested, in its parent's loop,
-    so only a child that passes both becomes a call.  Choosing b removes
-    cu = cov(b) & U from U, so the child's |U| is |U| - |cu|, which the sort
-    key already holds, and its w(U) is the parent's less the removed weight
-    w(cu).  Most tests meet a cu seen before, so w(cu) is memoised per call
-    in a table emptied whenever it reaches ``_REMOVED_CAP`` entries; only on
-    a miss is it summed, from the weights of cu's targets.
+    The search is one loop over an explicit stack: each node above the one
+    being expanded is a frame (U, w(U), |U|, its remaining children, its
+    bans, the b chosen below it), and a node's children are sorted and
+    dominance-filtered once, when it is entered.  Each child is counted, and
+    its bounds are tested, in its parent's loop, so only a child that passes
+    both is pushed.  Choosing b removes cu = cov(b) & U from U, so the
+    child's |U| is |U| - |cu|, which the sort key already holds, and its
+    w(U) is the parent's less the removed weight w(cu).  Most tests meet a
+    cu seen before, so w(cu) is memoised per call in a table emptied
+    whenever it reaches ``_REMOVED_CAP`` entries; only on a miss is it
+    summed, from the weights of cu's targets.
 
     Budget exhaustion is not an error: the certificate carries the best
     solution found with optimal="unknown" and stats.budget_exhausted set.
     The time budget covers the translate table and the dual weights as well
-    as the search, so at large k it ends with the greedy cover.  The stack
-    is a budget too: ``expand`` recurses once per chosen translate, so a
-    branch deeper than the interpreter's recursion limit ends the search in
-    the same way, at a depth that depends on how deep the caller's own stack
-    already is.
+    as the search, so at large k it ends with the greedy cover.  No stack
+    limit ends a search: only its nodes, its clock or its completion.
     """
     budget = budget or SolverBudget()
     full = (1 << instance.target_size) - 1
@@ -658,58 +659,6 @@ def exact_min_complement(
     offset = -instance.lo  # banned-translate bitset index
     removed: dict[int, int] = {}  # w(cu) by cu
 
-    def expand(uncovered: int, weight: int, chosen: list[int], banned: int) -> None:
-        """Branch below a node that passed its bounds; ``weight`` is w(uncovered)."""
-        v = (uncovered & -uncovered).bit_length() - 1
-        cands = []
-        for b, c, bit in cands_of[v]:
-            if not banned & bit:
-                cu = c & uncovered
-                cands.append((-cu.bit_count(), b, cu, bit))
-        cands.sort()
-        # Drop dominated candidates: if b1's remaining coverage is contained
-        # in b2's, any cover using b1 maps to one using b2 of the same size.
-        kept = []
-        masks: list[int] = []
-        for cand in cands:
-            cu = cand[2]
-            for k in masks:
-                if (cu & k) == cu:
-                    break
-            else:
-                kept.append(cand)
-                masks.append(cu)
-        left = uncovered.bit_count()
-        # Inclusion-exclusion: once the subtree containing b is exhausted,
-        # every cover using b has been seen, so later siblings may ban it.
-        for minus, b, cu, bit in kept:
-            stats.nodes += 1
-            if node_cap is not None and stats.nodes > node_cap:
-                raise _BudgetExhausted
-            if stats.nodes % 4096 == 0:
-                _check_clock(deadline)
-            chosen.append(b)
-            if left == -minus:
-                best[:] = sorted(chosen)
-            else:
-                # a bound ceil(x / d) falls below need iff x <= (need - 1) d
-                room = len(best) - len(chosen) - 1
-                if left + minus <= room * base_len:
-                    w = removed.get(cu)
-                    if w is None:
-                        if len(removed) >= _REMOVED_CAP:
-                            removed.clear()
-                        w, rest = 0, cu
-                        while rest:
-                            t = rest.bit_length() - 1
-                            w += weights[t]
-                            rest ^= 1 << t
-                        removed[cu] = w
-                    if weight - w <= room * DUAL_SCALE:
-                        expand(uncovered ^ cu, weight - w, chosen, banned)
-            chosen.pop()
-            banned |= bit
-
     try:
         rows = _translate_rows(instance, deadline)
         bmask = base_mask(instance.base_set)
@@ -722,15 +671,69 @@ def exact_min_complement(
         if node_cap is not None and node_cap < 1:
             raise _BudgetExhausted
         room = len(best) - 1
-        total = sum(weights)
-        if instance.target_size <= room * base_len and total <= room * DUAL_SCALE:
-            expand(full, total, [], 0)
-    except (_BudgetExhausted, RecursionError):
+        uncovered, weight, banned = full, sum(weights), 0
+        if instance.target_size <= room * base_len and weight <= room * DUAL_SCALE:
+            # one frame per node above the one being expanded, each resuming its children
+            parents: list[tuple] = []
+            children = None  # None: this node is entered, its children not yet listed
+            while True:
+                if children is None:
+                    v = (uncovered & -uncovered).bit_length() - 1
+                    cands = []
+                    for b, c, bit in cands_of[v]:
+                        if not banned & bit:
+                            cu = c & uncovered
+                            cands.append((-cu.bit_count(), b, cu, bit))
+                    cands.sort()
+                    # Drop dominated candidates: if b1's remaining coverage is contained
+                    # in b2's, any cover using b1 maps to one using b2 of the same size.
+                    kept = []
+                    masks: list[int] = []
+                    for cand in cands:
+                        cu = cand[2]
+                        for k in masks:
+                            if (cu & k) == cu:
+                                break
+                        else:
+                            kept.append(cand)
+                            masks.append(cu)
+                    left = uncovered.bit_count()
+                    children = iter(kept)
+                # Inclusion-exclusion: once the subtree containing b is exhausted,
+                # every cover using b has been seen, so later siblings may ban it.
+                for minus, b, cu, bit in children:
+                    stats.nodes += 1
+                    if node_cap is not None and stats.nodes > node_cap:
+                        raise _BudgetExhausted
+                    if stats.nodes % 4096 == 0:
+                        _check_clock(deadline)
+                    if left == -minus:
+                        best[:] = sorted([frame[5] for frame in parents] + [b])
+                    else:
+                        # a bound ceil(x / d) falls below need iff x <= (need - 1) d
+                        room = len(best) - len(parents) - 2
+                        if left + minus <= room * base_len:
+                            w = removed.get(cu)
+                            if w is None:
+                                if len(removed) >= _REMOVED_CAP:
+                                    removed.clear()
+                                w, rest = 0, cu
+                                while rest:
+                                    t = rest.bit_length() - 1
+                                    w += weights[t]
+                                    rest ^= 1 << t
+                                removed[cu] = w
+                            if weight - w <= room * DUAL_SCALE:
+                                parents.append((uncovered, weight, left, children, banned | bit, b))
+                                uncovered, weight, children = uncovered ^ cu, weight - w, None
+                                break
+                    banned |= bit
+                else:
+                    if not parents:
+                        break
+                    uncovered, weight, left, children, banned, _ = parents.pop()
+    except _BudgetExhausted:
         stats.budget_exhausted = True
-    # expand's closure holds expand itself; emptying that cell breaks the
-    # cycle, so the tables go with this frame instead of waiting for the
-    # cycle collector (which let every call's tables pile up).
-    del expand
     stats.elapsed = time.perf_counter() - t0
 
     optimal = "unknown" if stats.budget_exhausted else "proven-optimal"

@@ -467,7 +467,7 @@ def test_mass_ratio_closed_form_half():
         # mu[N_delta(0)] <= 2 * 2^-(f-1), i.e. at most 2 intervals meet the ball
         assert e.meeting_intervals <= 2
         assert e.within_bound
-    assert not rep.flagged
+    assert rep.all_within
 
 
 def test_mass_ratio_beta_zero_bound_is_eight():
@@ -486,8 +486,7 @@ def test_mass_ratio_alpha_08_samples():
     for _ in range(25):
         bits = [rng.randint(0, 1) for _ in range(15)]
         rep = mass_ratio(params, bits, range(5, 16))
-        assert rep.all_within
-        assert rep.max_meeting <= 2 and not rep.flagged
+        assert rep.max_meeting <= 2 and rep.all_within
 
 
 def test_mass_ratio_validation():

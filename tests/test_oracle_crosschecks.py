@@ -288,7 +288,7 @@ def test_mass_ratio_verdict_matches_the_float_oracle():
         u = complement_enum(params, 20).elements
         for _ in range(12):
             rep = mass_ratio(params, [rng.randint(0, 1) for _ in range(20)], range(2, 21))
-            assert 1 <= rep.max_meeting <= 2 and not rep.flagged
+            assert 1 <= rep.max_meeting <= 2 and rep.all_within
             for e in rep.entries:
                 assert e.meeting_intervals in (1, 2)
                 assert e.within_bound == oracle_within_bound(params, e.f, e.meeting_intervals, u[e.f - 1])

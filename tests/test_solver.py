@@ -1,7 +1,9 @@
 import gc
 import hashlib
+import inspect
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -407,15 +409,35 @@ def test_exact_budget_exhaustion_is_not_an_error():
     assert cert.verify()  # best-found is still a verified cover
 
 
-def test_exact_search_deeper_than_the_stack_ends_as_a_budget():
-    # the greedy cover here has 1,095 translates, so the first branch runs
-    # past the recursion limit long before 1,500 nodes; the stack ends the
-    # search like any budget, with the incumbent
+def test_exact_search_deeper_than_the_stack_completes(monkeypatch):
+    # the greedy cover here has 1,095 translates, so the first branch is
+    # about a thousand translates deep; the search runs on its own stack,
+    # so only its nodes end it, at any depth of the caller's stack
     inst = CoverInstance(7, BlockCode(7, (0, 4)))
-    cert = exact_min_complement(inst, SolverBudget(max_nodes=1500, max_seconds=None))
-    assert cert.stats.budget_exhausted and cert.optimal == "unknown"
+    # the three searches share one run of the weight loop, checked elsewhere
+    counts = solver._packing_counts(inst, solver._translate_rows(inst))
+    monkeypatch.setattr(solver, "_packing_counts", lambda *args: counts)
+    # b covers b and b + 4, one residue mod 4, so a class of n targets
+    # needs ceil(n / 2) translates: 3 * 274 + 273
+    sizes = [len(range(r, inst.target_size, 4)) for r in range(4)]
+    assert sizes == [547, 547, 547, 546]
+    parity = sum(-(-n // 2) for n in sizes)
+    assert parity == 1095
+    budget = SolverBudget(max_nodes=1500, max_seconds=None)
+    cert = exact_min_complement(inst, budget)
+    assert (cert.optimal, cert.size, cert.stats.nodes) == ("proven-optimal", parity, 1068)
     assert brute_force_uncovered(7, (0, 4), cert.solution.values) == []
-    assert cert.size <= greedy_complement(inst).size
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        shallow = exact_min_complement(inst, budget)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (shallow.optimal, shallow.solution, shallow.stats.nodes) == (cert.optimal, cert.solution, 1068)
+    # a cap below the proof still ends as a budget, with the greedy cover
+    capped = exact_min_complement(inst, SolverBudget(max_nodes=1000, max_seconds=None))
+    assert (capped.optimal, capped.stats.budget_exhausted, capped.stats.nodes) == ("unknown", True, 1001)
+    assert capped.solution == greedy_complement(inst).solution and capped.size == parity
 
 
 def test_exact_time_budget_keeps_the_greedy_cover():
@@ -424,8 +446,8 @@ def test_exact_time_budget_keeps_the_greedy_cover():
     cert = exact_min_complement(inst, budget)
     assert cert.stats.budget_exhausted and cert.optimal == "unknown"
     assert cert.solution == greedy_complement(inst).solution and cert.size == 18 and cert.verify()
-    # an exit from any depth leaves no reference cycle behind: each call's
-    # tables go with its frame
+    # an exit from any depth leaves no reference cycle behind: the search's
+    # frames and tables are locals of one call, and go with it
     gc.collect()
     gc.disable()
     try:

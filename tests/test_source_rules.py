@@ -128,3 +128,22 @@ def test_no_comparison_in_src_has_a_float_literal_operand():
         for node in _float_compares(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert found == []
+
+
+def _caught_names(handler):
+    """The names an ``except`` clause lists, bare (``E``) or dotted (``m.E``)."""
+    nodes = ast.walk(handler.type) if handler.type is not None else ()
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in nodes if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_no_handler_in_src_catches_recursion_error():
+    # a search that ends when the interpreter's stack runs out would end at
+    # a depth set by a runtime knob and by its caller: only nodes, clocks
+    # and completion may end work in src/
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ExceptHandler) and "RecursionError" in _caught_names(node)
+    ]
+    assert found == []
