@@ -3,12 +3,14 @@
 One JSON document per entry, in a content-addressed directory: the filename is
 a hash of the entry's identifying fields, so identical results land in the
 same file and an edit to a stored entry is caught on load (the id stops
-matching).  Every entry is also re-verified on save and on load: its code or
-spec is rebuilt and checked, its printed gammas and density results are
-derived again.  Loading a failing entry by id raises; a scan of the
-directory skips it with a warning on stderr.  A ``Catalog`` reads its
-directory once and checks each id once: the id hashes what the check reads.
-Writes go through a temp file and rename, so readers never see partial entries.
+matching).  On save and on load an entry must also equal the encoding of
+what it rebuilds, by the encoder ``add_*`` writes with: gammas and density
+results are derived again, unknown core fields are refused, and stage
+patterns are derived, so a quadratic spec is stored with its ``params``.
+Loading a failing entry by id raises; a scan skips it with a warning on
+stderr.  A ``Catalog`` reads its directory once and checks each id once: the
+id hashes what the check reads.  Writes go through a temp file and rename, so
+readers never see partial entries, and a save replaces a damaged file.
 
 The five published optimal block sets ship as seed entries (provenance
 "paper"), separated from anything the solvers discover.  Their optimality is
@@ -32,11 +34,11 @@ from typing import Optional
 
 from . import __version__
 from .density import DensityParams, best_rational, encode_rsn
-from .fractal import FractalSpec, GammaValue, Stage
+from .fractal import FractalSpec, GammaValue, Stage, density_patterns
 from .solver import CoverCertificate, CoverInstance, ProductProbeReport, is_zero_one_base
 from .solver import product_probe as _probe
 from .solver import verify_complement
-from .ternary import BlockCode, PatternSet, enumerate_pattern, zero_one_base
+from .ternary import BlockCode, enumerate_pattern, zero_one_base, zero_one_pattern
 
 SCHEMA_VERSION = 1
 ENV_CATALOG_DIR = "COMPLEMENT_FORGE_CATALOG"
@@ -107,9 +109,12 @@ class Catalog:
         entry["id"] = entry_id
         self._check(entry)
         path = self._path(entry_id)
-        if path.exists():
-            # The id hashes the core fields, so the stored file already holds
-            # this entry; leaving it keeps the first write's provenance.
+        try:
+            kept = json.loads(path.read_text())
+        except (OSError, ValueError):
+            kept = None
+        if isinstance(kept, dict) and _hash(_core_fields(kept))[:16] == kept.get("id") == entry_id:
+            # the file holds this entry; leaving it keeps the first write's provenance
             return entry_id
         self.entries_dir.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.entries_dir, suffix=".tmp")
@@ -130,8 +135,8 @@ class Catalog:
         if not path.exists():
             raise CatalogError(f"no catalog entry {entry_id}")
         entry = json.loads(path.read_text())
-        if _hash(_core_fields(entry))[:16] != entry.get("id") or entry["id"] != entry_id:
-            raise CatalogIntegrityError(f"entry {entry_id}: content does not match its id")
+        if not (isinstance(entry, dict) and _hash(_core_fields(entry))[:16] == entry.get("id") == entry_id):
+            raise CatalogIntegrityError(f"entry {entry_id}: content is not an object that matches its id")
         self._check(entry)
         return entry
 
@@ -174,20 +179,9 @@ class Catalog:
         """Store a complement code.  Entries are re-verified against the {0,1}
         pattern on load, so a code solved over any other base is refused: it
         would load as a {0,1} complement carrying another run's optimality."""
-        k = cert.instance.k
         if not is_zero_one_base(cert.instance):
-            raise CatalogError(f"complement base set is not the {{0,1}} pattern at k={k}")
-        entry = {
-            "kind": "complement",
-            "k": k,
-            "range": [cert.instance.lo, cert.instance.hi],
-            "values": list(cert.solution.values),
-            "method": cert.method,
-            "optimal": cert.optimal,
-            "gamma": _gamma_json(cert.size, k),
-            "provenance": _provenance(source, budget),
-        }
-        return self.save_entry(entry)
+            raise CatalogError(f"complement base set is not the {{0,1}} pattern at k={cert.instance.k}")
+        return self.save_entry({**_complement_entry(cert), "provenance": _provenance(source, budget)})
 
     def load_complement(self, entry_id: str) -> tuple[dict, CoverCertificate]:
         """A stored complement entry and its certificate, rebuilt in the range it was solved in."""
@@ -225,23 +219,9 @@ class Catalog:
     # -- specs ---------------------------------------------------------------------
 
     def add_spec(self, spec: FractalSpec, name: str, params: Optional[str] = None) -> str:
-        entry = {
-            "kind": "spec",
-            "name": name,
-            "spec_kind": spec.kind,
-            "params": params,
-            "stages": [
-                {
-                    "n": st.n,
-                    "pattern": _pattern_json(st.pattern),
-                    "values": list(st.code.values),
-                    "gamma": _gamma_json(len(st.code), st.n),
-                }
-                for st in spec.stages
-            ],
-            "provenance": _provenance("builder"),
-        }
-        return self.save_entry(entry)
+        """Store a spec; a quadratic one needs ``params``, the ``describe()``
+        of the density parameters its stage patterns are thinned by."""
+        return self.save_entry({**_spec_entry(spec, name, params), "provenance": _provenance("builder")})
 
     def find_spec(self, name_or_id: str) -> Optional[dict]:
         for entry in self.entries("spec"):
@@ -255,16 +235,9 @@ class Catalog:
     # -- density runs -----------------------------------------------------------------
 
     def add_density(self, params: DensityParams, n: int, r: int, s: int, length: int) -> str:
-        entry = {
-            "kind": "density",
-            "params": params.describe(),
-            "n": n,
-            "r": r,
-            "s": s,
-            "encoding_length": length,
-            "provenance": _provenance("density"),
-        }
-        return self.save_entry(entry)
+        # the caller's r, s and length are stored, so wrong ones fail the round trip
+        entry = {**_density_entry(params, n), "r": r, "s": s, "encoding_length": length}
+        return self.save_entry({**entry, "provenance": _provenance("density")})
 
     # -- probes --------------------------------------------------------------------------
 
@@ -287,64 +260,101 @@ def _provenance(source: str, budget: Optional[dict] = None) -> dict:
     }
 
 
-def _pattern_json(p: PatternSet) -> list[list[int]]:
-    return [sorted(s) for s in p.allowed]
-
-
-def _pattern_from_json(data: list[list[int]]) -> PatternSet:
-    return PatternSet(len(data), tuple(frozenset(s) for s in data))
-
-
-def _rebuild_complement(entry: dict) -> CoverCertificate:
-    k = entry["k"]
-    lo, hi = entry.get("range", [0, 3**k])
-    inst = CoverInstance(k, zero_one_base(k), lo=lo, hi=hi)
-    code = BlockCode(k, tuple(entry["values"]))
-    return verify_complement(inst, code, method=entry.get("method", "external"), optimal=entry.get("optimal", "unknown"))
-
-
-def _rebuild_spec(entry: dict) -> FractalSpec:
-    stages = []
-    for st in entry["stages"]:
-        pattern = _pattern_from_json(st["pattern"])
-        inst = CoverInstance(st["n"], enumerate_pattern(pattern))
-        cert = verify_complement(inst, BlockCode(st["n"], tuple(st["values"])))
-        stages.append(Stage(st["n"], pattern, cert))
-    return FractalSpec(kind=entry["spec_kind"], stages=tuple(stages))
-
-
 def _gamma_json(card: int, k: int) -> dict:
     return {"card": card, "k": k, "value": GammaValue(card, k).value}
 
 
+def _complement_entry(cert: CoverCertificate) -> dict:
+    inst = cert.instance
+    return {
+        "kind": "complement",
+        "k": inst.k,
+        "range": [inst.lo, inst.hi],
+        "values": list(cert.solution.values),
+        "method": cert.method,
+        "optimal": cert.optimal,
+        "gamma": _gamma_json(cert.size, inst.k),
+    }
+
+
+def _spec_entry(spec: FractalSpec, name: str, params: Optional[str]) -> dict:
+    """Stage patterns are derived on load, so a quadratic spec carries the
+    ``describe()`` of the parameters they are thinned by, a uniform one none."""
+    if (spec.kind == "quadratic") != (params is not None):
+        raise CatalogError("a quadratic spec is stored with its density params, a uniform spec without")
+    stages = [
+        {
+            "n": st.n,
+            "pattern": [sorted(digits) for digits in st.pattern.allowed],
+            "values": list(st.code.values),
+            "gamma": _gamma_json(len(st.code), st.n),
+        }
+        for st in spec.stages
+    ]
+    params = None if params is None else _params_from_description(params).describe()
+    return {"kind": "spec", "name": name, "spec_kind": spec.kind, "params": params, "stages": stages}
+
+
+def _density_entry(params: DensityParams, n: int) -> dict:
+    r, s = best_rational(params, n)
+    length = len(encode_rsn(r, s, n))
+    return {"kind": "density", "params": params.describe(), "n": n, "r": r, "s": s, "encoding_length": length}
+
+
+def _rebuild_complement(entry: dict) -> CoverCertificate:
+    k = entry["k"]
+    lo, hi = entry["range"]
+    inst = CoverInstance(k, zero_one_base(k), lo=lo, hi=hi)
+    code = BlockCode(k, tuple(entry["values"]))
+    return verify_complement(inst, code, method=entry["method"], optimal=entry["optimal"])
+
+
+def _rebuild_spec(entry: dict) -> FractalSpec:
+    """The stored codes over the stage patterns the spec's kind derives."""
+    stored = entry["stages"]
+    if entry["spec_kind"] == "quadratic":
+        patterns = density_patterns(_params_from_description(entry["params"]), len(stored))
+    else:
+        patterns = tuple(zero_one_pattern(st["n"]) for st in stored)
+    stages = []
+    for st, pattern in zip(stored, patterns):
+        inst = CoverInstance(pattern.k, enumerate_pattern(pattern))
+        cert = verify_complement(inst, BlockCode(pattern.k, tuple(st["values"])))
+        stages.append(Stage(pattern.k, pattern, cert))
+    return FractalSpec(kind=entry["spec_kind"], stages=tuple(stages))
+
+
 def _params_from_description(text: str) -> DensityParams:
     """Invert ``DensityParams.describe``: its ``alpha=P/Q`` or ``D=P/Q``
-    prefix is exact; the bracketed float after it is only a view."""
-    name, _, value = text.partition(" ")[0].partition("=")
-    if name == "alpha":
-        return DensityParams.from_alpha(Fraction(value))
-    if name == "D":
-        return DensityParams.from_density(Fraction(value))
+    prefix is exact; the bracketed float after it is only a view.  Anything
+    else, a stored value that is no string included, is unreadable."""
+    name, _, value = str(text).partition(" ")[0].partition("=")
+    try:
+        if name == "alpha":
+            return DensityParams.from_alpha(Fraction(value))
+        if name == "D":
+            return DensityParams.from_density(Fraction(value))
+    except (ValueError, ZeroDivisionError):
+        pass
     raise CatalogIntegrityError(f"unreadable density parameters {text!r}")
 
 
 def _verify(entry: dict) -> Optional[CoverCertificate | FractalSpec]:
-    """Rebuild what an entry stores and derive again what it prints; return
-    the rebuilt certificate or spec (None for a density run), or raise
-    CatalogIntegrityError (or the rebuild's own error) if anything is off."""
+    """Rebuild what an entry stores and return it (None for a density run) if
+    the entry is the rebuild's encoding; else raise CatalogIntegrityError (or
+    the rebuild's own error)."""
     kind = entry.get("kind")
     if kind == "complement":
         rebuilt = _rebuild_complement(entry)
-        ok = entry["gamma"] == _gamma_json(len(entry["values"]), entry["k"])
+        encoded = _complement_entry(rebuilt)
     elif kind == "spec":
         rebuilt = _rebuild_spec(entry)
-        ok = all(st["gamma"] == _gamma_json(len(st["values"]), st["n"]) for st in entry["stages"])
+        encoded = _spec_entry(rebuilt, entry["name"], entry["params"])
     elif kind == "density":
         rebuilt = None
-        r, s = best_rational(_params_from_description(entry["params"]), entry["n"])
-        ok = (entry["r"], entry["s"]) == (r, s) and entry["encoding_length"] == len(encode_rsn(r, s, entry["n"]))
+        encoded = _density_entry(_params_from_description(entry["params"]), entry["n"])
     else:
         raise CatalogError(f"unknown entry kind {kind!r}")
-    if not ok:
-        raise CatalogIntegrityError(f"entry {entry['id']}: stored {kind} results do not re-derive")
+    if _core_fields(entry) != {**encoded, "schema_version": SCHEMA_VERSION}:
+        raise CatalogIntegrityError(f"entry {entry['id']}: stored {kind} entry is not the encoding of what it rebuilds")
     return rebuilt

@@ -131,10 +131,10 @@ def build_uniform_spec(k: int, cert: CoverCertificate) -> FractalSpec:
     return FractalSpec(kind="uniform", stages=(Stage(k, zero_one_pattern(k), _ensure_zero(cert)),))
 
 
-def build_density_spec(params: DensityParams, stages: int) -> FractalSpec:
-    """Variable-density spec: stage k spans absolute digit positions
-    (m_{k-1}, m_k] with m_k = k^2, and its pattern allows digit 1 only at
-    positions lying in the density set A.
+def density_patterns(params: DensityParams, stages: int) -> tuple[PatternSet, ...]:
+    """The quadratic schedule's stage patterns: stage k spans absolute digit
+    positions (m_{k-1}, m_k] with m_k = k^2, and its pattern allows digit 1
+    only at positions lying in the density set A.
 
     The digit at the 3^j place of stage k sits at absolute position m_k - j,
     which is how membership in A is tested below.  At density 1 (A = N) every
@@ -142,19 +142,21 @@ def build_density_spec(params: DensityParams, stages: int) -> FractalSpec:
     """
     if stages < 1:
         raise ValueError("need at least one stage")
-    m_total = stages * stages
-    prefix = a_prefix(params, m_total)
+    prefix = a_prefix(params, stages * stages)
+    one, zero = frozenset((0, 1)), frozenset((0,))
+    return tuple(
+        PatternSet(2 * k - 1, tuple(one if prefix.contains(k * k - j) else zero for j in range(2 * k - 1)))
+        for k in range(1, stages + 1)
+    )
+
+
+def build_density_spec(params: DensityParams, stages: int) -> FractalSpec:
+    """Variable-density spec over :func:`density_patterns`, each stage's code
+    the greedy complement of its pattern."""
     built = []
-    for k in range(1, stages + 1):
-        n_k = 2 * k - 1
-        m_k = k * k
-        allowed = tuple(
-            frozenset((0, 1)) if prefix.contains(m_k - j) else frozenset((0,))
-            for j in range(n_k)
-        )
-        pattern = PatternSet(n_k, allowed)
-        inst = CoverInstance(n_k, enumerate_pattern(pattern))
-        built.append(Stage(n_k, pattern, _ensure_zero(greedy_complement(inst))))
+    for pattern in density_patterns(params, stages):
+        inst = CoverInstance(pattern.k, enumerate_pattern(pattern))
+        built.append(Stage(pattern.k, pattern, _ensure_zero(greedy_complement(inst))))
     return FractalSpec(kind="quadratic", stages=tuple(built))
 
 

@@ -322,7 +322,8 @@ def greedy_complement(instance: CoverInstance) -> CoverCertificate:
       time would take next, in the same order, and the round takes them
       all and retires their targets (a + picks, already ascending) in one
       step.  A base with g = 1, such as a {0,1} pattern, takes one pick a
-      round.
+      round; a one-element base, its g taken as 3^k, takes every translate
+      in one.
     * The marginals live in one array padded to every value t - a can take,
       the candidates [lo, hi) being a view into it, so a step's decrements
       need no range mask.  They are retired one of two exact ways, whichever
@@ -332,28 +333,15 @@ def greedy_complement(instance: CoverInstance) -> CoverCertificate:
       correlate T with the base one digit place at a time
       (:func:`_retire_by_digits`), touching about passes * (span + max base)
       elements, where passes counts the nonzero digits over all places and
-      span is the step's window of translates.  Whether that can ever win is
-      settled once per instance, at the largest step (|T| = |base|) and the
-      smallest window, so a small base such as a density-spec stage's pays
-      nothing per step for it.
+      span is the step's window of translates.
 
     A scatter step costs O(|base|^2) per pick plus its share of the
     rebuilds.  The scatter needs numpy >= 1.25, whose indexed ``ufunc.at``
     loops run as fast as ``bincount``; older numpy gives the same covers,
     many times slower.
-
-    A one-element base {a} is answered directly: every translate covers at
-    most one target, so the greedy takes each b with 0 <= a + b < 3^k in
-    ascending order.
     """
     size = instance.target_size
     lo, hi = instance.lo, instance.hi
-    if len(instance.base_set) == 1:
-        (a,) = instance.base_set.values
-        if lo > -a or hi < size - a:
-            raise InfeasibleCoverError("no translate covers the remaining targets")
-        code = BlockCode(instance.k, tuple(range(-a, size - a)))
-        return verify_complement(instance, code, method="greedy", optimal="unknown")
 
     import numpy as np
 
@@ -372,14 +360,11 @@ def greedy_complement(instance: CoverInstance) -> CoverCertificate:
     shift = base + ext_lo  # the slot of t - a is t - shift[a]
 
     # a step's digit passes touch about passes * (t_max - t_min + pad) elements
-    # and its scatter |T| |base|; when even a one-target window loses against
-    # the largest step, |T| = |base|, every step scatters
+    # and its scatter |T| |base|
     places = _digit_places(base, instance.k)
     if places is not None:
         passes = sum(len(digits) - (digits[0] == 0) for _, digits in places)
         pad = 2 * a_max - a_min + 1
-        if passes * pad >= _SCATTER_WEIGHT * nb * nb:
-            places = None
 
     # every a + b with b in [lo, hi), and every target, lies in [u_lo, u_hi);
     # the padding outside [0, 3^k) counts as covered
@@ -387,8 +372,9 @@ def greedy_complement(instance: CoverInstance) -> CoverCertificate:
     uncovered = np.zeros(u_hi - u_lo, dtype=bool)
     uncovered[-u_lo : size - u_lo] = True
 
-    # translates less than the least gap apart cover disjoint targets
-    gap = int(np.diff(base).min())
+    # translates less than the least gap apart cover disjoint targets; a
+    # one-element base takes every translate in one round
+    gap = int(np.diff(base).min(initial=size))
     remaining = size
     chosen: list[int] = []
     level, at_level, pos = 0, np.empty(0, dtype=np.intp), 0

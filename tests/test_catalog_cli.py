@@ -15,7 +15,7 @@ import complement_forge.catalog as catalog_module
 from complement_forge.catalog import Catalog, CatalogError, CatalogIntegrityError, PAPER_BLOCKS
 from complement_forge.cli import build_parser, main
 from complement_forge.density import DensityParams, description_length
-from complement_forge.fractal import build_density_spec
+from complement_forge.fractal import build_density_spec, build_uniform_spec
 from complement_forge.solver import CoverInstance, CoverVerificationError, exact_min_complement, verify_complement
 from complement_forge.ternary import BlockCode, PatternSet, concat_codes, enumerate_pattern, zero_one_base, zero_one_pattern
 
@@ -189,6 +189,83 @@ def test_spec_round_trip(catalog):
     rebuilt = catalog.spec_from_entry(entry)
     assert [st.n for st in rebuilt.stages] == [1, 3, 5]
     assert [st.code.values for st in rebuilt.stages] == [st.code.values for st in spec.stages]
+
+
+def _all_translates_over_zero(stage):
+    """Rewrite a stored stage to the pattern {0} everywhere with every
+    translate as its code, a cover of that pattern with a matching gamma."""
+    n = stage["n"]
+    stage.update(pattern=[[0]] * n, values=list(range(3**n)), gamma=catalog_module._gamma_json(3**n, n))
+
+
+def _uniform_k3(catalog):
+    assert run_cli("spec-build", "--kind", "uniform", "--k", "3") == 0
+    return catalog.find_spec("uniform-k3")["id"]
+
+
+def _quadratic_s3(catalog):
+    params = DensityParams.from_alpha("0.8")
+    return catalog.add_spec(build_density_spec(params, 3), "quadratic-a4-5-s3", params=params.describe())
+
+
+def _density_a45(catalog):
+    params = DensityParams.from_alpha("4/5")
+    dl = description_length(params, 1000)
+    return catalog.add_density(params, 1000, dl.r, dl.s, dl.length)
+
+
+@pytest.mark.parametrize(
+    "store, edit",
+    [
+        (_uniform_k3, lambda d: _all_translates_over_zero(d["stages"][0])),
+        (_quadratic_s3, lambda d: _all_translates_over_zero(d["stages"][1])),
+        (lambda catalog: catalog.ensure_seeded()[2], lambda d: d.update(note="checked by hand")),
+        (_density_a45, lambda d: d.update(params="alpha=4/5 (D=0.999999)")),
+    ],
+    ids=["uniform-stage-pattern", "quadratic-stage-pattern", "complement-extra-core-field", "density-float-view"],
+)
+def test_load_refuses_an_id_consistent_forgery(catalog, store, edit):
+    forged = _forge(catalog, store(catalog), edit)
+    with pytest.raises(CatalogIntegrityError):
+        Catalog.default().load_entry(forged)
+
+
+def test_a_quadratic_spec_is_stored_with_its_params_and_a_uniform_one_without(catalog):
+    params = DensityParams.from_alpha("0.8")
+    with pytest.raises(CatalogError):
+        catalog.add_spec(build_density_spec(params, 2), "quadratic-a4-5-s2")
+    with pytest.raises(CatalogError):
+        b2 = verify_complement(CoverInstance(2, zero_one_base(2)), BlockCode(2, PAPER_BLOCKS[2]))
+        catalog.add_spec(build_uniform_spec(2, b2), "uniform-k2", params=params.describe())
+    assert not catalog.entries("spec")
+
+
+def test_scans_skip_entries_that_are_no_object_or_have_unreadable_params(catalog, capsys):
+    seeds = catalog.ensure_seeded()
+    unreadable = _forge(catalog, _density_a45(catalog), lambda d: d.update(params="alpha=1/0 (D=0.327)"))
+    catalog._path("0000000000000000").write_text("[1, 2]")
+    for bad in ("0000000000000000", unreadable):
+        with pytest.raises(CatalogIntegrityError):
+            Catalog.default().load_entry(bad)
+        assert run_cli("gamma", "--id", bad) == 2
+    capsys.readouterr()
+    for argv in (("gamma", "--k", "3"), ("report",)):
+        assert run_cli(*argv) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning") == 2 and "0000000000000000" in err and unreadable in err
+    assert run_cli("gamma", "--id", seeds[2]) == 0
+
+
+def test_reseeding_replaces_a_damaged_seed_file(catalog, capsys):
+    entry_id = catalog.ensure_seeded()[2]  # B3
+    path = catalog._path(entry_id)
+    damaged = json.loads(path.read_text())
+    damaged["values"] = [0, 2, 7, 12]
+    path.write_text(json.dumps(damaged))
+    for argv in (("gamma", "--k", "3"), ("report",), ("gamma", "--k", "3")):
+        assert run_cli(*argv) == 0
+        assert "warning" not in capsys.readouterr().err
+    assert Catalog.default().load_entry(entry_id)["values"] == list(PAPER_BLOCKS[3])
 
 
 def test_best_complement_prefers_proofs(catalog):

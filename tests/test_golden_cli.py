@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from complement_forge.catalog import PAPER_BLOCKS, Catalog
 from complement_forge.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -76,6 +77,11 @@ def test_readme_commands_match_golden(catalog_env, tmp_path, capsys):
     for name, code, out in _run_all(tmp_path, lambda: capsys.readouterr().out):
         assert code == 0, name
         assert out == (GOLDEN / name).read_text(), name
+    # every entry the session stored re-verifies in a catalog that has not seen it
+    fresh = Catalog.default()
+    assert len(fresh.list_ids()) > len(PAPER_BLOCKS)
+    for entry_id in fresh.list_ids():
+        fresh.load_entry(entry_id)
 
 
 def test_readme_command_lines_parse():

@@ -212,7 +212,8 @@ def test_greedy_takes_a_run_of_picks_a_round(monkeypatch):
     # translates less than the base's least gap apart cover disjoint
     # targets, so a round takes every one of them still at the top marginal:
     # nine picks a round at stage 6 (least gap 9), three at stage 4 (gap 3);
-    # one pick a round made 24,696 and 588 scans there
+    # one pick a round made 24,696 and 588 scans there; stage 1's base {0}
+    # takes its translates in one round
     rounds = []
     next_at_level, greedy = solver._next_at_level, fractal.greedy_complement
 
@@ -227,7 +228,7 @@ def test_greedy_takes_a_run_of_picks_a_round(monkeypatch):
     monkeypatch.setattr(solver, "_next_at_level", counting)
     monkeypatch.setattr(fractal, "greedy_complement", counted_greedy)
     spec = build_density_spec(DensityParams.from_alpha("0.8"), 6)
-    assert rounds == [0, 5, 70, 196, 2_896, 2_744]
+    assert rounds == [1, 5, 70, 196, 2_896, 2_744]
     assert [len(stage.certificate.solution) for stage in spec.stages][3:] == [588, 2_896, 24_696]
     g6 = spec.stages[5].certificate.solution
     assert _values_digest(g6) == "90d344ea59f3c4862cb0fea7f47fe7b157a8d4848547d4d7957c96c6b084e7ab"
