@@ -43,6 +43,13 @@ from .ternary import BlockCode, enumerate_pattern, zero_one_base, zero_one_patte
 SCHEMA_VERSION = 1
 ENV_CATALOG_DIR = "COMPLEMENT_FORGE_CATALOG"
 
+#: The longest block a stored entry may have, a complement's k or a spec
+#: stage's n.  The CLI writes none longer: the greedy stops at k = 13, and a
+#: quadratic spec's seventh stage is its last, 13 digits long.  Loading
+#: checks it before any base set is enumerated, so an entry claiming k = 40
+#: is refused instead of listing 2^40 values.
+MAX_BLOCK_LENGTH = 13
+
 #: The published optimal complementary block sets, as integers.  In digit
 #: strings: B1 = {0, 1}; B2 = {00, 02, 11}; B3 = {000, 002, 021, 110, 112};
 #: B4 = B2 x B2; B5 as listed (14 blocks of length 5).
@@ -301,8 +308,15 @@ def _density_entry(params: DensityParams, n: int) -> dict:
     return {"kind": "density", "params": params.describe(), "n": n, "r": r, "s": s, "encoding_length": length}
 
 
+def _block_length(n) -> int:
+    """A stored block length, refused unless it is an int in [1, MAX_BLOCK_LENGTH]."""
+    if type(n) is not int or not 1 <= n <= MAX_BLOCK_LENGTH:
+        raise CatalogIntegrityError(f"block length {n!r} is outside [1, {MAX_BLOCK_LENGTH}]")
+    return n
+
+
 def _rebuild_complement(entry: dict) -> CoverCertificate:
-    k = entry["k"]
+    k = _block_length(entry["k"])
     lo, hi = entry["range"]
     inst = CoverInstance(k, zero_one_base(k), lo=lo, hi=hi)
     code = BlockCode(k, tuple(entry["values"]))
@@ -313,9 +327,10 @@ def _rebuild_spec(entry: dict) -> FractalSpec:
     """The stored codes over the stage patterns the spec's kind derives."""
     stored = entry["stages"]
     if entry["spec_kind"] == "quadratic":
+        _block_length(2 * len(stored) - 1)  # the last stage's
         patterns = density_patterns(_params_from_description(entry["params"]), len(stored))
     else:
-        patterns = tuple(zero_one_pattern(st["n"]) for st in stored)
+        patterns = tuple(zero_one_pattern(_block_length(st["n"])) for st in stored)
     stages = []
     for st, pattern in zip(stored, patterns):
         inst = CoverInstance(pattern.k, enumerate_pattern(pattern))

@@ -24,7 +24,7 @@ from itertools import takewhile
 from typing import Callable, Optional, TextIO
 
 from . import __version__, measure
-from .catalog import Catalog, CatalogError
+from .catalog import MAX_BLOCK_LENGTH, Catalog, CatalogError
 from .density import (
     DensityParams,
     a_prefix_from_rational,
@@ -131,7 +131,7 @@ def _cmd_complement(args: argparse.Namespace) -> int:
     # RSS on a 2-vCPU box, and k=20 would ask for over 100 GB before its
     # first step.  The exact search's translate table holds up to 6^k
     # entries: k=8 took 14 s and 185 MiB with a one-node budget
-    k_max = 13 if args.method == "greedy" else 8
+    k_max = MAX_BLOCK_LENGTH if args.method == "greedy" else 8
     if not 1 <= args.k <= k_max:
         raise _CliError(f"--k must be between 1 and {k_max} for --method {args.method}, not {args.k}")
     inst = _instance(args.k, args.range)
@@ -174,8 +174,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # a check lists up to 3^k targets: k=13 took 0.5 s and 120 MiB on a
     # 2-vCPU box, about three times k=12, and no code the catalog or the
     # greedy makes is longer
-    if args.k is not None and args.k > 13:
-        raise _CliError(f"--k must be between 1 and 13, not {args.k}")
+    if args.k is not None and args.k > MAX_BLOCK_LENGTH:
+        raise _CliError(f"--k must be between 1 and {MAX_BLOCK_LENGTH}, not {args.k}")
     if args.id:
         _reject_beside_id(args, "--k", "--values", "--ternary", "--range")
         _, cert = Catalog.default().load_complement(args.id)
@@ -242,6 +242,13 @@ def _resolve_spec(cat: Catalog, name: str) -> FractalSpec:
 def _cmd_spec_build(args: argparse.Namespace) -> int:
     _at_least("--k", args.k)
     _at_least("--stages", args.stages)
+    # stage s is 2s - 1 digits long and its greedy covers 3^(2s-1) targets:
+    # at alpha = 0.8 on a 2-vCPU box 6 stages took 0.3 s and 41 MiB, 7 stages
+    # (a 13-digit last stage, the greedy's --k cap) 1.7 s and 85 MiB, and an
+    # eighth stage would have 3^15 targets
+    stages_max = (MAX_BLOCK_LENGTH + 1) // 2
+    if args.stages is not None and args.stages > stages_max:
+        raise _CliError(f"--stages must be between 1 and {stages_max}, not {args.stages}")
     cat = Catalog.default()
     if args.kind == "uniform":
         if args.k is None:

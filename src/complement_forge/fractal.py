@@ -248,7 +248,15 @@ class DecompositionCertificate:
         return _block_sum(self.b_blocks, self.stage_offsets)
 
     def is_exact(self) -> bool:
-        return self.half_c_part() + self.half_e_part() == self.x
+        """half_c_part() + half_e_part() == x, decided in integers as
+        sum (a_i + b_i) * 3^(M - m_i) == x * 3^M with M the last offset; an x
+        deeper than M is no such sum."""
+        last = self.stage_offsets[-1]
+        if self.x.depth > last:
+            return False
+        blocks = zip(self.a_blocks, self.b_blocks, self.stage_offsets)
+        total = sum((a + b) * BASE ** (last - m) for a, b, m in blocks)
+        return total == self.x.numerator * BASE ** (last - self.x.depth)
 
 
 def _block_sum(blocks: Sequence[int], offsets: Sequence[int]) -> TernaryRational:
@@ -269,25 +277,25 @@ def decompose(x: TernaryRational, spec: FractalSpec, depth: int) -> Decompositio
     """
     if depth < 1:
         raise ValueError("need depth >= 1")
-    frac = x.as_fraction()
-    if not 0 <= frac <= 1:
+    if not 0 <= x.numerator <= BASE**x.depth:
         raise ValueError("x must lie in [0, 1]")
-    digits_needed = spec.digit_depth(depth)
-    if frac == 1:
+    stages = [spec.stage_at(i) for i in range(1, depth + 1)]
+    digits_needed = sum(st.n for st in stages)
+    if x.numerator == 1 and x.depth == 0:  # x = 1
         x = TernaryRational(BASE**digits_needed - 1, digits_needed)
     elif x.depth > digits_needed:
         raise ValueError(f"x has {x.depth} digits; {depth} stages only consume {digits_needed}")
     scaled = x.numerator * BASE ** (digits_needed - x.depth)
 
-    a_blocks, b_blocks, offsets = [], [], []
-    m = 0
-    for i in range(1, depth + 1):
-        stage = spec.stage_at(i)
-        m += stage.n
-        a, b = stage.certificate.witness(scaled // BASE ** (digits_needed - m) % BASE**stage.n)
-        a_blocks.append(a)
-        b_blocks.append(b)
-        offsets.append(m)
+    # blocks are cut off the low end of N, so the last stage comes first
+    a_blocks, b_blocks, offsets = [0] * depth, [0] * depth, [0] * depth
+    m = digits_needed
+    for i in range(depth - 1, -1, -1):
+        stage = stages[i]
+        scaled, v = divmod(scaled, BASE**stage.n)
+        a_blocks[i], b_blocks[i] = stage.certificate.witness(v)
+        offsets[i] = m
+        m -= stage.n
     cert = DecompositionCertificate(x, tuple(a_blocks), tuple(b_blocks), tuple(offsets))
     if not cert.is_exact():
         raise AssertionError(f"decomposition of {x} does not reconstruct it")
@@ -328,8 +336,7 @@ def reflect_decompose(r: TernaryRational, spec: FractalSpec, depth: int) -> Refl
     doubles: x = 2x' has Cantor digits, and x + r = 2 - 2y' - residual where
     the residual is the (2 - r)/2 truncation error, below 3^-digit_depth.
     """
-    frac = r.as_fraction()
-    if not 0 <= frac <= 2:
+    if not 0 <= r.numerator <= 2 * BASE**r.depth:
         raise ValueError("r must lie in [0, 2]")
     digits = spec.digit_depth(depth)
     w = TernaryRational(2, 0) - r

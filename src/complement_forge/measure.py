@@ -9,20 +9,22 @@ one common denominator in the basis {2^(i/q)}, and each order comparison is
 the sign of such a vector, decided in integers by :meth:`Pow2Sum.sign` (a
 rational value by the sign of its numerator).  The weighted-cover check sums
 the weight on each dyadic node and its ancestors once, parents first, and
-compares the threshold once per node.  ``mass_ratio`` decides its bound
-from the integer count of intervals a ball meets.  Floating point appears
-only in reported estimates.
+compares the threshold once per node; when every weight is rational the
+sums are plain integer numerators over one common denominator.
+``mass_ratio`` decides its bound from the integer count of intervals a ball
+meets.  Floating point appears only in reported estimates.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, TextIO, Union
 
-from .density import DensityParams, complement_enum
+from .density import ComplementEnumeration, DensityParams, complement_enum
 
 LEVEL_CAP = 24  # dyadic tree depth limit for exact net-measure work
 
@@ -492,16 +494,35 @@ def marstrand_check(
         raise ValueError("exponent s must lie in [0, 1]")
     level, atoms = _atoms(target)
     atoms = sorted(atoms)
+    # Rational weights (q == 1) are summed as integer numerators over one
+    # common denominator den, where c < t / den is c.numerator * den <
+    # t * c.denominator; other weights are summed as Pow2Sum values.
+    rational = all(w.q == 1 for _, w in cover.items)
+    if rational:
+        den = math.lcm(*{w.den for _, w in cover.items})
+        values: list = [w.nums[0] * (den // w.den) for _, w in cover.items]
+        c_scaled, c_den = c.numerator * den, c.denominator
+
+        def above_c(total) -> bool:
+            return c_scaled < total * c_den
+
+    else:
+        values = [w for _, w in cover.items]
+        c_val = Pow2Sum.from_fraction(c)
+
+        def above_c(total) -> bool:
+            return c_val < total
+
     # the weight on each dyadic node, repeats summed
-    weight_at: dict[tuple[int, int], Pow2Sum] = {}
-    for iv, w in cover.items:
+    weight_at: dict[tuple[int, int], Union[int, Pow2Sum]] = {}
+    for (iv, _), w in zip(cover.items, values):
         node = (iv.level, iv.index)
         weight_at[node] = weight_at[node] + w if node in weight_at else w
     # owner[a]: index into totals of the deepest node seen so far that holds
     # atoms[a].  Parents come first, so the nearest weighted ancestor of a
     # node owns the node's first atom when the node is reached.
     owner: list[Optional[int]] = [None] * len(atoms)
-    totals: list[Pow2Sum] = []
+    totals: list = []
     for j, m in sorted(weight_at):
         if j > level:
             break  # no atom lies under a node deeper than the atoms
@@ -513,20 +534,36 @@ def marstrand_check(
         w, above = weight_at[j, m], owner[lo]
         totals.append(w if above is None else totals[above] + w)
         owner[lo:hi] = [len(totals) - 1] * (hi - lo)
-    c_val = Pow2Sum.from_fraction(c)
-    exceeds = {k: k is not None and c_val < totals[k] for k in set(owner)}
+    exceeds = {k: k is not None and above_c(totals[k]) for k in set(owner)}
     failing = tuple(m for m, k in zip(atoms, owner) if not exceeds[k])
     # lhs: the weights summed per level, then one multiply by 2^(-j*s) per level
-    weight_on_level: dict[int, Pow2Sum] = {}
+    weight_on_level: dict = {}
     for (j, _), w in weight_at.items():
         weight_on_level[j] = weight_on_level[j] + w if j in weight_on_level else w
-    lhs = Pow2Sum.zero()
-    for j, w in weight_on_level.items():
-        lhs = lhs + w * Pow2Sum.from_power(-j * s)
+    if rational:
+        lhs = _level_sum(weight_on_level, den, s)
+    else:
+        lhs = Pow2Sum.zero()
+        for j, w in weight_on_level.items():
+            lhs = lhs + w * Pow2Sum.from_power(-j * s)
     if failing:
         return MarstrandReport(False, failing, lhs, Pow2Sum.zero(), None)
     rhs = net_measure(target, s, cover.delta).scale(c)
     return MarstrandReport(True, (), lhs, rhs, rhs <= lhs)
+
+
+def _level_sum(weight_on_level: dict[int, int], den: int, s: Fraction) -> Pow2Sum:
+    """sum_j (W_j / den) * 2^(-j*s) for integer numerators W_j, as one
+    Pow2Sum over q = s.denominator: with -j*s.numerator = q*d + r
+    (0 <= r < q, d <= 0), 2^(-j*s) = 2^(r/q) / 2^(-d), and every term goes
+    over the common denominator den * 2^e, e the largest -d."""
+    q = s.denominator
+    terms = [(w, *divmod(-j * s.numerator, q)) for j, w in weight_on_level.items()]
+    e = max((-d for _, d, _ in terms), default=0)
+    nums = [0] * q
+    for w, d, r in terms:
+        nums[r] += w << (e + d)
+    return Pow2Sum._of(q, tuple(nums), den << e)
 
 
 # -- mass-distribution ratio test ---------------------------------------------------
@@ -591,7 +628,7 @@ def mass_ratio(
     f_max = levels[-1]
     if len(bits) < f_max:
         raise ValueError(f"need at least {f_max} digit choices")
-    enum = complement_enum(params, max(f_max, len(bits)))
+    enum = _complement_prefix(params, max(f_max, len(bits)))
     if enum.empty:
         raise ValueError("complement is empty at density 1; no ratio test")
     u = enum.elements
@@ -602,31 +639,35 @@ def mass_ratio(
 
     beta = params.beta_float
     log2, log3 = math.log(2), math.log(3)
-    bound_log = math.log(8) - beta * log2
+    bound = math.exp(math.log(8) - beta * log2)
 
     entries = []
-    max_meet = 0
     for f in levels:
-        delta = 3 ** (scale - u[f - 1])  # scaled 3^-u_f
-        ws = weights[: f - 1]
-        length = 3 ** (scale - u[f - 2])  # scaled interval length 3^-u_(f-1)
-        count = _count_meeting(ws, x, delta, length)
-        max_meet = max(max_meet, count)
+        delta = weights[f - 1]  # scaled 3^-u_f
+        length = weights[f - 2]  # scaled interval length 3^-u_(f-1)
+        count = _count_meeting(weights[: f - 1], x, delta, length)
         ratio_log = math.log(count) - (f - 1) * log2 - beta * (log2 - u[f - 1] * log3)
         entries.append(
             MassRatioEntry(
                 f=f,
                 meeting_intervals=count,
                 ratio=math.exp(ratio_log),
-                bound=math.exp(bound_log),
+                bound=bound,
                 within_bound=count <= 4,
             )
         )
     return MassRatioReport(
         entries=tuple(entries),
         t_shift=enum.t_shift,
-        max_meeting=max_meet,
+        max_meeting=max(e.meeting_intervals for e in entries),
     )
+
+
+@functools.lru_cache(maxsize=8)
+def _complement_prefix(params: DensityParams, count: int) -> ComplementEnumeration:
+    """:func:`complement_enum`, memoised: a mass-ratio run samples many points
+    under one parameter set, and the enumeration depends on nothing else."""
+    return complement_enum(params, count)
 
 
 def random_marstrand_trial(rng, max_level: int, s: Fraction) -> MarstrandReport:
@@ -641,18 +682,23 @@ def random_marstrand_trial(rng, max_level: int, s: Fraction) -> MarstrandReport:
     n_atoms = rng.randint(1, max(1, universe // 2))
     atoms = sorted(rng.sample(range(universe), n_atoms))
     target = [DyadicInterval(level, m) for m in atoms]
-    items: list[tuple[DyadicInterval, Fraction]] = []
+    items: list[tuple[DyadicInterval, Pow2Sum]] = []
     for m in atoms:
         j = rng.randint(max(1, level - 2), level)
-        items.append(
-            (DyadicInterval(j, m >> (level - j)), Fraction(rng.randint(1, 8), rng.randint(1, 4)))
-        )
+        items.append((DyadicInterval(j, m >> (level - j)), _random_weight(rng)))
     for _ in range(rng.randint(0, 4)):
         j = rng.randint(1, level)
-        items.append((DyadicInterval(j, rng.randrange(2**j)), Fraction(rng.randint(1, 8), rng.randint(1, 4))))
+        items.append((DyadicInterval(j, rng.randrange(2**j)), _random_weight(rng)))
     cover = WeightedCover.build(items)
     c = Fraction(rng.randint(1, 12), rng.randint(1, 3))
     return marstrand_check(cover, target, c, s)
+
+
+def _random_weight(rng) -> Pow2Sum:
+    """A trial weight n/d, n in [1, 8] drawn before d in [1, 4], built as a
+    Pow2Sum without reducing n/d."""
+    n = rng.randint(1, 8)
+    return Pow2Sum._of(1, (n,), rng.randint(1, 4))
 
 
 def _count_meeting(weights: Sequence[int], x: int, delta: int, length: int) -> int:

@@ -27,6 +27,7 @@ fixed, so identical instances always yield identical certificates.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -131,13 +132,29 @@ class CoverCertificate:
 
     def witness(self, v: int) -> tuple[int, int]:
         """The canonical pair summing to v: the least a in base_set with
-        b = v - a in solution.  KeyError if v is off the target or uncovered."""
+        b = v - a in solution.  KeyError if v is off the target or uncovered.
+
+        With C the solution's bitset offset by ``off`` and R the base's bitset
+        reflected about a_max (bit a_max - a for each a), bit a_max - a of
+        shift(C, a_max - v - off) is set iff v - a is in the solution, so the
+        highest bit of that shift ANDed with R is the least such a."""
         if not 0 <= v < self.instance.target_size:
             raise KeyError(v)
-        for a in self.instance.base_set.values:
-            if v - a in self.solution:
-                return (a, v - a)
-        raise KeyError(f"{v} is not covered")
+        code_mask, off, reflected, a_max = self._witness_masks
+        hits = _shifted(code_mask, a_max - v - off) & reflected
+        if not hits:
+            raise KeyError(f"{v} is not covered")
+        a = a_max - hits.bit_length() + 1
+        return (a, v - a)
+
+    @functools.cached_property
+    def _witness_masks(self) -> tuple[int, int, int, int]:
+        """(C, off, R, a_max) for :meth:`witness`, built on its first call."""
+        base = self.instance.base_set.values
+        a_max = base[-1]
+        off = -min(self.solution.values[0], 0) if self.solution.values else 0
+        reflected = base_mask(BlockCode(self.instance.k, tuple(a_max - a for a in reversed(base))))
+        return base_mask(self.solution, off), off, reflected, a_max
 
     @property
     def size(self) -> int:

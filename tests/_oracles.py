@@ -4,11 +4,12 @@ These deliberately avoid the library's optimized code paths: covers are
 checked by double loops over pairs, floors by high-precision mpmath, rational
 approximations by exhaustive scans, net measures by enumerating every
 dyadic cover, the weighted-cover hypothesis by summing each atom's
-weighted ancestors one atom at a time, decompositions by reading one
-ternary digit at a time, the density set's prefixes, complement and
-box-dimension sequence one element at a time, the multiplicative-weights
-counts with every step's targets built as a sinked index array, and the
-exact search with every node bounded on entry.  Expected values frozen into
+weighted ancestors one atom at a time, cover witnesses by scanning the
+base in order, decompositions by reading one ternary digit at a time, the
+density set's prefixes, complement and box-dimension sequence one element
+at a time, the multiplicative-weights counts with every step's targets
+built as a sinked index array, and the exact search with every node
+bounded on entry.  Expected values frozen into
 tests were produced by these.
 """
 
@@ -348,6 +349,18 @@ def oracle_within_bound(params: DensityParams, f: int, count: int, u_f: int) -> 
     return ratio_log <= math.log(8) - beta * log2 + 1e-9
 
 
+def oracle_witness(cert: solver.CoverCertificate, v: int) -> tuple[int, int]:
+    """The least a of the base, scanned in order, with v - a in the code;
+    KeyError off the target or when no a works."""
+    if not 0 <= v < cert.instance.target_size:
+        raise KeyError(v)
+    code = set(cert.solution.values)
+    for a in cert.instance.base_set.values:
+        if v - a in code:
+            return (a, v - a)
+    raise KeyError(v)
+
+
 def oracle_decompose(x: TernaryRational, spec: FractalSpec, depth: int) -> dict:
     """The stage-wise split of x read one ternary digit at a time, each
     witness found by scanning the base set, and each half summed one block at
@@ -363,9 +376,9 @@ def oracle_decompose(x: TernaryRational, spec: FractalSpec, depth: int) -> dict:
         for j in range(1, stage.n + 1):
             v = v * 3 + x.digit(pos + j)
         pos += stage.n
-        a = next(a for a in stage.certificate.instance.base_set.values if v - a in stage.certificate.solution)
+        a, b = oracle_witness(stage.certificate, v)
         a_blocks.append(a)
-        b_blocks.append(v - a)
+        b_blocks.append(b)
         offsets.append(pos)
 
     def block_sum(blocks):

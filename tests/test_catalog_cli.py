@@ -230,6 +230,49 @@ def test_load_refuses_an_id_consistent_forgery(catalog, store, edit):
         Catalog.default().load_entry(forged)
 
 
+def _quadratic_s8(data):
+    data["stages"] += [data["stages"][-1]] * 5
+
+
+@pytest.mark.parametrize(
+    "store, edit",
+    [
+        (lambda catalog: catalog.ensure_seeded()[2], lambda d: d.update(k=40)),
+        (lambda catalog: catalog.ensure_seeded()[2], lambda d: d.update(k=14)),
+        (_uniform_k3, lambda d: d["stages"][0].update(n=40)),
+        (_quadratic_s3, _quadratic_s8),
+    ],
+    ids=["complement-k40", "complement-k14", "uniform-stage-n40", "quadratic-8-stages"],
+)
+def test_load_refuses_a_block_length_past_the_cap_before_enumerating(catalog, monkeypatch, capsys, store, edit):
+    # an id-consistent entry with k = 40 would list 2^40 base values; the
+    # stored length is refused first, so no enumerator sees more than 13 digits
+    forged = _forge(catalog, store(catalog), edit)
+    seen = []
+
+    def capped(real, length):
+        def enumerate_at_most_13(arg, *rest):
+            seen.append(length(arg, *rest))
+            assert seen[-1] <= 13, f"enumerator reached with block length {seen[-1]}"
+            return real(arg, *rest)
+
+        return enumerate_at_most_13
+
+    for name, length in (
+        ("zero_one_base", lambda k: k),
+        ("zero_one_pattern", lambda k: k),
+        ("enumerate_pattern", lambda pattern: pattern.k),
+        ("density_patterns", lambda params, stages: 2 * stages - 1),
+    ):
+        monkeypatch.setattr(catalog_module, name, capped(getattr(catalog_module, name), length))
+    with pytest.raises(CatalogIntegrityError, match=r"outside \[1, 13\]"):
+        Catalog.default().load_entry(forged)
+    capsys.readouterr()
+    assert run_cli("report") == 0
+    assert forged in capsys.readouterr().err
+    assert seen and max(seen) <= 13
+
+
 def test_a_quadratic_spec_is_stored_with_its_params_and_a_uniform_one_without(catalog):
     params = DensityParams.from_alpha("0.8")
     with pytest.raises(CatalogError):
@@ -594,6 +637,50 @@ def test_cli_import_leaves_numpy_and_mpmath_unloaded():
     assert proc.stdout.split("\n")[:2] == ["[]", "proven-optimal False"]
 
 
+_RUN_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+
+sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+from complement_forge.cli import main
+
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps(codes))
+"""
+
+
+def test_commands_that_run_no_solver_run_without_numpy(catalog):
+    # numpy's import is about 140 ms of a cold command; the commands that
+    # only read the catalog, decompose or check measures never need it, so
+    # they must succeed in a process where importing numpy fails
+    seeds = catalog.ensure_seeded()
+    params = DensityParams.from_alpha("0.8")
+    catalog.add_spec(build_density_spec(params, 3), "quadratic-a4-5-s3", params=params.describe())
+    commands = [
+        ["gamma", "--k", "3"],
+        ["gamma", "--id", seeds[3]],
+        ["verify", "--id", seeds[4]],
+        ["decompose", "--x", "0.1", "--spec", "uniform-k3", "--depth", "4"],
+        ["decompose", "--x", "0.2101", "--spec", "quadratic-a4-5-s3", "--depth", "3"],
+        ["netcheck", "--trials", "20", "--seed", "3"],
+        ["massratio", "--alpha", "0.8", "--samples", "5"],
+        ["report", "--all"],
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_WITHOUT_NUMPY, json.dumps(commands)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(commands), proc.stderr
+
+
 # -- parser surface: every flag a subcommand accepts is one it reads -------------
 
 SUBCOMMAND_FLAGS = {
@@ -723,6 +810,22 @@ def test_cli_refuses_a_k_or_stages_below_one(catalog, capsys, argv, flag):
     assert run_cli(*argv) == 2
     assert f"{flag} must be at least 1" in capsys.readouterr().err
     assert not catalog.root.exists() or not any(catalog.root.iterdir())
+
+
+@pytest.mark.parametrize("stages", [8, 20])
+def test_cli_spec_build_refuses_more_than_seven_stages(catalog, capsys, monkeypatch, stages):
+    # stage s spans 2s - 1 digits, so an eighth stage has 3^15 targets; the
+    # refusal comes before the spec is built and before the catalog opens
+    import complement_forge.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("spec builder reached")
+
+    monkeypatch.setattr(cli, "build_density_spec", unreachable)
+    assert run_cli("spec-build", "--kind", "quadratic", "--alpha", "0.8", "--stages", str(stages)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"--stages must be between 1 and 7, not {stages}" in captured.err
+    assert not catalog.root.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -116,6 +117,28 @@ def test_decompose_depth_guard():
         decompose(TernaryRational(1, 10), spec, 1)  # 10 digits, 3 consumed
     with pytest.raises(ValueError):
         decompose(TernaryRational(-1, 1), spec, 1)
+
+
+def test_is_exact_refuses_a_tampered_block_and_an_x_past_the_last_offset():
+    # the integer check agrees with the identity half_c + half_e == x it
+    # stands for, on the certificates decompose makes and on tampered ones
+    rng = random.Random(12)
+    for spec, depth in ((uniform_spec(3), 4), (build_density_spec(DensityParams.from_alpha("0.8"), 4), 4)):
+        digits = spec.digit_depth(depth)
+        for _ in range(40):
+            cert = decompose(TernaryRational(rng.randrange(3**digits), digits), spec, depth)
+            assert cert.is_exact()
+            i = rng.randrange(depth)
+            field = rng.choice(("a_blocks", "b_blocks"))
+            blocks = list(getattr(cert, field))
+            blocks[i] += rng.choice((-1, 1)) * 3 ** rng.randrange(3)
+            tampered = dataclasses.replace(cert, **{field: tuple(blocks)})
+            assert not tampered.is_exact()
+            assert tampered.half_c_part() + tampered.half_e_part() != tampered.x
+            # x one digit past the last offset: no sum over 3^M equals it
+            deeper = dataclasses.replace(cert, x=cert.x + TernaryRational(1, digits + 1))
+            assert deeper.x.depth == cert.stage_offsets[-1] + 1
+            assert not deeper.is_exact()
 
 
 _DECOMPOSE_UNDER_O = """

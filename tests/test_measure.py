@@ -394,6 +394,51 @@ def test_marstrand_check_matches_per_atom_reference():
     assert min(seen.values()) >= 20, seen
 
 
+def _report_fields(rep):
+    return (rep.hypothesis_ok, rep.failing_atoms, rep.lhs, rep.rhs, rep.conclusion_ok, float(rep.lhs), repr(rep.rhs))
+
+
+def test_seeded_trials_report_what_the_pow2sum_reference_reports(monkeypatch):
+    # the trials' rational weights are summed as integers over one common
+    # denominator; each report, and that of the same cover with one weight
+    # times 2^(1/3) (summed as Pow2Sum), equals the Pow2Sum-only reference
+    checked = []
+
+    def recording(cover, target, c, s):
+        rep = marstrand_check(cover, target, c, s)
+        first, weight = cover.items[0]
+        scaled = weight * Pow2Sum.from_power(Fraction(1, 3))
+        irrational = WeightedCover(((first, scaled), *cover.items[1:]), cover.delta)
+        for cov, got in ((cover, rep), (irrational, marstrand_check(irrational, target, c, s))):
+            assert _report_fields(got) == _report_fields(oracle_marstrand_check(cov, target, c, s))
+            checked.append(got.hypothesis_ok)
+        return rep
+
+    monkeypatch.setattr(measure_module, "marstrand_check", recording)
+    rng = random.Random(30)
+    for i in range(160):
+        random_marstrand_trial(rng, 8, (Fraction(1, 2), Fraction(1), Fraction(1, 3), Fraction(0))[i % 4])
+    assert len(checked) == 320
+    assert min(checked.count(True), checked.count(False)) >= 30
+
+
+def test_mass_ratio_enumerates_the_complement_once_per_parameter_set(monkeypatch):
+    calls = collections.Counter()
+    real = measure_module.complement_enum
+
+    def counting(params, count):
+        calls[params] += 1
+        return real(params, count)
+
+    monkeypatch.setattr(measure_module, "complement_enum", counting)
+    measure_module._complement_prefix.cache_clear()
+    rng = random.Random(5)
+    alphas = [DensityParams.from_alpha(a) for a in ("0.8", "0.9")]
+    for i in range(40):
+        mass_ratio(alphas[i % 2], [rng.randint(0, 1) for _ in range(15)], range(5, 16))
+    assert calls == {alphas[0]: 1, alphas[1]: 1}
+
+
 def test_weighted_cover_validation():
     iv = DyadicInterval(2, 1)
     assert WeightedCover.build([(iv, 1), (DyadicInterval(4, 0), 2)]).delta == Fraction(1, 4)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from _oracles import brute_force_uncovered, oracle_packing_counts
+from _oracles import brute_force_uncovered, oracle_packing_counts, oracle_witness
 from complement_forge import fractal, solver
 from complement_forge.catalog import PAPER_BLOCKS
 from complement_forge.density import DensityParams
@@ -16,6 +16,7 @@ from complement_forge.fractal import build_density_spec
 from complement_forge.solver import (
     DUAL_SCALE,
     KNOWN_MIN_SIZES,
+    CoverCertificate,
     CoverInstance,
     CoverVerificationError,
     SolverBudget,
@@ -28,7 +29,14 @@ from complement_forge.solver import (
     uncovered_values,
     verify_complement,
 )
-from complement_forge.ternary import BlockCode, PatternSet, enumerate_pattern, zero_one_base, zero_one_pattern
+from complement_forge.ternary import (
+    BlockCode,
+    PatternSet,
+    concat_codes,
+    enumerate_pattern,
+    zero_one_base,
+    zero_one_pattern,
+)
 
 
 def c_instance(k, signed=False):
@@ -149,6 +157,46 @@ def test_witness_table():
         assert b in cert.solution.values
     # canonical choice: smallest a, then smallest b (the published example 020)
     assert cert.witness(6) == (4, 2)
+
+
+def test_witness_matches_the_base_order_scan():
+    # every target at k = 1..6 for paper (B3 x B3 at k = 6) and greedy codes,
+    # over the nonneg range and, reflected to hold negative values, over the
+    # signed one; a code with members dropped leaves targets uncovered
+    certs = []
+    for k in range(1, 7):
+        paper = PAPER_BLOCKS[k] if k in PAPER_BLOCKS else concat_codes(*[BlockCode(3, PAPER_BLOCKS[3])] * 2).values
+        for values in (paper, greedy_complement(c_instance(k)).solution.values):
+            certs.append(verify_complement(c_instance(k), BlockCode(k, values)))
+            certs.append(verify_complement(c_instance(k, signed=True), _reflect(k, values)))
+            thinned = BlockCode(k, values[::2])
+            certs.append(CoverCertificate(c_instance(k), thinned, "external"))
+    assert sum(c.solution.values[0] < 0 for c in certs) >= 5
+    uncovered = 0
+    for cert in certs:
+        for v in range(-2, cert.instance.target_size + 2):
+            try:
+                want = oracle_witness(cert, v)
+            except KeyError:
+                uncovered += 0 <= v < cert.instance.target_size
+                with pytest.raises(KeyError):
+                    cert.witness(v)
+            else:
+                assert cert.witness(v) == want, (cert.instance.k, cert.solution.values, v)
+    assert uncovered > 100
+
+
+def test_witness_matches_the_base_order_scan_on_the_density_stages():
+    # sampled targets, both ends included, of the alpha=0.8 quadratic spec's
+    # six stages, whose bases are thinned {0,1} patterns up to 11 digits
+    rng = random.Random(31)
+    for stage in build_density_spec(DensityParams.from_alpha("0.8"), 6).stages:
+        cert, size = stage.certificate, stage.certificate.instance.target_size
+        for v in [0, size - 1, *rng.sample(range(size), min(size, 400))]:
+            assert cert.witness(v) == oracle_witness(cert, v)
+        for v in (-1, size):
+            with pytest.raises(KeyError):
+                cert.witness(v)
 
 
 def test_greedy_examples():
