@@ -335,9 +335,12 @@ def reflect_decompose(r: TernaryRational, spec: FractalSpec, depth: int) -> Refl
     Splits (2 - r)/2 = x' + y' with x' pattern-side and y' code-side, then
     doubles: x = 2x' has Cantor digits, and x + r = 2 - 2y' - residual where
     the residual is the (2 - r)/2 truncation error, below 3^-digit_depth.
+    r = 0 is refused: (2 - 0)/2 = 1 is split as 0.22...2, so x + r + e
+    falls 2 * 3^-digit_depth short of 2, which no residual below the bound
+    makes up.
     """
-    if not 0 <= r.numerator <= 2 * BASE**r.depth:
-        raise ValueError("r must lie in [0, 2]")
+    if not 0 < r.numerator <= 2 * BASE**r.depth:
+        raise ValueError("r must lie in (0, 2]")
     digits = spec.digit_depth(depth)
     w = TernaryRational(2, 0) - r
     u = w.halve_truncated(digits)

@@ -9,20 +9,24 @@ Three entry points share one certificate type:
 The search state is a single arbitrary-precision integer used as a bitset over
 the target [0, 3^k): the coverage of a translate b is one shift, one AND and
 one popcount, which is what makes the exact search at k = 4..5 feasible in
-pure Python.  Its lower bounds are decided for each child in the parent's
-loop: the counting bound from the parent's count less the removed
-coverage, the LP-dual bound from the parent's dual weight less the removed
-weight, memoised per call, so a child the bounds cut is never pushed.  The
-dual weights come from a multiplicative-weights loop (step 0.2) whose step
-is one bincount of a run of a base-pair table built once, added into the
-window of loads one translate-table row reaches; after the exact integer
-gate, a maximal pass raises each target until one of its translates is
-loaded to W.  The greedy finds its next translate by galloping through the
-list of those at the top marginal, and takes in the same round every later
-one still at it that lies less than the base's least gap away, since such
-translates cover disjoint targets.  The cover check shifts the bitset of the
-larger of base and code by each value of the smaller.  All tie-breaking is
-fixed, so identical instances always yield identical certificates.
+pure Python.  A translate b + base covers targets of one residue class
+mod g, g the gcd of a - a_min over the base, so the search covers each class
+on its own, from its share of the greedy cover (a {0,1} base is one class;
+the {0,2} pattern's two parities are two).  Its lower bounds are decided
+for each child in the parent's loop: the counting bound from the parent's
+count less the removed coverage, the LP-dual bound from the parent's dual
+weight less the removed weight, memoised per call, so a child the bounds
+cut is never pushed.  The dual weights come from a multiplicative-weights
+loop (step 0.2) whose step is one bincount of a run of a base-pair table
+built once, added into the window of loads one translate-table row
+reaches; after the exact integer gate, a maximal pass raises each target
+until one of its translates is loaded to W.  The greedy finds its next
+translate by galloping through the list of those at the top marginal, and
+takes in the same round every later one still at it that lies less than
+the base's least gap away, since such translates cover disjoint targets.
+The cover check shifts the bitset of the larger of base and code by each
+value of the smaller.  All tie-breaking is fixed, so identical instances
+always yield identical certificates.
 """
 
 from __future__ import annotations
@@ -639,43 +643,76 @@ def exact_min_complement(
     whenever it reaches ``_REMOVED_CAP`` entries; only on a miss is it
     summed, from the weights of cu's targets.
 
+    The targets split into residue classes mod g, g the gcd of a - a_min
+    over the base values (a one-element base is one class): b + base lies in
+    the class of b + a_min, so no translate covers targets of two classes
+    and a minimum cover is the union of each class's minimum cover.  The
+    loop runs once per class r = 0..g-1, in that order, from U = the targets
+    congruent to r, w(U) its weight and the incumbent cover's translates in
+    that class as the class incumbent.  The dual weights, computed once,
+    stay feasible on each class.  The classes share one node count, cap and
+    clock, and the root counts once.  When the counting bound alone closes
+    every class at its root, the search ends there without computing the
+    dual weights.
+
     Budget exhaustion is not an error: the certificate carries the best
-    solution found with optimal="unknown" and stats.budget_exhausted set.
+    solution found with optimal="unknown" and stats.budget_exhausted set;
+    a class the budget left unfinished contributes its incumbent part.
     The time budget covers the translate table and the dual weights as well
     as the search, so at large k it ends with the greedy cover.  No stack
     limit ends a search: only its nodes, its clock or its completion.
     """
     budget = budget or SolverBudget()
-    full = (1 << instance.target_size) - 1
-    base_len = len(instance.base_set)
+    size = instance.target_size
+    full = (1 << size) - 1
+    values = instance.base_set.values
+    base_len = len(values)
+    a_min = values[0]
+    # every translate b + base lies in the residue class of b + a_min mod g;
+    # a one-element base (g = 0) is one class
+    g = math.gcd(*(a - a_min for a in values)) or 1
 
     stats = SolveStats()
     t0 = time.perf_counter()
     node_cap = budget.max_nodes
     deadline = None if budget.max_seconds is None else t0 + budget.max_seconds
 
-    best = list(greedy_complement(instance).solution.values)  # the incumbent, replaced in place
-    if initial is not None and len(initial) < len(best):
+    incumbent = greedy_complement(instance).solution.values
+    if initial is not None and len(initial) < len(incumbent):
         verify_complement(instance, initial)
-        best = list(initial.values)
+        incumbent = initial.values
+    # each class's incumbent part, replaced in place as the search improves it
+    parts: list[list[int]] = [[] for _ in range(g)]
+    for b in incumbent:
+        parts[(b + a_min) % g].append(b)
+    # bits 0, g, 2g, ... of the target, shifted by r to class r
+    stripe = ((1 << g * -(-size // g)) - 1) // ((1 << g) - 1) & full
 
     offset = -instance.lo  # banned-translate bitset index
     removed: dict[int, int] = {}  # w(cu) by cu
 
     try:
-        rows = _translate_rows(instance, deadline)
-        bmask = base_mask(instance.base_set)
-        # one (b, coverage bitset, ban bit) per translate, shared by the rows
-        entry = {b: (b, _shifted(bmask, b) & full, 1 << (b + offset)) for b in set().union(*rows)}
-        cands_of = [tuple(entry[b] for b in row) for row in rows]
-        weights = gated_dual_weights(instance, rows, deadline)
-        # the root is node 1, bounded like every other node
+        # the classes the counting bound leaves open at their roots; it
+        # needs no dual weights, so when it closes every class they are
+        # never computed
+        unclosed = [r for r in range(g) if len(range(r, size, g)) <= (len(parts[r]) - 1) * base_len]
+        if unclosed:
+            rows = _translate_rows(instance, deadline)
+            bmask = base_mask(instance.base_set)
+            # one (b, coverage bitset, ban bit) per translate, shared by the rows
+            entry = {b: (b, _shifted(bmask, b) & full, 1 << (b + offset)) for b in set().union(*rows)}
+            cands_of = [tuple(entry[b] for b in row) for row in rows]
+            weights = gated_dual_weights(instance, rows, deadline)
+        # the root is node 1, shared by the classes and bounded like every other node
         stats.nodes = 1
         if node_cap is not None and node_cap < 1:
             raise _BudgetExhausted
-        room = len(best) - 1
-        uncovered, weight, banned = full, sum(weights), 0
-        if instance.target_size <= room * base_len and weight <= room * DUAL_SCALE:
+        for r in unclosed:
+            best = parts[r]
+            room = len(best) - 1
+            uncovered, weight, banned = stripe << r & full, sum(weights[r::g]), 0
+            if weight > room * DUAL_SCALE:
+                continue
             # one frame per node above the one being expanded, each resuming its children
             parents: list[tuple] = []
             children = None  # None: this node is entered, its children not yet listed
@@ -740,7 +777,7 @@ def exact_min_complement(
     stats.elapsed = time.perf_counter() - t0
 
     optimal = "unknown" if stats.budget_exhausted else "proven-optimal"
-    code = BlockCode.from_iterable(instance.k, best)
+    code = BlockCode.from_iterable(instance.k, [b for part in parts for b in part])
     cert = verify_complement(instance, code, method="exact", optimal=optimal)
     cert.stats = stats
 

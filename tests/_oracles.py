@@ -88,19 +88,30 @@ def _bit_planes(weights: list[int]) -> list[tuple[int, int]]:
     ]
 
 
-def oracle_exact_search(instance: CoverInstance, max_nodes: int | None) -> tuple[tuple[int, ...], str, int, bool]:
+def oracle_exact_search(
+    instance: CoverInstance, max_nodes: int | None, split: bool = True
+) -> tuple[tuple[int, ...], str, int, bool]:
     """(solution, optimal, nodes, budget_exhausted) of the branch and bound
     in ``solver.exact_min_complement``, run with no clock the way it ran
     before children were bounded in their parents: every child is a call
     that counts itself and tests both bounds on entry, the dual bound
     summing the uncovered weight from the bit planes at every node, and the
     weights are gated and raised to a maximal dual against the coverage
-    bitsets.  It shares the greedy incumbent, the translate table and the
+    bitsets.  The targets split into their residue classes mod g, the gcd
+    of a - a_min over the base (one class when ``split`` is false), each
+    searched from its share of the greedy cover in turn, under one node
+    count whose root is counted once; the classes' roots are bounded
+    uncounted.  It shares the greedy incumbent, the translate table and the
     multiplicative-weights counts with the solver, which are checked on
     their own."""
-    full = (1 << instance.target_size) - 1
+    size = instance.target_size
+    full = (1 << size) - 1
     base_len = len(instance.base_set)
-    best = list(solver.greedy_complement(instance).solution.values)
+    a_min = instance.base_set.values[0]
+    g = (math.gcd(*(a - a_min for a in instance.base_set.values)) or 1) if split else 1
+    parts: list[list[int]] = [[] for _ in range(g)]
+    for b in solver.greedy_complement(instance).solution.values:
+        parts[(b + a_min) % g].append(b)
     offset = -instance.lo
     rows = solver._translate_rows(instance)
     bmask = sum(1 << a for a in instance.base_set.values)
@@ -126,16 +137,17 @@ def oracle_exact_search(instance: CoverInstance, max_nodes: int | None) -> tuple
         for b in covering[v]:
             loads[b] += slack
     planes = _bit_planes(weights)
-    nodes = 0
+    nodes = 1  # the root, shared by the classes
 
     class Exhausted(Exception):
         pass
 
-    def search(uncovered: int, chosen: list[int], banned: int) -> None:
+    def search(uncovered: int, chosen: list[int], banned: int, counted: bool = True) -> None:
         nonlocal nodes
-        nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            raise Exhausted
+        if counted:
+            nodes += 1
+            if max_nodes is not None and nodes > max_nodes:
+                raise Exhausted
         if not uncovered:
             best[:] = sorted(chosen)
             return
@@ -160,11 +172,15 @@ def oracle_exact_search(instance: CoverInstance, max_nodes: int | None) -> tuple
             banned |= 1 << (b + offset)
 
     try:
-        search(full, [], 0)
+        if max_nodes is not None and nodes > max_nodes:
+            raise Exhausted
+        for r, best in enumerate(parts):
+            search(sum(1 << v for v in range(r, size, g)), [], 0, counted=False)
         exhausted = False
     except Exhausted:
         exhausted = True
-    return tuple(best), "unknown" if exhausted else "proven-optimal", nodes, exhausted
+    solution = tuple(sorted(b for part in parts for b in part))
+    return solution, "unknown" if exhausted else "proven-optimal", nodes, exhausted
 
 
 def mp_floor_y_over_d(one_minus_alpha: Fraction, y: int, dps: int = 60) -> int:

@@ -183,6 +183,28 @@ def test_reflect_examples():
     assert half.verify()
 
 
+def _reflection_specs():
+    quadratic = build_density_spec(DensityParams.from_alpha("0.8"), 4)
+    return ((uniform_spec(3), 5), (uniform_spec(5), 2), (quadratic, 4))
+
+
+def test_reflect_refuses_zero():
+    # (2 - 0)/2 = 1 is split as 0.22...2, which leaves x + r + e a whole
+    # 2 * 3^-digits short of 2: no residual inside the bound closes it
+    for spec, depth in _reflection_specs():
+        for zero in (TernaryRational(0, 0), TernaryRational(0, 7)):
+            with pytest.raises(ValueError, match=r"r must lie in \(0, 2\]"):
+                reflect_decompose(zero, spec, depth)
+
+
+def test_reflect_verifies_the_least_positive_r():
+    for spec, depth in _reflection_specs():
+        digits = spec.digit_depth(depth)
+        least = reflect_decompose(TernaryRational(1, digits), spec, depth)
+        assert least.verify()
+        assert least.residual == TernaryRational(1, digits)
+
+
 def test_reflect_random_round_trip():
     spec = uniform_spec(3)
     rng = random.Random(10)
@@ -265,12 +287,17 @@ def test_decompose_and_reflect_match_digit_by_digit_reference():
             points.append((TernaryRational(rng.randrange(3**digits), digits), depth))
         for x, depth in points:
             assert _decomposition_fields(decompose(x, spec, depth)) == oracle_decompose(x, spec, depth)
-        translates = [(TernaryRational(0, 0), stages), (TernaryRational(2, 0), stages)]
+        # r = 0 is refused; its place goes to the least positive r
+        translates = [(TernaryRational(1, spec.digit_depth(stages)), stages), (TernaryRational(2, 0), stages)]
         for _ in range(100):
             depth = rng.randint(1, stages)
             digits = rng.randint(0, spec.digit_depth(depth) + 3)  # some cut by the halving
             translates.append((TernaryRational(rng.randrange(2 * 3**digits + 1), digits), depth))
         for r, depth in translates:
+            if r.numerator == 0:
+                with pytest.raises(ValueError):
+                    reflect_decompose(r, spec, depth)
+                continue
             rc = reflect_decompose(r, spec, depth)
             assert {
                 "r": rc.r,

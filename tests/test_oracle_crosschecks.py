@@ -1,6 +1,7 @@
 """Cross-checks of optimized paths against naive reference implementations."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -204,6 +205,33 @@ def test_exact_search_matches_the_bound_on_entry_oracle(monkeypatch):
             assert got == oracle_exact_search(inst, cap), (inst, cap)
             exhausted += cert.stats.budget_exhausted
     assert 0 < exhausted < 7 * len(instances)
+
+
+def test_split_search_proves_the_unsplit_minimum():
+    # searching each residue class mod g apart proves the minimum that one
+    # search over every target proves, on bases whose values share a gcd
+    # g > 1 past their least one, over both candidate ranges
+    rng = random.Random(41)
+    instances = [CoverInstance(3, enumerate_pattern(PatternSet.uniform(3, (0, 2))))]
+    # a least value a_min not divisible by g puts b in another class than b + a_min
+    instances += [CoverInstance.signed(3, BlockCode(3, vals)) for vals in ((1, 9, 13, 15), (1, 6, 21), (2, 17, 22))]
+    for i in range(23):
+        signed = i % 2 == 0
+        g = rng.choice((2, 3, 4, 5))
+        # the nonnegative range covers 0 only with 0 in the base
+        a_min = rng.randrange(3) if signed else 0
+        vals = {a_min, *(a_min + g * rng.randint(1, (26 - a_min) // g) for _ in range(rng.randint(2, 5)))}
+        base = BlockCode.from_iterable(3, vals)
+        instances.append(CoverInstance.signed(3, base) if signed else CoverInstance(3, base))
+    searched = 0
+    for inst in instances:
+        values = inst.base_set.values
+        assert math.gcd(*(a - values[0] for a in values)) > 1
+        cert = exact_min_complement(inst, SolverBudget(max_nodes=None, max_seconds=None))
+        unsplit, optimal, _, _ = oracle_exact_search(inst, None, split=False)
+        assert (cert.optimal, cert.size) == (optimal, len(unsplit)) == ("proven-optimal", cert.size), inst
+        searched += cert.stats.nodes > 1
+    assert searched >= 3
 
 
 def cf_convergents(q, terms):

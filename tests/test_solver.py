@@ -386,12 +386,26 @@ def test_exact_node_counts_are_pinned():
         ),
         (
             _pattern_instance(5, {j: (0, 2) for j in range(5)}),
-            119259,
+            175,  # the two parity classes searched apart
             (0, 1, 4, 5, 14, 15, 28, 29, 42, 43, 64, 65, 72, 73, 76, 77, 86, 87),
         ),
     ):
         cert = exact_min_complement(inst, SolverBudget(max_nodes=None, max_seconds=None))
         assert (cert.optimal, cert.stats.nodes, cert.solution.values) == ("proven-optimal", nodes, cover)
+
+
+@pytest.mark.parametrize("signed, nodes", [(False, 241), (True, 15784)])
+def test_exact_split_proves_the_scaled_base(signed, nodes):
+    # 3 B4, the {0,1} pattern with the 3^0 place forced to 0, covers each
+    # residue class mod 3 as B4 covers [0, 3^4), so its minimum is 3 m_4 =
+    # 27; one search over all three classes is still open after 3 million
+    # nodes, and each class searched apart is a k=4 search
+    inst = _pattern_instance(5, {0: (0,)})
+    if signed:
+        inst = CoverInstance.signed(5, inst.base_set)
+    cert = exact_min_complement(inst, SolverBudget(max_nodes=20000, max_seconds=None))
+    assert (cert.optimal, cert.size, cert.stats.nodes) == ("proven-optimal", 27, nodes)
+    assert brute_force_uncovered(5, inst.base_set.values, cert.solution.values) == []
 
 
 def test_root_dual_bound_at_k7_is_27():
@@ -458,35 +472,51 @@ def test_exact_budget_exhaustion_is_not_an_error():
     assert cert.verify()  # best-found is still a verified cover
 
 
-def test_exact_search_deeper_than_the_stack_completes(monkeypatch):
-    # the greedy cover here has 1,095 translates, so the first branch is
-    # about a thousand translates deep; the search runs on its own stack,
-    # so only its nodes end it, at any depth of the caller's stack
-    inst = CoverInstance(7, BlockCode(7, (0, 4)))
-    # the three searches share one run of the weight loop, checked elsewhere
-    counts = solver._packing_counts(inst, solver._translate_rows(inst))
-    monkeypatch.setattr(solver, "_packing_counts", lambda *args: counts)
+def test_counting_closes_every_class_without_the_weights(monkeypatch):
     # b covers b and b + 4, one residue mod 4, so a class of n targets
-    # needs ceil(n / 2) translates: 3 * 274 + 273
+    # needs ceil(n / 2) translates: 3 * 274 + 273.  The greedy cover meets
+    # that in every class, so the root ends the search before any dual
+    # weight is computed
+    inst = CoverInstance(7, BlockCode(7, (0, 4)))
     sizes = [len(range(r, inst.target_size, 4)) for r in range(4)]
     assert sizes == [547, 547, 547, 546]
     parity = sum(-(-n // 2) for n in sizes)
     assert parity == 1095
+
+    def refuse(*args):
+        raise AssertionError("the dual weights were computed")
+
+    monkeypatch.setattr(solver, "_packing_counts", refuse)
+    cert = exact_min_complement(inst, SolverBudget(max_nodes=None, max_seconds=None))
+    assert (cert.optimal, cert.size, cert.stats.nodes) == ("proven-optimal", parity, 1)
+    assert cert.solution == greedy_complement(inst).solution
+    assert brute_force_uncovered(7, (0, 4), cert.solution.values) == []
+
+
+def test_exact_search_deeper_than_the_stack_completes(monkeypatch):
+    # one class (a gcd of 1), a greedy cover of 1,093 translates and a
+    # minimum of 731, which the first branch reaches about 730 translates
+    # deep; the search runs on its own stack, so only its nodes end it, at
+    # any depth of the caller's stack
+    inst = CoverInstance(7, BlockCode(7, (0, 4, 5)))
+    # the three searches share one run of the weight loop, checked elsewhere
+    counts = solver._packing_counts(inst, solver._translate_rows(inst))
+    monkeypatch.setattr(solver, "_packing_counts", lambda *args: counts)
     budget = SolverBudget(max_nodes=1500, max_seconds=None)
     cert = exact_min_complement(inst, budget)
-    assert (cert.optimal, cert.size, cert.stats.nodes) == ("proven-optimal", parity, 1068)
-    assert brute_force_uncovered(7, (0, 4), cert.solution.values) == []
+    assert (cert.optimal, cert.size, cert.stats.nodes) == ("proven-optimal", 731, 734)
+    assert brute_force_uncovered(7, (0, 4, 5), cert.solution.values) == []
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 60)
     try:
         shallow = exact_min_complement(inst, budget)
     finally:
         sys.setrecursionlimit(limit)
-    assert (shallow.optimal, shallow.solution, shallow.stats.nodes) == (cert.optimal, cert.solution, 1068)
-    # a cap below the proof still ends as a budget, with the greedy cover
-    capped = exact_min_complement(inst, SolverBudget(max_nodes=1000, max_seconds=None))
-    assert (capped.optimal, capped.stats.budget_exhausted, capped.stats.nodes) == ("unknown", True, 1001)
-    assert capped.solution == greedy_complement(inst).solution and capped.size == parity
+    assert (shallow.optimal, shallow.solution, shallow.stats.nodes) == (cert.optimal, cert.solution, 734)
+    # a cap below the first cover still ends as a budget, with the greedy cover
+    capped = exact_min_complement(inst, SolverBudget(max_nodes=700, max_seconds=None))
+    assert (capped.optimal, capped.stats.budget_exhausted, capped.stats.nodes) == ("unknown", True, 701)
+    assert capped.solution == greedy_complement(inst).solution and capped.size == 1093
 
 
 def test_exact_time_budget_keeps_the_greedy_cover():
