@@ -4,7 +4,8 @@ Three entry points share one certificate type:
 
 * :func:`verify_complement` checks a proposed code and produces witnesses;
 * :func:`greedy_complement` runs max-coverage greedy selection;
-* :func:`exact_min_complement` proves minimality by branch and bound.
+* :func:`exact_min_complement` proves minimality by branch and bound,
+  improving its incumbent once by a local search when it stalls.
 
 The search state is a single arbitrary-precision integer used as a bitset over
 the target [0, 3^k): the coverage of a translate b is one shift, one AND and
@@ -25,8 +26,10 @@ translate by galloping through the list of those at the top marginal, and
 takes in the same round every later one still at it that lies less than
 the base's least gap away, since such translates cover disjoint targets.
 The cover check shifts the bitset of the larger of base and code by each
-value of the smaller.  All tie-breaking is fixed, so identical instances
-always yield identical certificates.
+value of the smaller.  The local search is row-weighting with a one-step
+tabu, in integers, drawing from a seeded ``random.Random``.  All
+tie-breaking is fixed, so identical instances always yield identical
+certificates.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import random
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -111,9 +115,16 @@ class SolverBudget:
 
 @dataclass
 class SolveStats:
+    """What a search did.  ``local_steps`` counts the steps of the local
+    search the exact search runs when it stalls, ``local_gain`` the
+    translates those runs took off its incumbent; neither counts a run the
+    clock ended."""
+
     nodes: int = 0
     elapsed: float = 0.0
     budget_exhausted: bool = False
+    local_steps: int = 0
+    local_gain: int = 0
 
 
 @dataclass
@@ -602,11 +613,161 @@ def gated_dual_weights(
     return weights
 
 
+# -- row-weighting local search (a primal heuristic) ---------------------------
+
+#: The seed of the local search's random source and its step cap when the
+#: exact search calls it.  From the 15-cover the {0,1} k=5 search holds when
+#: it stalls, this pair reaches the minimum 14.
+_LOCAL_SEED = 0
+_LOCAL_STEPS = 2048
+
+
+def _local_search(
+    targets: range,
+    rows: list[tuple[int, ...]],
+    cover: list[int],
+    steps: int,
+    floor: int,
+    seed: int,
+    deadline: Optional[float] = None,
+) -> int:
+    """Row-weighting local search with a one-step tabu for a smaller cover of
+    ``targets`` (Gao, Weise & Li, EJOR 246, 2015; Yagiura, Kishida &
+    Ibaraki, EJOR 172, 2006).  ``cover`` is a list of translates covering
+    every target, ``rows`` the translate table of :func:`_translate_rows`;
+    each smaller cover found replaces ``cover`` in place, sorted.  Returns
+    the number of steps taken; raises _BudgetExhausted once ``deadline``
+    passes, keeping what ``cover`` holds.
+
+    Every target's weight starts at 1.  While everything is covered, the
+    cover is recorded and the member whose uniquely covered targets weigh
+    least is dropped.  A step drops that member too, draws an uncovered
+    target, adds the translate covering it that covers the most uncovered
+    weight, and raises the weight of every still-uncovered target by 1.
+    Ties go to the translate that entered or left the cover longest ago,
+    then to the least value.  A translate that is the only one in some row
+    is never dropped; the one just added is not dropped before the next
+    add, and the one just dropped is not added straight back.  The search
+    stops at ``steps`` steps, at a cover of ``floor`` translates or fewer,
+    or when nothing can be dropped.
+
+    All of it is integers.  Each target keeps how many members cover it
+    and their sum, which is the member itself when the count is 1, so each
+    member's uniquely covered weight is updated in place as counts move
+    between 0, 1 and 2.  A candidate's uncovered weight is summed at the
+    step, over the bits of its coverage bitset ANDed with the uncovered
+    targets' bitset, a few bits near a cover.  The uncovered target is
+    drawn by index from the ascending uncovered targets by
+    ``random.Random(seed)``, so a run gives the same cover on every
+    machine."""
+    rng = random.Random(seed)
+    covers: dict[int, list[int]] = {}  # the targets each translate covers
+    forced = set()
+    for v in targets:
+        row = rows[v]
+        if len(row) == 1:
+            forced.add(row[0])
+        for b in row:
+            covers.setdefault(b, []).append(v)
+    mask = {b: sum(1 << v for v in vs) for b, vs in covers.items()}
+    # per target, indexed by its value
+    weight = [1] * len(rows)
+    count = [0] * len(rows)
+    owner = [0] * len(rows)  # the sum of the members covering v
+    for b in cover:
+        for v in covers[b]:
+            count[v] += 1
+            owner[v] += b
+    unique = {b: 0 for b in cover}  # the weight each member alone covers
+    uncovered = 0  # a bitset over the targets
+    for v in targets:
+        if count[v] == 1:
+            unique[owner[v]] += 1
+        elif count[v] == 0:
+            uncovered |= 1 << v
+    # when b last entered or left the cover, for the ties
+    stamp = dict.fromkeys(covers, 0)
+
+    def drop(added) -> Optional[int]:
+        """Drop the member of least unique weight, forced ones and ``added``
+        kept; None when there is none."""
+        nonlocal uncovered
+        b = min(
+            (b for b in unique if b != added and b not in forced),
+            key=lambda b: (unique[b], stamp[b], b),
+            default=None,
+        )
+        if b is not None:
+            del unique[b]
+            stamp[b] = taken
+            for v in covers[b]:
+                count[v] -= 1
+                owner[v] -= b
+                if count[v] == 0:
+                    uncovered |= 1 << v
+                elif count[v] == 1:
+                    unique[owner[v]] += weight[v]
+        return b
+
+    added = None
+    taken = 0
+    while True:
+        while not uncovered:
+            if len(unique) < len(cover):
+                cover[:] = sorted(unique)
+            if len(cover) <= floor or drop(added) is None:
+                return taken
+        if taken == steps:
+            return taken
+        taken += 1
+        if taken % 256 == 0:
+            _check_clock(deadline)
+        dropped = drop(added)
+        if dropped is None:
+            return taken
+        # the uncovered targets, ascending
+        open_targets, rest = [], uncovered
+        while rest:
+            low = rest & -rest
+            open_targets.append(low.bit_length() - 1)
+            rest ^= low
+        v = open_targets[rng.randrange(len(open_targets))]
+        best_key = None
+        for b in rows[v]:
+            if b != dropped:
+                gain, rest = 0, mask[b] & uncovered
+                while rest:
+                    low = rest & -rest
+                    gain += weight[low.bit_length() - 1]
+                    rest ^= low
+                key = (-gain, stamp[b], b)
+                if best_key is None or key < best_key:
+                    best_key = key
+        added = best_key[2]
+        stamp[added] = taken
+        alone = 0
+        for t in covers[added]:
+            if count[t] == 0:
+                alone += weight[t]
+            elif count[t] == 1:
+                unique[owner[t]] -= weight[t]
+            count[t] += 1
+            owner[t] += added
+        unique[added] = alone
+        uncovered &= ~mask[added]
+        for t in open_targets:
+            if uncovered >> t & 1:
+                weight[t] += 1
+
+
 # -- exact minimal (branch and bound) -----------------------------------------
 
 #: The removed-weight table is emptied when it reaches this many entries, so
 #: it stays small at every k.
 _REMOVED_CAP = 1 << 12
+#: How many nodes a class goes without a better cover before the search
+#: runs :func:`_local_search` from its incumbent, once per class.
+_STALL = 1 << 12
 
 
 def exact_min_complement(
@@ -625,11 +786,19 @@ def exact_min_complement(
     integers), dominance elimination inside a branch, and sibling bans (a
     candidate whose subtree is exhausted cannot reappear later at the same
     node).  The greedy cover (or ``initial``, if smaller) is the first
-    incumbent.  The search order is fixed, the dual weights are
-    machine-independent and budgets count nodes, so results are
-    reproducible.  The bounds only cut subtrees that cannot beat the
-    incumbent, so a tighter bound changes node counts but never the cover a
-    completed search returns.
+    incumbent.  The first time a class goes ``_STALL`` nodes without a
+    better cover, the node that ends that run calls :func:`_local_search`
+    on the class's incumbent before it is bounded (at most ``_LOCAL_STEPS``
+    steps with the seed ``_LOCAL_SEED``, down to the class's root bound,
+    the clock still running); a smaller cover it finds becomes the
+    incumbent in place, and the search resumes with the tighter room.
+    Its steps are not nodes.  A completed cover no smaller than the
+    incumbent, which a node pushed before that search can still reach, is
+    not recorded.  The search order is fixed, the dual weights are
+    machine-independent, the local search is seeded and budgets count
+    nodes, so results are reproducible.  The bounds only cut subtrees that
+    cannot beat the incumbent, so a tighter bound changes node counts but
+    never the size of the cover a completed search returns.
 
     The search is one loop over an explicit stack: each node above the one
     being expanded is a frame (U, w(U), |U|, its remaining children, its
@@ -713,6 +882,12 @@ def exact_min_complement(
             uncovered, weight, banned = stripe << r & full, sum(weights[r::g]), 0
             if weight > room * DUAL_SCALE:
                 continue
+            # the node at which the class has gone _STALL nodes without a
+            # better cover, 0 once the local search has run, and the class's
+            # root bound, below which that search cannot go
+            stall = stats.nodes + _STALL
+            targets = range(r, size, g)
+            floor = max(-(-len(targets) // base_len), -(-weight // DUAL_SCALE))
             # one frame per node above the one being expanded, each resuming its children
             parents: list[tuple] = []
             children = None  # None: this node is entered, its children not yet listed
@@ -747,8 +922,18 @@ def exact_min_complement(
                         raise _BudgetExhausted
                     if stats.nodes % 4096 == 0:
                         _check_clock(deadline)
+                    if stats.nodes == stall:
+                        stall, before = 0, len(best)
+                        stats.local_steps += _local_search(
+                            targets, rows, best, _LOCAL_STEPS, floor, _LOCAL_SEED, deadline
+                        )
+                        stats.local_gain += before - len(best)
                     if left == -minus:
-                        best[:] = sorted([frame[5] for frame in parents] + [b])
+                        # a cover the local search has since beaten is not recorded
+                        if len(parents) + 1 < len(best):
+                            best[:] = sorted([frame[5] for frame in parents] + [b])
+                            if stall:
+                                stall = stats.nodes + _STALL
                     else:
                         # a bound ceil(x / d) falls below need iff x <= (need - 1) d
                         room = len(best) - len(parents) - 2

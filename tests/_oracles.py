@@ -8,14 +8,16 @@ weighted ancestors one atom at a time, cover witnesses by scanning the
 base in order, decompositions by reading one ternary digit at a time, the
 density set's prefixes, complement and box-dimension sequence one element
 at a time, the multiplicative-weights counts with every step's targets
-built as a sinked index array, and the exact search with every node
-bounded on entry.  Expected values frozen into
+built as a sinked index array, the exact search with every node
+bounded on entry, and the local search with every score summed afresh
+from the members at every step.  Expected values frozen into
 tests were produced by these.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from itertools import takewhile
 from typing import Iterable, Iterator, Sequence
@@ -88,6 +90,62 @@ def _bit_planes(weights: list[int]) -> list[tuple[int, int]]:
     ]
 
 
+def oracle_local_search(
+    targets: range, rows: list[tuple[int, ...]], cover: list[int], steps: int, floor: int, seed: int
+) -> tuple[list[int], int]:
+    """(cover, steps taken) of ``solver._local_search`` with nothing kept
+    between steps but the members, the weights and the stamps: each step
+    counts every target's covering members, and sums each member's
+    uniquely covered weight and each candidate's uncovered weight, from
+    scratch."""
+    rng = random.Random(seed)
+    covers: dict[int, set[int]] = {}
+    for v in targets:
+        for b in rows[v]:
+            covers.setdefault(b, set()).add(v)
+    forced = {rows[v][0] for v in targets if len(rows[v]) == 1}
+    weight = dict.fromkeys(targets, 1)
+    stamp = dict.fromkeys(covers, 0)
+    members = set(cover)
+    best = list(cover)
+
+    def uncovered() -> list[int]:
+        return [v for v in targets if not any(v in covers[b] for b in members)]
+
+    def drop(added, taken):
+        count = {v: sum(v in covers[b] for b in members) for v in targets}
+        unique = {b: sum(weight[v] for v in covers[b] if count[v] == 1) for b in members}
+        droppable = [b for b in members if b != added and b not in forced]
+        if not droppable:
+            return None
+        b = min(droppable, key=lambda b: (unique[b], stamp[b], b))
+        members.remove(b)
+        stamp[b] = taken
+        return b
+
+    added, taken = None, 0
+    while True:
+        while not uncovered():
+            if len(members) < len(best):
+                best = sorted(members)
+            if len(best) <= floor or drop(added, taken) is None:
+                return best, taken
+        if taken == steps:
+            return best, taken
+        taken += 1
+        dropped = drop(added, taken)
+        if dropped is None:
+            return best, taken
+        open_targets = uncovered()
+        v = open_targets[rng.randrange(len(open_targets))]
+        gain = {b: sum(weight[t] for t in covers[b] if t in open_targets) for b in rows[v]}
+        added = min((b for b in rows[v] if b != dropped), key=lambda b: (-gain[b], stamp[b], b))
+        members.add(added)
+        stamp[added] = taken
+        for t in uncovered():
+            weight[t] += 1
+
+
 def oracle_exact_search(
     instance: CoverInstance, max_nodes: int | None, split: bool = True
 ) -> tuple[tuple[int, ...], str, int, bool]:
@@ -101,9 +159,12 @@ def oracle_exact_search(
     of a - a_min over the base (one class when ``split`` is false), each
     searched from its share of the greedy cover in turn, under one node
     count whose root is counted once; the classes' roots are bounded
-    uncounted.  It shares the greedy incumbent, the translate table and the
-    multiplicative-weights counts with the solver, which are checked on
-    their own."""
+    uncounted.  The node that ends a class's first run of
+    ``solver._STALL`` nodes without a better cover runs the local search
+    from the class's cover, down to the class's root bound, before it is
+    bounded.  It shares the greedy incumbent, the translate table, the
+    multiplicative-weights counts and the local search with the solver,
+    which are checked on their own."""
     size = instance.target_size
     full = (1 << size) - 1
     base_len = len(instance.base_set)
@@ -138,18 +199,25 @@ def oracle_exact_search(
             loads[b] += slack
     planes = _bit_planes(weights)
     nodes = 1  # the root, shared by the classes
+    stall = 0  # the node that runs the local search; 0 once it has run
 
     class Exhausted(Exception):
         pass
 
     def search(uncovered: int, chosen: list[int], banned: int, counted: bool = True) -> None:
-        nonlocal nodes
+        nonlocal nodes, stall
         if counted:
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
                 raise Exhausted
+            if nodes == stall:
+                stall = 0
+                solver._local_search(targets, rows, best, solver._LOCAL_STEPS, floor, solver._LOCAL_SEED)
         if not uncovered:
-            best[:] = sorted(chosen)
+            if len(chosen) < len(best):
+                best[:] = sorted(chosen)
+                if stall:
+                    stall = nodes + solver._STALL
             return
         need = len(best) - len(chosen)
         if -(-uncovered.bit_count() // base_len) >= need or -(-weight_of(uncovered) // DUAL_SCALE) >= need:
@@ -175,7 +243,11 @@ def oracle_exact_search(
         if max_nodes is not None and nodes > max_nodes:
             raise Exhausted
         for r, best in enumerate(parts):
-            search(sum(1 << v for v in range(r, size, g)), [], 0, counted=False)
+            targets = range(r, size, g)
+            root = sum(1 << v for v in targets)
+            floor = max(-(-len(targets) // base_len), -(-weight_of(root) // DUAL_SCALE))
+            stall = nodes + solver._STALL
+            search(root, [], 0, counted=False)
         exhausted = False
     except Exhausted:
         exhausted = True

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from _oracles import oracle_exact_search, oracle_within_bound
+from _oracles import oracle_exact_search, oracle_local_search, oracle_within_bound
 from complement_forge import solver
 from complement_forge.density import DensityParams, complement_enum
 from complement_forge.fractal import build_density_spec
@@ -197,14 +197,21 @@ def test_exact_search_matches_the_bound_on_entry_oracle(monkeypatch):
         return memo[inst]
 
     monkeypatch.setattr(solver, "_packing_counts", memoised)
+    # the {0,1} k=5 search stalls at 15 from node 16 and runs the local
+    # search at node 16 + _STALL = 4112, which finds 14; caps on both sides
+    # of that node, and one past the proof at 20,421 nodes
+    stalled = CoverInstance(5, enumerate_pattern(zero_one_pattern(5)))
+    runs = [(inst, cap) for inst in instances for cap in (1, 2, 10, 127, 2000, 4096, 5000)]
+    runs += [(stalled, cap) for cap in (4096, 4097, 4111, 4112, 4200, 25000)]
     exhausted = 0
-    for inst in instances:
-        for cap in (1, 2, 10, 127, 2000, 4096, 5000):
-            cert = exact_min_complement(inst, SolverBudget(max_nodes=cap, max_seconds=None))
-            got = (cert.solution.values, cert.optimal, cert.stats.nodes, cert.stats.budget_exhausted)
-            assert got == oracle_exact_search(inst, cap), (inst, cap)
-            exhausted += cert.stats.budget_exhausted
-    assert 0 < exhausted < 7 * len(instances)
+    for inst, cap in runs:
+        cert = exact_min_complement(inst, SolverBudget(max_nodes=cap, max_seconds=None))
+        got = (cert.solution.values, cert.optimal, cert.stats.nodes, cert.stats.budget_exhausted)
+        assert got == oracle_exact_search(inst, cap), (inst, cap)
+        exhausted += cert.stats.budget_exhausted
+        if inst == stalled:
+            assert (cert.size, cert.stats.local_steps > 0) == ((15, False) if cap < 4112 else (14, True)), cap
+    assert 0 < exhausted < len(runs)
 
 
 def test_split_search_proves_the_unsplit_minimum():
@@ -232,6 +239,41 @@ def test_split_search_proves_the_unsplit_minimum():
         assert (cert.optimal, cert.size) == (optimal, len(unsplit)) == ("proven-optimal", cert.size), inst
         searched += cert.stats.nodes > 1
     assert searched >= 3
+
+
+def test_local_search_matches_the_fresh_sum_oracle():
+    # the cover counts, owner sums and unique weights kept from step to step
+    # must pick the drops and adds that scores summed afresh at every step
+    # pick: the same covers and step counts, per residue class, from the
+    # greedy cover, with and without a floor to stop at
+    rng = random.Random(44)
+    instances = [
+        CoverInstance(4, enumerate_pattern(zero_one_pattern(4))),
+        CoverInstance.signed(4, enumerate_pattern(zero_one_pattern(4))),
+        CoverInstance(4, enumerate_pattern(PatternSet.uniform(4, (0, 2)))),
+    ]
+    for _ in range(8):
+        k = rng.randint(2, 3)
+        vals = rng.sample(range(3**k), rng.randint(2, 2 * k))
+        if rng.random() < 0.5:
+            instances.append(CoverInstance.signed(k, BlockCode.from_iterable(k, vals)))
+        else:
+            instances.append(CoverInstance(k, BlockCode.from_iterable(k, {0, *vals})))
+    improved = 0
+    for inst in instances:
+        values = inst.base_set.values
+        g = math.gcd(*(a - values[0] for a in values)) or 1
+        rows = solver._translate_rows(inst)
+        start = greedy_complement(inst).solution.values
+        for r in range(g):
+            targets = range(r, inst.target_size, g)
+            part = [b for b in start if (b + values[0]) % g == r]
+            for seed, floor in ((0, 0), (1, len(part) - 1)):
+                cover = list(part)
+                steps = solver._local_search(targets, rows, cover, 150, floor, seed)
+                assert (cover, steps) == oracle_local_search(targets, rows, part, 150, floor, seed), (inst, r, seed)
+                improved += len(cover) < len(part)
+    assert improved >= 4
 
 
 def cf_convergents(q, terms):

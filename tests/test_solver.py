@@ -373,25 +373,107 @@ def _pattern_instance(k, overrides):
 
 def test_exact_node_counts_are_pinned():
     # the counting and dual bounds are deterministic, so node counts are
-    # too; a tighter bound moves the counts but never the cover a completed
-    # search returns
-    for inst, nodes, cover in (
-        (c_instance(4), 95, (0, 2, 7, 18, 23, 25, 34, 39, 41)),
-        (c_instance(4, signed=True), 5301, (0, 2, 7, 18, 23, 25, 34, 39, 41)),
-        (_pattern_instance(5, {0: (0, 1, 2)}), 739, (0, 6, 21, 54, 69, 75, 102, 117, 123)),
+    # too; a tighter bound moves the counts but never the size of the cover
+    # a completed search returns.  Each row ends with the local search's
+    # steps and the translates it took off the incumbent.
+    for inst, nodes, cover, local in (
+        (c_instance(4), 95, (0, 2, 7, 18, 23, 25, 34, 39, 41), (0, 0)),
+        # stalls after its minimum, so its local search finds nothing smaller
+        (c_instance(4, signed=True), 5301, (0, 2, 7, 18, 23, 25, 34, 39, 41), (solver._LOCAL_STEPS, 0)),
+        # holds 15 from node 16; at node 16 + _STALL the local search finds 14
+        (c_instance(5), 20_421, (0, 2, 7, 14, 21, 52, 59, 66, 73, 107, 114, 126, 128, 202), (solver._LOCAL_STEPS, 1)),
+        (_pattern_instance(5, {0: (0, 1, 2)}), 739, (0, 6, 21, 54, 69, 75, 102, 117, 123), (0, 0)),
         (
             _pattern_instance(5, {2: (0,)}),
             1802,
             (0, 2, 7, 9, 14, 16, 21, 23, 55, 57, 62, 64, 69, 71, 76, 78, 110, 112, 117, 119, 124, 126, 131, 132),
+            (0, 0),
         ),
         (
             _pattern_instance(5, {j: (0, 2) for j in range(5)}),
             175,  # the two parity classes searched apart
             (0, 1, 4, 5, 14, 15, 28, 29, 42, 43, 64, 65, 72, 73, 76, 77, 86, 87),
+            (0, 0),
         ),
     ):
         cert = exact_min_complement(inst, SolverBudget(max_nodes=None, max_seconds=None))
         assert (cert.optimal, cert.stats.nodes, cert.solution.values) == ("proven-optimal", nodes, cover)
+        assert (cert.stats.local_steps, cert.stats.local_gain) == local
+
+
+def test_the_stall_search_stops_at_the_class_root_bound(monkeypatch):
+    # at k=3 the root bound is 5, the minimum: with _STALL = 1 the local
+    # search runs at node 2 from the greedy's 6 and stops once it has a 5
+    monkeypatch.setattr(solver, "_STALL", 1)
+    cert = exact_min_complement(c_instance(3), SolverBudget(max_nodes=None, max_seconds=None))
+    assert (cert.optimal, cert.size, cert.stats.nodes) == ("proven-optimal", 5, 2)
+    assert (cert.stats.local_steps, cert.stats.local_gain) == (13, 1)
+
+
+def test_a_completion_no_smaller_than_the_local_search_cover_is_not_recorded(monkeypatch):
+    # with _STALL = 9 the k=4 search runs its local search at node 10, the
+    # child that completes its first 9-cover; a 9-cover the local search
+    # has just put in place stays, since that completion is no smaller
+    paper = PAPER_BLOCKS[4]
+
+    def install(targets, rows, cover, steps, floor, seed, deadline=None):
+        cover[:] = paper
+        return 0
+
+    own = exact_min_complement(c_instance(4)).solution.values
+    assert own != paper and len(own) == len(paper)
+    monkeypatch.setattr(solver, "_STALL", 9)
+    monkeypatch.setattr(solver, "_local_search", install)
+    cert = exact_min_complement(c_instance(4), SolverBudget(max_nodes=None, max_seconds=None))
+    assert (cert.optimal, cert.stats.nodes, cert.solution.values) == ("proven-optimal", 95, paper)
+    assert cert.stats.local_gain == 1  # from the greedy's 10
+
+
+def _local(inst, cover, steps, floor, seed=solver._LOCAL_SEED):
+    """_local_search over every target of ``inst``: (the cover, steps)."""
+    cover = list(cover)
+    taken = solver._local_search(range(inst.target_size), solver._translate_rows(inst), cover, steps, floor, seed)
+    return cover, taken
+
+
+def test_local_search_returns_a_smaller_verified_cover():
+    # each run keeps a cover no larger than its start, sorted and verified,
+    # and two runs with one seed agree
+    cases = [(c_instance(4), 9), (c_instance(4, signed=True), 9), (c_instance(5), 14)]
+    cases.append((_pattern_instance(5, {0: (0, 1, 2)}), 9))
+    for inst, minimum in cases:
+        start = greedy_complement(inst).solution.values
+        for seed in (0, 1, 2):
+            cover, steps = _local(inst, start, 400, 0, seed)
+            assert (cover, steps) == _local(inst, start, 400, 0, seed)
+            assert steps == 400 and minimum <= len(cover) <= len(start) and cover == sorted(cover)
+            verify_complement(inst, BlockCode(inst.k, tuple(cover)))
+    # the exact search's seed and cap take the k=5 greedy cover to the minimum
+    start = greedy_complement(c_instance(5)).solution.values
+    assert len(_local(c_instance(5), start, solver._LOCAL_STEPS, 12)[0]) == 14
+
+
+def test_local_search_stops_at_its_floor():
+    # covers are recorded one translate smaller at a time, so a floor below
+    # the start is met exactly; a floor at the start takes no step
+    inst = c_instance(5)
+    start = greedy_complement(inst).solution.values
+    assert len(start) == 18
+    for floor in (17, 16, 15):
+        cover, steps = _local(inst, start, 2000, floor)
+        assert len(cover) == floor and steps < 2000
+        verify_complement(inst, BlockCode(5, tuple(cover)))
+    assert _local(inst, start, 2000, 18) == (list(start), 0)
+
+
+def test_local_search_never_drops_a_forced_translate():
+    # a translate alone in some row is in every cover; with only forced
+    # members left to drop, the search stops
+    single = CoverInstance(2, BlockCode(2, (0,)))
+    assert _local(single, range(9), 100, 0) == (list(range(9)), 0)
+    # at k=1, 0 alone covers 0: the cover {0, 2} drops 2 when it is
+    # recorded, and its first step finds only 0 left
+    assert _local(c_instance(1), (0, 2), 100, 0) == ([0, 2], 1)
 
 
 @pytest.mark.parametrize("signed, nodes", [(False, 241), (True, 15784)])
@@ -538,32 +620,38 @@ def test_exact_time_budget_keeps_the_greedy_cover():
         gc.enable()
 
 
-@pytest.mark.parametrize("late", ["weights", "search"])
+@pytest.mark.parametrize("late", ["weights", "search", "local"])
 def test_exact_clock_ends_the_weight_loop_and_the_search(monkeypatch, late):
-    # a clock that stands still until it jumps past the deadline, as the
-    # weight loop starts or as it returns
+    # a clock that stands still until it jumps past the deadline: as the
+    # weight loop starts, as it returns, or as the local search starts
     now = [0.0]
     monkeypatch.setattr(solver.time, "perf_counter", lambda: now[0])
-    packing_counts = solver._packing_counts
+    late_call = "_local_search" if late == "local" else "_packing_counts"
+    call = getattr(solver, late_call)
 
     def jump(*args):
-        if late == "weights":
+        if late != "search":
             now[0] = 2.0
-        counts = packing_counts(*args)
+        out = call(*args)
         now[0] = 2.0
-        return counts
+        return out
 
-    monkeypatch.setattr(solver, "_packing_counts", jump)
+    monkeypatch.setattr(solver, late_call, jump)
     inst = c_instance(5)
     cert = exact_min_complement(inst, SolverBudget(max_nodes=None, max_seconds=1.0))
     assert cert.stats.budget_exhausted and cert.optimal == "unknown"
     assert cert.verify()
-    # the weight loop reads the clock every 256 steps, the search every 4096
-    # nodes and keeps the best cover it found
+    # the weight loop and the local search read the clock every 256 steps,
+    # the search every 4096 nodes, and each keeps the best cover found
     if late == "weights":
         assert cert.stats.nodes == 0 and cert.solution == greedy_complement(inst).solution
+    elif late == "search":
+        assert cert.stats.nodes == 4096 and cert.size == 15
     else:
-        assert cert.stats.nodes == 4096 and cert.size < greedy_complement(inst).size
+        # the local search runs at node 16 + _STALL and has found 14 by its
+        # step 256; a run the clock ends is not counted
+        assert (cert.stats.nodes, cert.size) == (4112, 14)
+        assert (cert.stats.local_steps, cert.stats.local_gain) == (0, 0)
 
 
 def test_exact_deterministic():

@@ -147,3 +147,51 @@ def test_no_handler_in_src_catches_recursion_error():
         if isinstance(node, ast.ExceptHandler) and "RecursionError" in _caught_names(node)
     ]
     assert found == []
+
+
+def _unseeded_draws(tree):
+    """Each use of a random source other than ``random.Random(seed)``: an
+    attribute of the random module other than ``Random``, ``Random()``
+    without a seed, ``from random import`` and numpy's ``random``."""
+    imported = [
+        (alias.name, alias.asname or alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    ]
+    random_names = {name for module, name in imported if module == "random"}
+    numpy_names = {name for module, name in imported if module == "numpy"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("random", "numpy.random"):
+            yield node
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in random_names and node.attr != "Random":
+                yield node
+            elif node.value.id in numpy_names and node.attr == "random":
+                yield node
+        elif isinstance(node, ast.Call) and not (node.args or node.keywords):
+            func = node.func
+            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                if func.value.id in random_names and func.attr == "Random":
+                    yield node
+
+
+def test_src_draws_randomness_only_from_seeded_generators():
+    # the random module's shared generator and an unseeded Random differ
+    # from run to run; every draw in src/ comes from a random.Random built
+    # from a seed, so a seed reproduces a run on every machine
+    for snippet in (
+        "import random\nrandom.shuffle(xs)",
+        "import random as r\nr.random()",
+        "import random\nrng = random.Random()",
+        "from random import choice",
+        "import numpy as np\nnp.random.default_rng(0)",
+    ):
+        assert len(list(_unseeded_draws(ast.parse(snippet)))) == 1, snippet
+    assert not list(_unseeded_draws(ast.parse("import random\nrng = random.Random(seed)")))
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno} {ast.unparse(node)}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in _unseeded_draws(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
