@@ -116,7 +116,8 @@ class SolverBudget:
 @dataclass
 class SolveStats:
     """What a search did.  ``local_steps`` counts the steps of the local
-    search the exact search runs when it stalls, ``local_gain`` the
+    search the exact search runs when it stalls (each run ends one step per
+    target of its class after its last smaller cover), ``local_gain`` the
     translates those runs took off its incumbent; neither counts a run the
     clock ended."""
 
@@ -615,18 +616,17 @@ def gated_dual_weights(
 
 # -- row-weighting local search (a primal heuristic) ---------------------------
 
-#: The seed of the local search's random source and its step cap when the
-#: exact search calls it.  From the 15-cover the {0,1} k=5 search holds when
-#: it stalls, this pair reaches the minimum 14.
+#: The seed of the local search's random source when the exact search calls
+#: it.  From the 15-cover the {0,1} k=5 search holds when it stalls, this
+#: seed reaches the minimum 14 at step 171.
 _LOCAL_SEED = 0
-_LOCAL_STEPS = 2048
 
 
 def _local_search(
     targets: range,
     rows: list[tuple[int, ...]],
     cover: list[int],
-    steps: int,
+    patience: int,
     floor: int,
     seed: int,
     deadline: Optional[float] = None,
@@ -648,8 +648,11 @@ def _local_search(
     then to the least value.  A translate that is the only one in some row
     is never dropped; the one just added is not dropped before the next
     add, and the one just dropped is not added straight back.  The search
-    stops at ``steps`` steps, at a cover of ``floor`` translates or fewer,
-    or when nothing can be dropped.
+    stops once it has taken ``patience`` steps since it started or since it
+    last recorded a smaller cover, at a cover of ``floor`` translates or
+    fewer, or when nothing can be dropped.  Each smaller cover is at least
+    one translate smaller, so a run takes at most
+    (len(cover) - floor + 1) * patience steps.
 
     All of it is integers.  Each target keeps how many members cover it
     and their sum, which is the member itself when the count is 1, so each
@@ -710,14 +713,15 @@ def _local_search(
         return b
 
     added = None
-    taken = 0
+    taken = last = 0  # the steps taken, and the one that recorded the last smaller cover
     while True:
         while not uncovered:
             if len(unique) < len(cover):
                 cover[:] = sorted(unique)
+                last = taken
             if len(cover) <= floor or drop(added) is None:
                 return taken
-        if taken == steps:
+        if taken - last == patience:
             return taken
         taken += 1
         if taken % 256 == 0:
@@ -788,13 +792,15 @@ def exact_min_complement(
     node).  The greedy cover (or ``initial``, if smaller) is the first
     incumbent.  The first time a class goes ``_STALL`` nodes without a
     better cover, the node that ends that run calls :func:`_local_search`
-    on the class's incumbent before it is bounded (at most ``_LOCAL_STEPS``
-    steps with the seed ``_LOCAL_SEED``, down to the class's root bound,
-    the clock still running); a smaller cover it finds becomes the
-    incumbent in place, and the search resumes with the tighter room.
-    Its steps are not nodes.  A completed cover no smaller than the
-    incumbent, which a node pushed before that search can still reach, is
-    not recorded.  The search order is fixed, the dual weights are
+    on the class's incumbent before it is bounded (with the seed
+    ``_LOCAL_SEED``, down to the class's root bound, the clock still
+    running, until it goes one step per target of the class without a
+    smaller cover); a smaller cover it finds becomes the incumbent in
+    place, and the search resumes with the tighter room.  Its steps are
+    not nodes; a run takes at most (|incumbent| - root bound + 1) times
+    the class's target count of them.  A completed cover no smaller than
+    the incumbent, which a node pushed before that search can still
+    reach, is not recorded.  The search order is fixed, the dual weights are
     machine-independent, the local search is seeded and budgets count
     nodes, so results are reproducible.  The bounds only cut subtrees that
     cannot beat the incumbent, so a tighter bound changes node counts but
@@ -925,7 +931,7 @@ def exact_min_complement(
                     if stats.nodes == stall:
                         stall, before = 0, len(best)
                         stats.local_steps += _local_search(
-                            targets, rows, best, _LOCAL_STEPS, floor, _LOCAL_SEED, deadline
+                            targets, rows, best, len(targets), floor, _LOCAL_SEED, deadline
                         )
                         stats.local_gain += before - len(best)
                     if left == -minus:

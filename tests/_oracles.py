@@ -91,13 +91,14 @@ def _bit_planes(weights: list[int]) -> list[tuple[int, int]]:
 
 
 def oracle_local_search(
-    targets: range, rows: list[tuple[int, ...]], cover: list[int], steps: int, floor: int, seed: int
+    targets: range, rows: list[tuple[int, ...]], cover: list[int], patience: int, floor: int, seed: int
 ) -> tuple[list[int], int]:
     """(cover, steps taken) of ``solver._local_search`` with nothing kept
     between steps but the members, the weights and the stamps: each step
     counts every target's covering members, and sums each member's
     uniquely covered weight and each candidate's uncovered weight, from
-    scratch."""
+    scratch.  It stops ``patience`` steps after the step that recorded its
+    best cover (step 0 for the start)."""
     rng = random.Random(seed)
     covers: dict[int, set[int]] = {}
     for v in targets:
@@ -107,7 +108,7 @@ def oracle_local_search(
     weight = dict.fromkeys(targets, 1)
     stamp = dict.fromkeys(covers, 0)
     members = set(cover)
-    best = list(cover)
+    best, best_step = list(cover), 0
 
     def uncovered() -> list[int]:
         return [v for v in targets if not any(v in covers[b] for b in members)]
@@ -127,10 +128,10 @@ def oracle_local_search(
     while True:
         while not uncovered():
             if len(members) < len(best):
-                best = sorted(members)
+                best, best_step = sorted(members), taken
             if len(best) <= floor or drop(added, taken) is None:
                 return best, taken
-        if taken == steps:
+        if taken == best_step + patience:
             return best, taken
         taken += 1
         dropped = drop(added, taken)
@@ -161,8 +162,9 @@ def oracle_exact_search(
     count whose root is counted once; the classes' roots are bounded
     uncounted.  The node that ends a class's first run of
     ``solver._STALL`` nodes without a better cover runs the local search
-    from the class's cover, down to the class's root bound, before it is
-    bounded.  It shares the greedy incumbent, the translate table, the
+    from the class's cover, down to the class's root bound and with one
+    step of patience per target of the class, before it is bounded.  It
+    shares the greedy incumbent, the translate table, the
     multiplicative-weights counts and the local search with the solver,
     which are checked on their own."""
     size = instance.target_size
@@ -212,7 +214,7 @@ def oracle_exact_search(
                 raise Exhausted
             if nodes == stall:
                 stall = 0
-                solver._local_search(targets, rows, best, solver._LOCAL_STEPS, floor, solver._LOCAL_SEED)
+                solver._local_search(targets, rows, best, len(targets), floor, solver._LOCAL_SEED)
         if not uncovered:
             if len(chosen) < len(best):
                 best[:] = sorted(chosen)

@@ -378,10 +378,12 @@ def test_exact_node_counts_are_pinned():
     # steps and the translates it took off the incumbent.
     for inst, nodes, cover, local in (
         (c_instance(4), 95, (0, 2, 7, 18, 23, 25, 34, 39, 41), (0, 0)),
-        # stalls after its minimum, so its local search finds nothing smaller
-        (c_instance(4, signed=True), 5301, (0, 2, 7, 18, 23, 25, 34, 39, 41), (solver._LOCAL_STEPS, 0)),
-        # holds 15 from node 16; at node 16 + _STALL the local search finds 14
-        (c_instance(5), 20_421, (0, 2, 7, 14, 21, 52, 59, 66, 73, 107, 114, 126, 128, 202), (solver._LOCAL_STEPS, 1)),
+        # stalls after its minimum, so its local search finds nothing
+        # smaller and stops after one step per target, 81
+        (c_instance(4, signed=True), 5301, (0, 2, 7, 18, 23, 25, 34, 39, 41), (81, 0)),
+        # holds 15 from node 16; at node 16 + _STALL the local search finds
+        # 14 at step 171 and stops 243 steps later
+        (c_instance(5), 20_421, (0, 2, 7, 14, 21, 52, 59, 66, 73, 107, 114, 126, 128, 202), (414, 1)),
         (_pattern_instance(5, {0: (0, 1, 2)}), 739, (0, 6, 21, 54, 69, 75, 102, 117, 123), (0, 0)),
         (
             _pattern_instance(5, {2: (0,)}),
@@ -410,13 +412,22 @@ def test_the_stall_search_stops_at_the_class_root_bound(monkeypatch):
     assert (cert.stats.local_steps, cert.stats.local_gain) == (13, 1)
 
 
+def test_the_stall_search_patience_reaches_24_at_k6():
+    # a 20,000-node {0,1} k=6 search holds the greedy's 26 until its local
+    # search, which needs more than 256 steps between its two smaller
+    # covers; one step of patience per target (729) reaches 24
+    cert = exact_min_complement(c_instance(6), SolverBudget(max_nodes=20_000, max_seconds=None))
+    assert (cert.optimal, cert.size, cert.stats.local_gain) == ("unknown", 24, 2)
+    verify_complement(cert.instance, cert.solution)
+
+
 def test_a_completion_no_smaller_than_the_local_search_cover_is_not_recorded(monkeypatch):
     # with _STALL = 9 the k=4 search runs its local search at node 10, the
     # child that completes its first 9-cover; a 9-cover the local search
     # has just put in place stays, since that completion is no smaller
     paper = PAPER_BLOCKS[4]
 
-    def install(targets, rows, cover, steps, floor, seed, deadline=None):
+    def install(targets, rows, cover, patience, floor, seed, deadline=None):
         cover[:] = paper
         return 0
 
@@ -429,16 +440,18 @@ def test_a_completion_no_smaller_than_the_local_search_cover_is_not_recorded(mon
     assert cert.stats.local_gain == 1  # from the greedy's 10
 
 
-def _local(inst, cover, steps, floor, seed=solver._LOCAL_SEED):
+def _local(inst, cover, patience, floor, seed=solver._LOCAL_SEED):
     """_local_search over every target of ``inst``: (the cover, steps)."""
     cover = list(cover)
-    taken = solver._local_search(range(inst.target_size), solver._translate_rows(inst), cover, steps, floor, seed)
+    taken = solver._local_search(range(inst.target_size), solver._translate_rows(inst), cover, patience, floor, seed)
     return cover, taken
 
 
 def test_local_search_returns_a_smaller_verified_cover():
     # each run keeps a cover no larger than its start, sorted and verified,
-    # and two runs with one seed agree
+    # and two runs with one seed agree; out of reach of floor 0, a run takes
+    # its patience in steps at least, and one patience more per smaller
+    # cover at most
     cases = [(c_instance(4), 9), (c_instance(4, signed=True), 9), (c_instance(5), 14)]
     cases.append((_pattern_instance(5, {0: (0, 1, 2)}), 9))
     for inst, minimum in cases:
@@ -446,11 +459,46 @@ def test_local_search_returns_a_smaller_verified_cover():
         for seed in (0, 1, 2):
             cover, steps = _local(inst, start, 400, 0, seed)
             assert (cover, steps) == _local(inst, start, 400, 0, seed)
-            assert steps == 400 and minimum <= len(cover) <= len(start) and cover == sorted(cover)
+            assert 400 <= steps <= (len(start) - len(cover) + 1) * 400
+            assert minimum <= len(cover) <= len(start) and cover == sorted(cover)
             verify_complement(inst, BlockCode(inst.k, tuple(cover)))
-    # the exact search's seed and cap take the k=5 greedy cover to the minimum
+    # the exact search's seed and patience (one step per target) take the
+    # k=5 greedy cover to the minimum
     start = greedy_complement(c_instance(5)).solution.values
-    assert len(_local(c_instance(5), start, solver._LOCAL_STEPS, 12)[0]) == 14
+    cover, steps = _local(c_instance(5), start, 243, 12)
+    assert (len(start), len(cover), steps) == (18, 14, 397)
+
+
+def test_local_search_stops_patience_steps_after_its_last_smaller_cover(monkeypatch):
+    # every step draws one uncovered target, so the draws made by the time
+    # a smaller cover is recorded number its step; a run that cannot reach
+    # its floor stops exactly ``patience`` steps after the last of them
+    draws, recorded = [], []
+
+    class Counting(random.Random):
+        def randrange(self, *args):
+            draws.append(args)
+            return super().randrange(*args)
+
+    class Recording(list):
+        def __setitem__(self, index, value):
+            recorded.append(len(draws))
+            super().__setitem__(index, value)
+
+    monkeypatch.setattr(solver.random, "Random", Counting)
+    late = 0
+    for inst in (c_instance(4), c_instance(4, signed=True), c_instance(5)):
+        rows = solver._translate_rows(inst)
+        start = greedy_complement(inst).solution.values
+        for patience in (1, 20, 81, 243):
+            draws.clear()
+            recorded.clear()
+            cover = Recording(start)
+            steps = solver._local_search(range(inst.target_size), rows, cover, patience, 0, 0)
+            last = recorded[-1] if recorded else 0
+            assert steps == len(draws) == last + patience, (inst, patience)
+            late += last > 0
+    assert late >= 3
 
 
 def test_local_search_stops_at_its_floor():
