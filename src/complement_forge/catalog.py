@@ -21,7 +21,6 @@ the literature.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -30,15 +29,17 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .density import DensityParams, best_rational, encode_rsn
-from .fractal import FractalSpec, GammaValue, Stage, density_patterns
 from .solver import CoverCertificate, CoverInstance, ProductProbeReport, is_zero_one_base
 from .solver import product_probe as _probe
 from .solver import verify_complement
-from .ternary import BlockCode, enumerate_pattern, zero_one_base, zero_one_pattern
+from .ternary import BlockCode, GammaValue, enumerate_pattern, zero_one_base, zero_one_pattern
+
+if TYPE_CHECKING:
+    from .density import DensityParams
+    from .fractal import FractalSpec
 
 SCHEMA_VERSION = 1
 ENV_CATALOG_DIR = "COMPLEMENT_FORGE_CATALOG"
@@ -75,6 +76,8 @@ def _canonical(obj) -> str:
 
 
 def _hash(obj) -> str:
+    import hashlib
+
     return hashlib.sha256(_canonical(obj).encode()).hexdigest()
 
 
@@ -138,10 +141,16 @@ class Catalog:
         return entry_id
 
     def load_entry(self, entry_id: str) -> dict:
-        path = self._path(entry_id)
-        if not path.exists():
-            raise CatalogError(f"no catalog entry {entry_id}")
-        entry = json.loads(path.read_text())
+        """The stored entry ``entry_id``, read once and checked.  A missing
+        file raises CatalogError; one that cannot be read, such as a
+        directory in its place, CatalogIntegrityError, so a scan skips it."""
+        try:
+            text = self._path(entry_id).read_text()
+        except FileNotFoundError:
+            raise CatalogError(f"no catalog entry {entry_id}") from None
+        except OSError as exc:
+            raise CatalogIntegrityError(f"entry {entry_id}: unreadable: {exc}") from None
+        entry = json.loads(text)
         if not (isinstance(entry, dict) and _hash(_core_fields(entry))[:16] == entry.get("id") == entry_id):
             raise CatalogIntegrityError(f"entry {entry_id}: content is not an object that matches its id")
         self._check(entry)
@@ -303,6 +312,8 @@ def _spec_entry(spec: FractalSpec, name: str, params: Optional[str]) -> dict:
 
 
 def _density_entry(params: DensityParams, n: int) -> dict:
+    from .density import best_rational, encode_rsn
+
     r, s = best_rational(params, n)
     length = len(encode_rsn(r, s, n))
     return {"kind": "density", "params": params.describe(), "n": n, "r": r, "s": s, "encoding_length": length}
@@ -325,6 +336,8 @@ def _rebuild_complement(entry: dict) -> CoverCertificate:
 
 def _rebuild_spec(entry: dict) -> FractalSpec:
     """The stored codes over the stage patterns the spec's kind derives."""
+    from .fractal import FractalSpec, Stage, density_patterns
+
     stored = entry["stages"]
     if entry["spec_kind"] == "quadratic":
         _block_length(2 * len(stored) - 1)  # the last stage's
@@ -343,6 +356,8 @@ def _params_from_description(text: str) -> DensityParams:
     """Invert ``DensityParams.describe``: its ``alpha=P/Q`` or ``D=P/Q``
     prefix is exact; the bracketed float after it is only a view.  Anything
     else, a stored value that is no string included, is unreadable."""
+    from .density import DensityParams
+
     name, _, value = str(text).partition(" ")[0].partition("=")
     try:
         if name == "alpha":

@@ -21,19 +21,10 @@ import re
 import sys
 from fractions import Fraction
 from itertools import takewhile
-from typing import Callable, Optional, TextIO
+from typing import TYPE_CHECKING, Callable, Optional, TextIO
 
-from . import __version__, measure
+from . import __version__
 from .catalog import MAX_BLOCK_LENGTH, Catalog, CatalogError
-from .density import (
-    DensityParams,
-    a_prefix_from_rational,
-    box_dim_bound_ca,
-    complement_enum,
-    description_length,
-)
-from .fractal import FractalSpec, GammaValue, build_density_spec, build_uniform_spec, decompose, dimension_ledger
-from .measure import box_dim_estimate, mass_ratio, write_estimates_csv
 from .solver import (
     CoverInstance,
     CoverVerificationError,
@@ -42,7 +33,21 @@ from .solver import (
     greedy_complement,
     verify_complement,
 )
-from .ternary import BlockCode, TernaryRational, block_string, cantor_dimension, ternary_to_int, zero_one_base
+from .ternary import (
+    BlockCode,
+    GammaValue,
+    TernaryRational,
+    block_string,
+    cantor_dimension,
+    ternary_to_int,
+    zero_one_base,
+)
+
+# the fractal, density and measure layers are imported by the commands that
+# run them, so a command pays only for the layers it uses
+if TYPE_CHECKING:
+    from .density import DensityParams
+    from .fractal import FractalSpec
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -106,6 +111,8 @@ def _at_least(flag: str, value: Optional[int], minimum: int = 1, where: str = ""
 
 
 def _alpha_params(raw: str) -> DensityParams:
+    from .density import DensityParams
+
     try:
         if raw.startswith("D="):
             return DensityParams.from_density(Fraction(raw[2:]))
@@ -217,6 +224,8 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
 
 def _uniform_spec(cat: Catalog, k: int) -> FractalSpec:
     """The uniform spec over the best stored complement code at block length k."""
+    from .fractal import build_uniform_spec
+
     cat.ensure_seeded()
     _, cert = cat.best_complement(k)
     return build_uniform_spec(k, cert)
@@ -240,6 +249,8 @@ def _resolve_spec(cat: Catalog, name: str) -> FractalSpec:
 
 
 def _cmd_spec_build(args: argparse.Namespace) -> int:
+    from .fractal import build_density_spec, dimension_ledger
+
     _at_least("--k", args.k)
     _at_least("--stages", args.stages)
     # stage s is 2s - 1 digits long and its greedy covers 3^(2s-1) targets:
@@ -291,6 +302,8 @@ def _cmd_spec_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
+    from .fractal import decompose
+
     try:
         x = TernaryRational.from_digit_string(args.x)
     except ValueError as exc:
@@ -316,6 +329,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
+    from .density import a_prefix_from_rational, complement_enum, description_length
+
     params = _alpha_params(args.alpha)
     n = args.n
     if n < 2:
@@ -364,6 +379,9 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 
 def _cmd_boxdim(args: argparse.Namespace) -> int:
+    from .density import box_dim_bound_ca
+    from .measure import box_dim_estimate, write_estimates_csv
+
     depth = args.depth
     _at_least("--depth", depth)
     if args.alpha is not None:
@@ -423,6 +441,8 @@ def _cmd_boxdim(args: argparse.Namespace) -> int:
 
 
 def _cmd_netcheck(args: argparse.Namespace) -> int:
+    from .measure import random_marstrand_trial
+
     try:
         exps = [Fraction(part.strip()) for part in args.s.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
@@ -435,7 +455,7 @@ def _cmd_netcheck(args: argparse.Namespace) -> int:
     violations = 0
     for i in range(trials):
         s = exps[i % len(exps)]
-        rep = measure.random_marstrand_trial(rng, args.max_level, s)
+        rep = random_marstrand_trial(rng, args.max_level, s)
         if rep.hypothesis_ok:
             held += 1
             if not rep.conclusion_ok:
@@ -456,6 +476,8 @@ def _cmd_netcheck(args: argparse.Namespace) -> int:
 
 
 def _cmd_massratio(args: argparse.Namespace) -> int:
+    from .measure import mass_ratio
+
     params = _alpha_params(args.alpha)
     if args.samples < 1:
         raise _CliError("need --samples >= 1")
@@ -521,6 +543,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         lines.append(f" {r['k']}  {r['size']:4d}  {r['gamma']:.5f}  {r['optimal']} ({r['method']})")
     payload = {"command": "report", "complements": rows}
     if args.all:
+        from .density import complement_enum, description_length
+
         probes = []
         for k1, k2 in ((2, 2), (2, 3), (1, 1)):
             pr = cat.product_probe(k1, k2)

@@ -16,7 +16,6 @@ floats alongside their defining integer pairs.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +26,7 @@ from .solver import CoverCertificate, CoverInstance, greedy_complement, verify_c
 from .ternary import (
     BASE,
     BlockCode,
+    GammaValue,
     PatternSet,
     TernaryRational,
     enumerate_pattern,
@@ -34,8 +34,6 @@ from .ternary import (
     zero_one_base,
     zero_one_pattern,
 )
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -55,21 +53,8 @@ class Stage:
         return self.certificate.solution
 
     @property
-    def gamma(self) -> "GammaValue":
+    def gamma(self) -> GammaValue:
         return GammaValue(card=len(self.code), n=self.n)
-
-
-@dataclass(frozen=True)
-class GammaValue:
-    """The dimension exponent log(card)/log(3^n), kept as its exact integer
-    pair with a float view."""
-
-    card: int
-    n: int
-
-    @property
-    def value(self) -> float:
-        return math.log(self.card) / (self.n * math.log(BASE))
 
 
 @dataclass(frozen=True)
@@ -112,7 +97,9 @@ def _ensure_zero(cert: CoverCertificate) -> CoverCertificate:
         return cert
     k = cert.instance.k
     enlarged = BlockCode.from_iterable(k, (0, *cert.solution.values))
-    log.info(
+    import logging
+
+    logging.getLogger(__name__).info(
         "adjoined 0 to a size-%d code at k=%d (gamma %.5f -> %.5f)",
         len(cert.solution),
         k,

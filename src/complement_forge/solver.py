@@ -25,17 +25,18 @@ until one of its translates is loaded to W.  The greedy finds its next
 translate by galloping through the list of those at the top marginal, and
 takes in the same round every later one still at it that lies less than
 the base's least gap away, since such translates cover disjoint targets.
-The cover check shifts the bitset of the larger of base and code by each
-value of the smaller.  The local search is row-weighting with a one-step
-tabu, in integers, drawing from a seeded ``random.Random``.  All
-tie-breaking is fixed, so identical instances always yield identical
-certificates.
+The cover check ORs the code's bitset shifted by d 3^i for each nonzero
+digit d of each place i of a base that is a digit product, when that is
+fewer shifts than the smaller of base and code has values; otherwise it
+shifts the bitset of the larger side by each value of the smaller.  The
+local search is row-weighting with a one-step tabu, in integers, drawing
+from a seeded ``random.Random``.  All tie-breaking is fixed, so identical
+instances always yield identical certificates.
 """
 
 from __future__ import annotations
 
 import functools
-import logging
 import math
 import random
 import time
@@ -43,8 +44,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .ternary import BASE, BlockCode, concat_codes, zero_one_base
-
-log = logging.getLogger(__name__)
 
 # Sizes the exact solver is never allowed to beat silently: a verified cover
 # smaller than these would contradict the published optimal listings (and, for
@@ -203,19 +202,42 @@ def _shifted(mask: int, b: int) -> int:
 def uncovered_values(instance: CoverInstance, code: BlockCode) -> list[int]:
     """All target values not expressible as a + b; empty means the cover holds.
 
-    The sumset base + code is symmetric, so the bitset of the larger side
-    is shifted by each value of the smaller one: |code| shifts of the
-    base's bitset, or |base| shifts of the code's, offset by the code's
-    least value when that is negative."""
+    Two exact routes, whichever shifts fewer times.  When the base is the
+    digit product of its places' digit sets D_i (:func:`_digit_places`),
+    base + code is the code's bitset ORed with itself shifted by d 3^i for
+    each nonzero d in D_i (and kept unshifted when 0 is in D_i), one place
+    after another: one shift per nonzero digit over all places, k for a
+    {0,1} base.  That route is taken when its shift count is below the size
+    of the smaller of base and code, the rule the greedy applies between
+    its digit passes and its scatter; bits past the target are cut after
+    each place.  Otherwise, the sumset being symmetric, the bitset of the
+    larger side is shifted by each value of the smaller one: |code| shifts
+    of the base's bitset, or |base| shifts of the code's.  Either bitset is
+    offset by the code's least value when that is negative.  Only
+    integers, so no check imports numpy."""
     if code.k != instance.k:
         raise ValueError(f"code has block length {code.k}, expected {instance.k}")
-    full = (1 << instance.target_size) - 1
+    size = instance.target_size
+    full = (1 << size) - 1
     small, large = sorted((code, instance.base_set), key=len)
-    offset = -min(large.values[0], 0)
-    mask = base_mask(large, offset)
-    covered = 0
-    for b in small.values:
-        covered |= _shifted(mask, b - offset)
+    places = _digit_places(instance.base_set)
+    if places is not None and _digit_passes(places) < len(small):
+        offset = -min(code.values[0], 0)
+        window = (1 << size + offset) - 1
+        covered = base_mask(code, offset)
+        for s, digits in places:
+            moved = 0 if digits[0] else covered
+            for d in digits:
+                if d:
+                    moved |= covered << d * s
+            covered = moved & window
+        covered >>= offset
+    else:
+        offset = -min(large.values[0], 0)
+        mask = base_mask(large, offset)
+        covered = 0
+        for b in small.values:
+            covered |= _shifted(mask, b - offset)
     missing = full & ~covered
     return [v for v, bit in enumerate(bin(missing)[:1:-1]) if bit == "1"]
 
@@ -250,20 +272,33 @@ def verify_complement(
 _SCATTER_WEIGHT = 16
 
 
-def _digit_places(base, k: int) -> Optional[list[tuple[int, tuple[int, ...]]]]:
-    """(3^i, D_i) for every place i whose digit set D_i among the k-digit
-    base values (a numpy array) is not {0}, largest place first, which cuts
-    the digit passes' window fastest; None when the base is not the digit
-    product of its D_i, i.e. prod |D_i| != |base|."""
-    import numpy as np
-
-    places, product = [], 1
-    for i in range(k):
-        digits = tuple(np.flatnonzero(np.bincount(base // BASE**i % BASE)).tolist())
+# a bounded cache, so a long-lived caller solving over many bases keeps only
+# the latest ones
+@functools.lru_cache(maxsize=64)
+def _digit_places(base: BlockCode) -> Optional[tuple[tuple[int, tuple[int, ...]], ...]]:
+    """(3^i, D_i) for every place i whose digit set D_i among the base's
+    k-digit values is not {0}, largest place first, which cuts the greedy's
+    digit-pass window fastest; None when the base is not the digit product
+    of its D_i, i.e. prod |D_i| != |base|.  In plain integers and cached per
+    base, so the greedy and :func:`uncovered_values` read one decomposition
+    and a base is decomposed once per process.  D_i is read off the distinct
+    quotients v // 3^i, a set that shrinks place by place: 2^(k-i) of them
+    for a {0,1} base."""
+    places, product, rest = [], 1, set(base.values)
+    for i in range(base.k):
+        digits = tuple(sorted({v % BASE for v in rest}))
         product *= len(digits)
+        if product > len(base):
+            return None
         if digits != (0,):
             places.append((BASE**i, digits))
-    return places[::-1] if product == len(base) else None
+        rest = {v // BASE for v in rest}
+    return tuple(places[::-1]) if product == len(base) else None
+
+
+def _digit_passes(places) -> int:
+    """The shifts a pass over the digit places makes: one per nonzero digit."""
+    return sum(len(digits) - (digits[0] == 0) for _, digits in places)
 
 
 def _retire_by_digits(ext, ext_lo: int, t, a_min: int, a_max: int, places) -> None:
@@ -394,9 +429,9 @@ def greedy_complement(instance: CoverInstance) -> CoverCertificate:
 
     # a step's digit passes touch about passes * (t_max - t_min + pad) elements
     # and its scatter |T| |base|
-    places = _digit_places(base, instance.k)
+    places = _digit_places(instance.base_set)
     if places is not None:
-        passes = sum(len(digits) - (digits[0] == 0) for _, digits in places)
+        passes = _digit_passes(places)
         pad = 2 * a_max - a_min + 1
 
     # every a + b with b in [lo, hi), and every target, lies in [u_lo, u_hi);
@@ -974,7 +1009,9 @@ def exact_min_complement(
 
     known = KNOWN_MIN_SIZES.get(instance.k)
     if known is not None and cert.size < known and is_zero_one_base(instance):
-        log.error(
+        import logging
+
+        logging.getLogger(__name__).error(
             "exact solver found a verified size-%d cover at k=%d, below the published "
             "minimum %d; solution=%s -- this contradicts the reference listings and "
             "needs manual review",

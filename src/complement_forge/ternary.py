@@ -143,6 +143,19 @@ def zero_one_base(k: int) -> BlockCode:
     return enumerate_pattern(zero_one_pattern(k))
 
 
+@dataclass(frozen=True)
+class GammaValue:
+    """The dimension exponent log(card)/log(3^n) of a code of ``card``
+    n-digit blocks, kept as its exact integer pair with a float view."""
+
+    card: int
+    n: int
+
+    @property
+    def value(self) -> float:
+        return math.log(self.card) / (self.n * math.log(BASE))
+
+
 def sumset(a: BlockCode, b: BlockCode) -> BlockCode:
     """{x + y : x in a, y in b}, deduplicated.
 

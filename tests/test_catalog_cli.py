@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import complement_forge.catalog as catalog_module
+import complement_forge.density as density_module
+import complement_forge.fractal as fractal_module
 from complement_forge.catalog import Catalog, CatalogError, CatalogIntegrityError, PAPER_BLOCKS
 from complement_forge.cli import build_parser, main
 from complement_forge.density import DensityParams, description_length
@@ -258,13 +260,13 @@ def test_load_refuses_a_block_length_past_the_cap_before_enumerating(catalog, mo
 
         return enumerate_at_most_13
 
-    for name, length in (
-        ("zero_one_base", lambda k: k),
-        ("zero_one_pattern", lambda k: k),
-        ("enumerate_pattern", lambda pattern: pattern.k),
-        ("density_patterns", lambda params, stages: 2 * stages - 1),
+    for module, name, length in (
+        (catalog_module, "zero_one_base", lambda k: k),
+        (catalog_module, "zero_one_pattern", lambda k: k),
+        (catalog_module, "enumerate_pattern", lambda pattern: pattern.k),
+        (fractal_module, "density_patterns", lambda params, stages: 2 * stages - 1),
     ):
-        monkeypatch.setattr(catalog_module, name, capped(getattr(catalog_module, name), length))
+        monkeypatch.setattr(module, name, capped(getattr(module, name), length))
     with pytest.raises(CatalogIntegrityError, match=r"outside \[1, 13\]"):
         Catalog.default().load_entry(forged)
     capsys.readouterr()
@@ -296,6 +298,27 @@ def test_scans_skip_entries_that_are_no_object_or_have_unreadable_params(catalog
         assert run_cli(*argv) == 0
         err = capsys.readouterr().err
         assert err.count("warning") == 2 and "0000000000000000" in err and unreadable in err
+    assert run_cli("gamma", "--id", seeds[2]) == 0
+
+
+def test_scans_skip_an_entry_file_that_cannot_be_read(catalog, capsys):
+    # a directory where an entry file should be is one bad entry, not a
+    # reason for every scan to stop; by id it is refused as damaged
+    seeds = catalog.ensure_seeded()
+    unreadable = "0123456789abcdef"
+    catalog._path(unreadable).mkdir()
+    with pytest.raises(CatalogIntegrityError, match=unreadable):
+        Catalog.default().load_entry(unreadable)
+    with pytest.raises(CatalogError, match="no catalog entry") as missing:
+        Catalog.default().load_entry("fedcba9876543210")
+    assert not isinstance(missing.value, CatalogIntegrityError)
+    for argv in (("gamma", "--id", unreadable), ("verify", "--id", unreadable)):
+        assert run_cli(*argv) == 2
+    capsys.readouterr()
+    for argv in (("gamma", "--k", "3"), ("report",)):
+        assert run_cli(*argv) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning") == 1 and unreadable in err
     assert run_cli("gamma", "--id", seeds[2]) == 0
 
 
@@ -681,6 +704,51 @@ def test_commands_that_run_no_solver_run_without_numpy(catalog):
     assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(commands), proc.stderr
 
 
+_IMPORT_BOUNDARY = """
+import contextlib, io, json, sys
+
+watched = ["numpy", "logging", "hashlib"]
+watched += [f"complement_forge.{m}" for m in ("measure", "fractal", "density")]
+before = {m for m in watched if m in sys.modules}
+
+def loaded():
+    return [m for m in watched if m in sys.modules and m not in before]
+
+from complement_forge.cli import main
+
+on_import = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([on_import, code, loaded()]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, run_loads",
+    [
+        (["verify", "--k", "3", "--values", "0,2,7,12,14"], []),
+        (["gamma", "--k", "3"], ["hashlib"]),
+    ],
+    ids=["verify-inline", "gamma-k3"],
+)
+def test_a_cold_command_imports_only_the_layers_it_runs(catalog, argv, run_loads):
+    # each layer is imported where it is used: importing the CLI loads no
+    # numpy, logging, hashlib or measure layer; an inline cover check loads
+    # none of them nor the fractal and density layers, and a scan of
+    # complement entries only hashlib, for the ids
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_BOUNDARY, json.dumps(argv)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, run_loads], proc.stderr
+
+
 # -- parser surface: every flag a subcommand accepts is one it reads -------------
 
 SUBCOMMAND_FLAGS = {
@@ -816,12 +884,10 @@ def test_cli_refuses_a_k_or_stages_below_one(catalog, capsys, argv, flag):
 def test_cli_spec_build_refuses_more_than_seven_stages(catalog, capsys, monkeypatch, stages):
     # stage s spans 2s - 1 digits, so an eighth stage has 3^15 targets; the
     # refusal comes before the spec is built and before the catalog opens
-    import complement_forge.cli as cli
-
     def unreachable(*args, **kwargs):
         raise AssertionError("spec builder reached")
 
-    monkeypatch.setattr(cli, "build_density_spec", unreachable)
+    monkeypatch.setattr(fractal_module, "build_density_spec", unreachable)
     assert run_cli("spec-build", "--kind", "quadratic", "--alpha", "0.8", "--stages", str(stages)) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"--stages must be between 1 and 7, not {stages}" in captured.err
@@ -861,9 +927,8 @@ def test_cli_massratio_reads_a_negative_level_range_as_a_value(catalog, capsys):
 def test_cli_density_prefix_match_checks_the_walk_of_a(catalog, capsys, monkeypatch):
     # prefix_match compares the prefix built from r/s with A walked one exact
     # comparison per element, so a wrong builder shows as a failed check
-    import complement_forge.cli as cli
     from complement_forge.density import a_prefix_from_rational
 
-    monkeypatch.setattr(cli, "a_prefix_from_rational", lambda r, s, n: a_prefix_from_rational(r + 1, s, n))
+    monkeypatch.setattr(density_module, "a_prefix_from_rational", lambda r, s, n: a_prefix_from_rational(r + 1, s, n))
     assert run_cli("density", "--alpha", "0.8", "--n", "100", "--format", "json") == 3
     assert json.loads(capsys.readouterr().out)["prefix_match"] is False

@@ -58,6 +58,14 @@ def test_zero_adjoined_when_missing():
     assert decompose(TernaryRational(0, 0), spec, 2).is_exact()
 
 
+def test_adjoining_zero_logs_the_gamma_drift(caplog):
+    inst = CoverInstance.signed(1, enumerate_pattern(zero_one_pattern(1)))
+    cert = verify_complement(inst, BlockCode.from_iterable(1, [-1, 1]))
+    with caplog.at_level("INFO", logger="complement_forge.fractal"):
+        build_uniform_spec(1, cert)
+    assert [r.getMessage() for r in caplog.records] == ["adjoined 0 to a size-2 code at k=1 (gamma 0.63093 -> 1.00000)"]
+
+
 def test_measure_bound_identity():
     for k in (1, 2, 3, 4, 5):
         spec = uniform_spec(k)

@@ -1,3 +1,4 @@
+import collections
 import gc
 import hashlib
 import inspect
@@ -137,6 +138,72 @@ def test_cover_check_shifts_either_side():
     assert larger > 50 and negative > 50
     for k in (1, 3):
         assert uncovered_values(c_instance(k), BlockCode(k, ())) == list(range(3**k))
+
+
+_DIGIT_SETS = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+
+
+def _digit_product(places):
+    """The base whose 3^i place takes the digits places[i]."""
+    return enumerate_pattern(PatternSet(len(places), tuple(frozenset(d) for d in places)))
+
+
+def test_digit_places_decomposes_digit_products_and_refuses_the_rest():
+    assert solver._digit_places(zero_one_base(3)) == ((9, (0, 1)), (3, (0, 1)), (1, (0, 1)))
+    assert solver._digit_places(_digit_product([(1, 2), (0,), (2,)])) == ((9, (2,)), (1, (1, 2)))
+    assert solver._digit_places(BlockCode(2, (8,))) == ((3, (2,)), (1, (2,)))
+    assert solver._digit_places(BlockCode(2, (0,))) == ()
+    # every place's digits {0, 1}, but not all four of their sums
+    for values in ((0, 1, 3), (0, 4), (1, 3), (0, 1, 2, 3, 4, 5, 6, 7)):
+        assert solver._digit_places(BlockCode(2, values)) is None
+
+
+def test_cover_check_by_digit_places_matches_the_sumset(monkeypatch):
+    # every per-place digit set at k <= 3, a sample at k = 4 with the sets
+    # {1,2}, {0,2} and {2} in every place, and bases that are no digit
+    # product; codes of one value, of sizes either side of the switch
+    # between the routes, and signed ones
+    rng = random.Random(35)
+    products = [[d] for d in _DIGIT_SETS]
+    products += [[a, b] for a in _DIGIT_SETS for b in _DIGIT_SETS]
+    products += [[a, b, c] for a in _DIGIT_SETS for b in _DIGIT_SETS for c in _DIGIT_SETS]
+    products += [[d] * 4 for d in _DIGIT_SETS]
+    products += [[rng.choice(_DIGIT_SETS) for _ in range(4)] for _ in range(60)]
+    bases = [_digit_product(places) for places in products]
+    for k in range(2, 5):
+        for _ in range(15):
+            size = rng.randint(2, min(3**k, 12))
+            bases.append(BlockCode.from_iterable(k, rng.sample(range(3**k), size)))
+    shifts = [0]
+    real_shifted = solver._shifted
+
+    def counting(mask, b):
+        shifts[0] += 1
+        return real_shifted(mask, b)
+
+    monkeypatch.setattr(solver, "_shifted", counting)
+    routes = collections.Counter()
+    for base in bases:
+        k, size = base.k, 3**base.k
+        places = solver._digit_places(base)
+        passes = None if places is None else sum(len(d) - (d[0] == 0) for _, d in places)
+        for lo in (0, -size + 1):
+            inst = CoverInstance(k, base, lo=lo)
+            sizes = {1, rng.randint(1, size - lo)}
+            if passes is not None:
+                sizes |= {n for n in (passes - 1, passes, passes + 1) if 1 <= n <= size - lo}
+            for n in sorted(sizes):
+                code = BlockCode.from_iterable(k, rng.sample(range(lo, size), n))
+                shifts[0] = 0
+                got = uncovered_values(inst, code)
+                sums = {a + b for a in base.values for b in code.values}
+                assert got == sorted(set(range(size)) - sums), (base, code)
+                # the digit route shifts no bitset by a value, the other route once per value
+                small = min(len(base), len(code))
+                by_digits = passes is not None and passes < small
+                assert shifts[0] == (0 if by_digits else small), (base, code)
+                routes[by_digits, code.values[0] < 0] += 1
+    assert min(routes.values()) > 100, routes
 
 
 def test_verify_mutation_of_b3():
@@ -593,6 +660,13 @@ def test_dual_gate_rescales_overloaded_weights():
     assert max(_loads(gated, covs)) <= DUAL_SCALE
     assert _root_dual_bound(gated) <= KNOWN_MIN_SIZES[4]
     assert gate_dual_weights(weights, rows) == weights  # feasible weights pass unchanged
+
+
+def test_a_cover_below_the_published_minimum_is_logged(monkeypatch, caplog):
+    monkeypatch.setitem(KNOWN_MIN_SIZES, 3, 6)
+    with caplog.at_level("ERROR", logger="complement_forge.solver"):
+        assert exact_min_complement(c_instance(3)).size == 5
+    assert len(caplog.records) == 1 and "size-5 cover at k=3, below the published minimum 6" in caplog.text
 
 
 def test_exact_budget_exhaustion_is_not_an_error():
