@@ -37,6 +37,8 @@ from .solver import product_probe as _probe
 from .solver import verify_complement
 from .ternary import BlockCode, GammaValue, enumerate_pattern, zero_one_base, zero_one_pattern
 
+# the fractal and density layers are imported by the spec and density entry
+# paths that use them, so a scan of complement entries loads neither
 if TYPE_CHECKING:
     from .density import DensityParams
     from .fractal import FractalSpec

@@ -272,18 +272,17 @@ def verify_complement(
 _SCATTER_WEIGHT = 16
 
 
-# a bounded cache, so a long-lived caller solving over many bases keeps only
-# the latest ones
+# bounded, so a long-lived caller that solves over many bases holds only the
+# latest 64 decompositions
 @functools.lru_cache(maxsize=64)
 def _digit_places(base: BlockCode) -> Optional[tuple[tuple[int, tuple[int, ...]], ...]]:
     """(3^i, D_i) for every place i whose digit set D_i among the base's
     k-digit values is not {0}, largest place first, which cuts the greedy's
     digit-pass window fastest; None when the base is not the digit product
     of its D_i, i.e. prod |D_i| != |base|.  In plain integers and cached per
-    base, so the greedy and :func:`uncovered_values` read one decomposition
-    and a base is decomposed once per process.  D_i is read off the distinct
-    quotients v // 3^i, a set that shrinks place by place: 2^(k-i) of them
-    for a {0,1} base."""
+    base, so the greedy and :func:`uncovered_values` share one
+    decomposition.  D_i is read off the distinct quotients v // 3^i, a set
+    that shrinks place by place: 2^(k-i) of them for a {0,1} base."""
     places, product, rest = [], 1, set(base.values)
     for i in range(base.k):
         digits = tuple(sorted({v % BASE for v in rest}))
