@@ -70,7 +70,11 @@ class CatalogError(ValueError):
 
 
 class CatalogIntegrityError(CatalogError):
-    """Stored entry does not re-verify or does not match its id."""
+    """Stored entry does not re-verify or match its id, or cannot be written (``entry_id`` names it)."""
+
+    def __init__(self, message: str, entry_id: Optional[str] = None):
+        super().__init__(message)
+        self.entry_id = entry_id
 
 
 def _canonical(obj) -> str:
@@ -100,6 +104,7 @@ def default_catalog_dir() -> Path:
 class Catalog:
     root: Path
     _rebuilt: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _skipped: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     @classmethod
     def default(cls) -> "Catalog":
@@ -135,10 +140,11 @@ class Catalog:
                 json.dump(entry, fh, sort_keys=True, indent=2)
                 fh.write("\n")
             os.replace(tmp, path)
-        except BaseException:
+        except OSError as exc:
+            raise CatalogIntegrityError(f"entry {entry_id}: cannot be written: {exc}", entry_id) from None
+        finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-            raise
         self.__dict__.pop("_stored", None)  # the next entries() rescans
         return entry_id
 
@@ -180,8 +186,14 @@ class Catalog:
             try:
                 stored.append(self.load_entry(entry_id))
             except (ValueError, KeyError, TypeError) as exc:
-                print(f"warning: skipping catalog entry {entry_id}: {exc}", file=sys.stderr)
+                self._skip(entry_id, exc)
         return stored
+
+    def _skip(self, entry_id: str, exc: Exception) -> None:
+        """Warn on stderr that entry ``entry_id`` is left out, once per catalog object."""
+        if entry_id not in self._skipped:
+            self._skipped.add(entry_id)
+            print(f"warning: skipping catalog entry {entry_id}: {exc}", file=sys.stderr)
 
     def entries(self, kind: Optional[str] = None) -> list[dict]:
         return [e for e in self._stored if kind is None or e.get("kind") == kind]
@@ -227,11 +239,14 @@ class Catalog:
         return best[1], self._rebuilt[best[1]["id"]]
 
     def ensure_seeded(self) -> list[str]:
-        """Install the published block sets (idempotent); ``save_entry`` checks each."""
+        """Install the published block sets (idempotent); a seed that cannot be written is skipped with one warning."""
         ids = []
         for k, values in PAPER_BLOCKS.items():
             cert = CoverCertificate(CoverInstance(k, zero_one_base(k)), BlockCode(k, values), "external")
-            ids.append(self.add_complement(cert, source="paper"))
+            try:
+                ids.append(self.add_complement(cert, source="paper"))
+            except CatalogIntegrityError as exc:  # a failed write: the bundled seeds verify
+                self._skip(exc.entry_id, exc)
         return ids
 
     # -- specs ---------------------------------------------------------------------

@@ -136,8 +136,8 @@ def _cmd_complement(args: argparse.Namespace) -> int:
         raise _CliError(f"--budget-secs must be a positive finite number of seconds, not {args.budget_secs}")
     # the greedy's arrays grow as 3^k: k=13 took 12 s and peaked at 78 MiB
     # RSS on a 2-vCPU box, and k=20 would ask for over 100 GB before its
-    # first step.  The exact search's translate table holds up to 6^k
-    # entries: k=8 took 14 s and 185 MiB with a one-node budget
+    # first step.  The exact search's translate table grows as 6^k: k=8
+    # took 1.5 s and 120 MiB with a one-node budget
     k_max = MAX_BLOCK_LENGTH if args.method == "greedy" else 8
     if not 1 <= args.k <= k_max:
         raise _CliError(f"--k must be between 1 and {k_max} for --method {args.method}, not {args.k}")

@@ -10,28 +10,16 @@ Three entry points share one certificate type:
 The search state is a single arbitrary-precision integer used as a bitset over
 the target [0, 3^k): the coverage of a translate b is one shift, one AND and
 one popcount, which is what makes the exact search at k = 4..5 feasible in
-pure Python.  A translate b + base covers targets of one residue class
-mod g, g the gcd of a - a_min over the base, so the search covers each class
-on its own, from its share of the greedy cover (a {0,1} base is one class;
-the {0,2} pattern's two parities are two).  Its lower bounds are decided
-for each child in the parent's loop: the counting bound from the parent's
-count less the removed coverage, the LP-dual bound from the parent's dual
-weight less the removed weight, memoised per call, so a child the bounds
-cut is never pushed.  The dual weights come from a multiplicative-weights
-loop (step 0.2) whose step is one bincount of a run of a base-pair table
-built once, added into the window of loads one translate-table row
-reaches; after the exact integer gate, a maximal pass raises each target
-until one of its translates is loaded to W.  The greedy finds its next
-translate by galloping through the list of those at the top marginal, and
-takes in the same round every later one still at it that lies less than
-the base's least gap away, since such translates cover disjoint targets.
-The cover check ORs the code's bitset shifted by d 3^i for each nonzero
-digit d of each place i of a base that is a digit product, when that is
-fewer shifts than the smaller of base and code has values; otherwise it
-shifts the bitset of the larger side by each value of the smaller.  The
-local search is row-weighting with a one-step tabu, in integers, drawing
-from a seeded ``random.Random``.  All tie-breaking is fixed, so identical
-instances always yield identical certificates.
+pure Python.  A translate b + base covers targets of one residue class mod g,
+g the gcd of a - a_min over the base, so the search covers each class on its
+own (a {0,1} base is one class; the {0,2} pattern's two parities are two).
+The search, its LP-dual weights and its local search read one translate
+table, built once per search by :func:`_translate_table`: the translates
+covering each target, and each translate's targets and coverage bitset.  Each
+function's docstring gives its own mechanism.  Bounds and covers are decided
+in integers, the dual loop's floats give the same counts on every machine,
+the local search draws from a seeded ``random.Random`` and all tie-breaking
+is fixed, so identical instances always yield identical certificates.
 """
 
 from __future__ import annotations
@@ -41,7 +29,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .ternary import BASE, BlockCode, concat_codes, zero_one_base
 
@@ -492,21 +480,37 @@ def _check_clock(deadline: Optional[float]) -> None:
         raise _BudgetExhausted
 
 
-def _translate_rows(instance: CoverInstance, deadline: Optional[float] = None) -> list[tuple[int, ...]]:
-    """rows[v]: the in-range translates v - a covering target v, in base
-    order.  Raises InfeasibleCoverError if some row is empty, and
-    _BudgetExhausted once ``deadline`` passes."""
+class _TranslateTable(NamedTuple):
+    """Which in-range translates cover which targets: rows[v] lists those
+    covering target v, in base order; for each b in some row, coverage[b] is
+    the bitset and targets[b] the ascending list of the targets b covers."""
+
+    rows: list[tuple[int, ...]]
+    coverage: dict[int, int]
+    targets: dict[int, list[int]]
+
+
+def _translate_table(instance: CoverInstance, deadline: Optional[float] = None) -> _TranslateTable:
+    """The translate table of ``instance``.  Raises InfeasibleCoverError if
+    some row is empty, and _BudgetExhausted once ``deadline`` passes.  No
+    gap between base values reaches 3^k, so b is in some row iff it is in
+    range and -a_max <= b < 3^k - a_min."""
+    size = instance.target_size
     lo, hi = instance.lo, instance.hi
-    base_values = instance.base_set.values
+    values = instance.base_set.values
+    targets: dict[int, list[int]] = {b: [] for b in range(max(lo, -values[-1]), min(hi, size - values[0]))}
     rows = []
-    for v in range(instance.target_size):
+    for v in range(size):
         if v % 256 == 0:
             _check_clock(deadline)
-        row = tuple(b for b in (v - a for a in base_values) if lo <= b < hi)
+        row = tuple(b for b in (v - a for a in values) if lo <= b < hi)
         if not row:
             raise InfeasibleCoverError(f"no translate covers target {v}")
         rows.append(row)
-    return rows
+        for b in row:
+            targets[b].append(v)
+    bmask, full = base_mask(instance.base_set), (1 << size) - 1
+    return _TranslateTable(rows, {b: _shifted(bmask, b) & full for b in targets}, targets)
 
 
 # -- fractional-cover (LP-dual) bound -----------------------------------------
@@ -519,9 +523,7 @@ DUAL_SCALE = 1 << 12
 _MWU_EPS = 0.2
 
 
-def _packing_counts(
-    instance: CoverInstance, rows: list[tuple[int, ...]], deadline: Optional[float] = None
-) -> list[int]:
+def _packing_counts(instance: CoverInstance, table: _TranslateTable, deadline: Optional[float] = None) -> list[int]:
     """Garg-Koenemann multiplicative weights for the packing LP
     max sum y_v  s.t.  sum_{v in cov(b)} y_v <= 1  for every in-range b,
     the dual of the covering LP.  Returns how often each target was raised
@@ -552,12 +554,12 @@ def _packing_counts(
     nb = len(base)
     a_min, a_max = values[0], values[-1]
     pad = a_max - a_min
-    covering = len(set().union(*rows))
+    covering = len(table.coverage)
     pairs = (a_max - base)[:, None] + (base - a_min)
     # row v lists v - a in base order, for the a in (v - hi, v - lo]
     at = {a: i for i, a in enumerate(values)}
     rows_at = []
-    for v, r in enumerate(rows):
+    for v, r in enumerate(table.rows):
         i0 = at[v - r[0]]
         rows_at.append((np.array(r, dtype=np.intp) - lo, pairs[i0 : i0 + len(r)].ravel()))
     # ext[i] is the load of target lo - pad + i.  Row 0 holds some b >= lo
@@ -567,7 +569,7 @@ def _packing_counts(
     ext = np.zeros(pad + hi - lo + a_max, dtype=np.float64)
     # col[v] = sum of the lengths of the translates covering v; lengths start at 1
     col = ext[pad - lo : pad - lo + size]
-    col[:] = [len(r) for r in rows]
+    col[:] = [len(r) for r in table.rows]
     length = np.ones(hi - lo, dtype=np.float64)
     total = float(covering)
     # stop once sum(length) >= 1/delta, delta = (1+eps) * ((1+eps) m)^(-1/eps)
@@ -592,36 +594,28 @@ def _packing_counts(
     return counts
 
 
-def gate_dual_weights(weights: list[int], rows: list[tuple[int, ...]]) -> list[int]:
+def gate_dual_weights(weights: list[int], table: _TranslateTable) -> list[int]:
     """The exact check that makes integer dual weights safe: the load
     sum_{v in cov(b)} w_v of every translate b must be at most W.  The loads
-    are summed along the translate table (b covers v iff b is in rows[v]),
-    one integer addition per (target, translate) pair.  If the largest load
+    are summed over each translate's targets in the translate table, one
+    integer addition per (target, translate) pair.  If the largest load
     L exceeds W, every weight becomes w*W // L, after which no load exceeds
     W.  Only integers are involved, so no float error upstream can make the
     resulting bound unsound."""
-    heaviest = max(_translate_loads(weights, rows).values(), default=0)
+    heaviest = max(_translate_loads(weights, table).values(), default=0)
     if heaviest <= DUAL_SCALE:
         return list(weights)
     return [w * DUAL_SCALE // heaviest for w in weights]
 
 
-def _translate_loads(weights: list[int], rows: list[tuple[int, ...]]) -> dict[int, int]:
+def _translate_loads(weights: list[int], table: _TranslateTable) -> dict[int, int]:
     """The load sum_{v in cov(b)} w_v of every translate b in the table."""
-    loads = dict.fromkeys(set().union(*rows), 0)
-    for w, row in zip(weights, rows):
-        if w:
-            for b in row:
-                loads[b] += w
-    return loads
+    return {b: sum(map(weights.__getitem__, vs)) for b, vs in table.targets.items()}
 
 
-def gated_dual_weights(
-    instance: CoverInstance, rows: list[tuple[int, ...]], deadline: Optional[float] = None
-) -> list[int]:
+def gated_dual_weights(instance: CoverInstance, table: _TranslateTable, deadline: Optional[float] = None) -> list[int]:
     """Integer dual weights w_v over W with every translate's load at most W,
-    and each target on a translate loaded to exactly W, built from the
-    translate table ``rows`` (see :func:`_translate_rows`).
+    and each target on a translate loaded to exactly W, from ``table``.
 
     The multiplicative-weights counts (step ``_MWU_EPS``) times W go through
     the exact gate, which turns them into count_v * W // L, L the largest
@@ -634,12 +628,10 @@ def gated_dual_weights(
     ceil(sum_{v in U} w_v / W) bounds the number of translates any cover of
     U needs (LP duality: Lovasz 1975, Chvatal 1979).  Raises
     _BudgetExhausted once ``deadline`` passes."""
-    counts = _packing_counts(instance, rows, deadline)
-    weights = gate_dual_weights([c * DUAL_SCALE for c in counts], rows)
-    loads = _translate_loads(weights, rows)
+    weights = gate_dual_weights([c * DUAL_SCALE for c in _packing_counts(instance, table, deadline)], table)
+    loads = _translate_loads(weights, table)
     # a stable sort keeps equal rows in ascending target order
-    for v in sorted(range(len(rows)), key=lambda v: len(rows[v])):
-        row = rows[v]
+    for v, row in sorted(enumerate(table.rows), key=lambda item: len(item[1])):
         slack = DUAL_SCALE - max(loads[b] for b in row)
         if slack:
             weights[v] += slack
@@ -658,7 +650,7 @@ _LOCAL_SEED = 0
 
 def _local_search(
     targets: range,
-    rows: list[tuple[int, ...]],
+    table: _TranslateTable,
     cover: list[int],
     patience: int,
     floor: int,
@@ -666,12 +658,12 @@ def _local_search(
     deadline: Optional[float] = None,
 ) -> int:
     """Row-weighting local search with a one-step tabu for a smaller cover of
-    ``targets`` (Gao, Weise & Li, EJOR 246, 2015; Yagiura, Kishida &
-    Ibaraki, EJOR 172, 2006).  ``cover`` is a list of translates covering
-    every target, ``rows`` the translate table of :func:`_translate_rows`;
-    each smaller cover found replaces ``cover`` in place, sorted.  Returns
-    the number of steps taken; raises _BudgetExhausted once ``deadline``
-    passes, keeping what ``cover`` holds.
+    ``targets``, a union of residue classes (Gao, Weise & Li, EJOR 246,
+    2015; Yagiura, Kishida & Ibaraki, EJOR 172, 2006).  ``cover`` is a list
+    of translates covering every target, ``table`` the translate table of
+    :func:`_translate_table`; each smaller cover found replaces ``cover`` in
+    place, sorted.  Returns the number of steps taken; raises
+    _BudgetExhausted once ``deadline`` passes, keeping what ``cover`` holds.
 
     Every target's weight starts at 1.  While everything is covered, the
     cover is recorded and the member whose uniquely covered targets weigh
@@ -698,15 +690,8 @@ def _local_search(
     ``random.Random(seed)``, so a run gives the same cover on every
     machine."""
     rng = random.Random(seed)
-    covers: dict[int, list[int]] = {}  # the targets each translate covers
-    forced = set()
-    for v in targets:
-        row = rows[v]
-        if len(row) == 1:
-            forced.add(row[0])
-        for b in row:
-            covers.setdefault(b, []).append(v)
-    mask = {b: sum(1 << v for v in vs) for b, vs in covers.items()}
+    rows, covers, mask = table.rows, table.targets, table.coverage
+    forced = {rows[v][0] for v in targets if len(rows[v]) == 1}
     # per target, indexed by its value
     weight = [1] * len(rows)
     count = [0] * len(rows)
@@ -906,12 +891,11 @@ def exact_min_complement(
         # never computed
         unclosed = [r for r in range(g) if len(range(r, size, g)) <= (len(parts[r]) - 1) * base_len]
         if unclosed:
-            rows = _translate_rows(instance, deadline)
-            bmask = base_mask(instance.base_set)
+            table = _translate_table(instance, deadline)
             # one (b, coverage bitset, ban bit) per translate, shared by the rows
-            entry = {b: (b, _shifted(bmask, b) & full, 1 << (b + offset)) for b in set().union(*rows)}
-            cands_of = [tuple(entry[b] for b in row) for row in rows]
-            weights = gated_dual_weights(instance, rows, deadline)
+            entry = {b: (b, c, 1 << (b + offset)) for b, c in table.coverage.items()}
+            cands_of = [tuple(entry[b] for b in row) for row in table.rows]
+            weights = gated_dual_weights(instance, table, deadline)
         # the root is node 1, shared by the classes and bounded like every other node
         stats.nodes = 1
         if node_cap is not None and node_cap < 1:
@@ -965,7 +949,7 @@ def exact_min_complement(
                     if stats.nodes == stall:
                         stall, before = 0, len(best)
                         stats.local_steps += _local_search(
-                            targets, rows, best, len(targets), floor, _LOCAL_SEED, deadline
+                            targets, table, best, len(targets), floor, _LOCAL_SEED, deadline
                         )
                         stats.local_gain += before - len(best)
                     if left == -minus:

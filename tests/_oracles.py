@@ -176,11 +176,12 @@ def oracle_exact_search(
     for b in solver.greedy_complement(instance).solution.values:
         parts[(b + a_min) % g].append(b)
     offset = -instance.lo
-    rows = solver._translate_rows(instance)
+    table = solver._translate_table(instance)
+    rows = table.rows
     bmask = sum(1 << a for a in instance.base_set.values)
     cover = {b: (bmask << b if b >= 0 else bmask >> -b) & full for b in set().union(*rows)}
     cands_of = [tuple((b, cover[b]) for b in row) for row in rows]
-    weights = [c * DUAL_SCALE for c in solver._packing_counts(instance, rows)]
+    weights = [c * DUAL_SCALE for c in solver._packing_counts(instance, table)]
     planes = _bit_planes(weights)
 
     def weight_of(mask: int) -> int:
@@ -214,7 +215,7 @@ def oracle_exact_search(
                 raise Exhausted
             if nodes == stall:
                 stall = 0
-                solver._local_search(targets, rows, best, len(targets), floor, solver._LOCAL_SEED)
+                solver._local_search(targets, table, best, len(targets), floor, solver._LOCAL_SEED)
         if not uncovered:
             if len(chosen) < len(best):
                 best[:] = sorted(chosen)

@@ -322,6 +322,25 @@ def test_scans_skip_an_entry_file_that_cannot_be_read(catalog, capsys):
     assert run_cli("gamma", "--id", seeds[2]) == 0
 
 
+def test_a_seed_file_that_cannot_be_written_is_skipped(catalog, capsys):
+    # a directory at a seed's path is one seed left out with one warning,
+    # not a reason for every seeding command to stop; a failed write names
+    # the entry and leaves no temp file
+    seed = "a2af69a0aef6f2dd"  # k=1
+    catalog._path(seed).mkdir(parents=True)
+    cert = verify_complement(CoverInstance(1, zero_one_base(1)), BlockCode(1, PAPER_BLOCKS[1]))
+    with pytest.raises(CatalogIntegrityError, match=f"entry {seed}: cannot be written"):
+        catalog.add_complement(cert, source="paper")
+    assert len(catalog.ensure_seeded()) == 4
+    assert capsys.readouterr().err.count("warning") == 1
+    assert run_cli("gamma", "--k", "3") == 0
+    err = capsys.readouterr().err
+    assert err.count("warning") == 1 and seed in err
+    assert run_cli("gamma", "--k", "1") == 2
+    assert "no complement entry for k=1" in capsys.readouterr().err
+    assert [p.name for p in catalog.entries_dir.iterdir() if p.suffix != ".json"] == []
+
+
 def test_reseeding_replaces_a_damaged_seed_file(catalog, capsys):
     entry_id = catalog.ensure_seeded()[2]  # B3
     path = catalog._path(entry_id)

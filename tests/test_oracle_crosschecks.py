@@ -191,9 +191,9 @@ def test_exact_search_matches_the_bound_on_entry_oracle(monkeypatch):
     packing_counts = solver._packing_counts
     memo = {}
 
-    def memoised(inst, rows, deadline=None):
+    def memoised(inst, table, deadline=None):
         if inst not in memo:
-            memo[inst] = packing_counts(inst, rows)
+            memo[inst] = packing_counts(inst, table)
         return memo[inst]
 
     monkeypatch.setattr(solver, "_packing_counts", memoised)
@@ -263,15 +263,17 @@ def test_local_search_matches_the_fresh_sum_oracle():
     for inst in instances:
         values = inst.base_set.values
         g = math.gcd(*(a - values[0] for a in values)) or 1
-        rows = solver._translate_rows(inst)
+        table = solver._translate_table(inst)
         start = greedy_complement(inst).solution.values
         for r in range(g):
             targets = range(r, inst.target_size, g)
             part = [b for b in start if (b + values[0]) % g == r]
             for seed, floor in ((0, 0), (1, len(part) - 1)):
                 cover = list(part)
-                steps = solver._local_search(targets, rows, cover, 150, floor, seed)
-                assert (cover, steps) == oracle_local_search(targets, rows, part, 150, floor, seed), (inst, r, seed)
+                steps = solver._local_search(targets, table, cover, 150, floor, seed)
+                assert (cover, steps) == oracle_local_search(
+                    targets, table.rows, part, 150, floor, seed
+                ), (inst, r, seed)
                 improved += len(cover) < len(part)
     assert improved >= 4
 

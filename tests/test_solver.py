@@ -402,7 +402,7 @@ def _root_dual_bound(weights):
 
 
 def _weights(inst):
-    return gated_dual_weights(inst, solver._translate_rows(inst))
+    return gated_dual_weights(inst, solver._translate_table(inst))
 
 
 def test_root_bounds():
@@ -494,7 +494,7 @@ def test_a_completion_no_smaller_than_the_local_search_cover_is_not_recorded(mon
     # has just put in place stays, since that completion is no smaller
     paper = PAPER_BLOCKS[4]
 
-    def install(targets, rows, cover, patience, floor, seed, deadline=None):
+    def install(targets, table, cover, patience, floor, seed, deadline=None):
         cover[:] = paper
         return 0
 
@@ -510,7 +510,7 @@ def test_a_completion_no_smaller_than_the_local_search_cover_is_not_recorded(mon
 def _local(inst, cover, patience, floor, seed=solver._LOCAL_SEED):
     """_local_search over every target of ``inst``: (the cover, steps)."""
     cover = list(cover)
-    taken = solver._local_search(range(inst.target_size), solver._translate_rows(inst), cover, patience, floor, seed)
+    taken = solver._local_search(range(inst.target_size), solver._translate_table(inst), cover, patience, floor, seed)
     return cover, taken
 
 
@@ -555,13 +555,13 @@ def test_local_search_stops_patience_steps_after_its_last_smaller_cover(monkeypa
     monkeypatch.setattr(solver.random, "Random", Counting)
     late = 0
     for inst in (c_instance(4), c_instance(4, signed=True), c_instance(5)):
-        rows = solver._translate_rows(inst)
+        table = solver._translate_table(inst)
         start = greedy_complement(inst).solution.values
         for patience in (1, 20, 81, 243):
             draws.clear()
             recorded.clear()
             cover = Recording(start)
-            steps = solver._local_search(range(inst.target_size), rows, cover, patience, 0, 0)
+            steps = solver._local_search(range(inst.target_size), table, cover, patience, 0, 0)
             last = recorded[-1] if recorded else 0
             assert steps == len(draws) == last + patience, (inst, patience)
             late += last > 0
@@ -630,8 +630,64 @@ def test_packing_counts_match_the_sinked_index_oracle():
         else:
             instances.append(CoverInstance(k, BlockCode.from_iterable(k, {0, *vals})))
     for inst in instances:
-        rows = solver._translate_rows(inst)
-        assert solver._packing_counts(inst, rows) == oracle_packing_counts(inst, rows)
+        table = solver._translate_table(inst)
+        assert solver._packing_counts(inst, table) == oracle_packing_counts(inst, table.rows)
+
+
+def test_translate_table_matches_brute_force():
+    # b is in rows[v] iff v is in b's targets iff bit v of b's bitset is
+    # set, each bitset is (b + base) & [0, 3^k), and rows keep base order,
+    # over the nonneg, signed and custom ranges; a range that leaves some
+    # target uncovered is refused
+    rng = random.Random(45)
+    tables = refused = 0
+    for i in range(120):
+        k = rng.randint(1, 3)
+        size = 3**k
+        base = BlockCode.from_iterable(k, rng.sample(range(size), rng.randint(1, size)))
+        if i % 3 == 0:
+            inst = CoverInstance(k, base)
+        elif i % 3 == 1:
+            inst = CoverInstance.signed(k, base)
+        else:
+            lo = rng.randrange(-size, size)
+            inst = CoverInstance(k, base, lo=lo, hi=rng.randint(lo + 1, size))
+        in_range = range(inst.lo, inst.hi)
+        rows = [tuple(v - a for a in base.values if v - a in in_range) for v in range(size)]
+        if not all(rows):
+            with pytest.raises(solver.InfeasibleCoverError):
+                solver._translate_table(inst)
+            refused += 1
+            continue
+        table = solver._translate_table(inst)
+        assert table.rows == rows
+        hits = {b: sorted(b + a for a in base.values if 0 <= b + a < size) for b in in_range}
+        assert list(table.coverage) == list(table.targets) == [b for b in in_range if hits[b]]
+        for b, vs in table.targets.items():
+            assert vs == hits[b] and table.coverage[b] == sum(1 << v for v in vs)
+            for v in range(size):
+                assert (b in rows[v]) == (v in vs) == bool(table.coverage[b] >> v & 1)
+        tables += 1
+    assert tables >= 50 and refused >= 10
+
+
+def test_an_exact_search_builds_at_most_one_translate_table(monkeypatch):
+    # the search, its dual weights and its local search read one table; a
+    # search the counting bound closes at its root builds none
+    calls = []
+    build = solver._translate_table
+
+    def counting(*args):
+        calls.append(args[0])
+        return build(*args)
+
+    monkeypatch.setattr(solver, "_translate_table", counting)
+    unbounded = SolverBudget(max_nodes=None, max_seconds=None)
+    cert = exact_min_complement(c_instance(4, signed=True), unbounded)
+    assert (cert.stats.nodes, cert.stats.local_steps, calls) == (5301, 81, [c_instance(4, signed=True)])
+    calls.clear()
+    cert = exact_min_complement(CoverInstance(7, BlockCode(7, (0, 4))), unbounded)
+    assert (cert.optimal, cert.stats.nodes, calls) == ("proven-optimal", 1, [])
 
 
 def _loads(weights, coverages):
@@ -641,8 +697,9 @@ def _loads(weights, coverages):
 def test_dual_gate_rescales_overloaded_weights():
     inst = c_instance(4)
     covs = _coverages(inst)
-    rows = solver._translate_rows(inst)
-    weights = gated_dual_weights(inst, rows)
+    table = solver._translate_table(inst)
+    rows = table.rows
+    weights = gated_dual_weights(inst, table)
     assert sum(weights) == 30953  # the same multiplicative-weights run on every machine
     loads = _loads(weights, covs)
     assert max(loads) <= DUAL_SCALE
@@ -655,11 +712,11 @@ def test_dual_gate_rescales_overloaded_weights():
     assert heaviest > DUAL_SCALE
     # the gate sums the loads along the translate table; they must be the
     # loads of the coverage bitsets
-    gated = gate_dual_weights(tampered, rows)
+    gated = gate_dual_weights(tampered, table)
     assert gated == [w * DUAL_SCALE // heaviest for w in tampered]
     assert max(_loads(gated, covs)) <= DUAL_SCALE
     assert _root_dual_bound(gated) <= KNOWN_MIN_SIZES[4]
-    assert gate_dual_weights(weights, rows) == weights  # feasible weights pass unchanged
+    assert gate_dual_weights(weights, table) == weights  # feasible weights pass unchanged
 
 
 def test_a_cover_below_the_published_minimum_is_logged(monkeypatch, caplog):
@@ -704,7 +761,7 @@ def test_exact_search_deeper_than_the_stack_completes(monkeypatch):
     # any depth of the caller's stack
     inst = CoverInstance(7, BlockCode(7, (0, 4, 5)))
     # the three searches share one run of the weight loop, checked elsewhere
-    counts = solver._packing_counts(inst, solver._translate_rows(inst))
+    counts = solver._packing_counts(inst, solver._translate_table(inst))
     monkeypatch.setattr(solver, "_packing_counts", lambda *args: counts)
     budget = SolverBudget(max_nodes=1500, max_seconds=None)
     cert = exact_min_complement(inst, budget)
