@@ -15,11 +15,12 @@ g the gcd of a - a_min over the base, so the search covers each class on its
 own (a {0,1} base is one class; the {0,2} pattern's two parities are two).
 The search, its LP-dual weights and its local search read one translate
 table, built once per search by :func:`_translate_table`: the translates
-covering each target, and each translate's targets and coverage bitset.  Each
-function's docstring gives its own mechanism.  Bounds and covers are decided
-in integers, the dual loop's floats give the same counts on every machine,
-the local search draws from a seeded ``random.Random`` and all tie-breaking
-is fixed, so identical instances always yield identical certificates.
+covering each target, each translate's targets and coverage bitset, and the
+base values.  Each function's docstring gives its own mechanism.  Bounds and
+covers are decided in integers, the dual loop's floats give the same counts
+on every machine, the local search draws from a seeded ``random.Random`` and
+all tie-breaking is fixed, so identical instances always yield identical
+certificates.
 """
 
 from __future__ import annotations
@@ -483,11 +484,13 @@ def _check_clock(deadline: Optional[float]) -> None:
 class _TranslateTable(NamedTuple):
     """Which in-range translates cover which targets: rows[v] lists those
     covering target v, in base order; for each b in some row, coverage[b] is
-    the bitset and targets[b] the ascending list of the targets b covers."""
+    the bitset and targets[b] the ascending list of the targets b covers;
+    base holds the base values, ascending."""
 
     rows: list[tuple[int, ...]]
     coverage: dict[int, int]
     targets: dict[int, list[int]]
+    base: tuple[int, ...]
 
 
 def _translate_table(instance: CoverInstance, deadline: Optional[float] = None) -> _TranslateTable:
@@ -510,7 +513,7 @@ def _translate_table(instance: CoverInstance, deadline: Optional[float] = None) 
         for b in row:
             targets[b].append(v)
     bmask, full = base_mask(instance.base_set), (1 << size) - 1
-    return _TranslateTable(rows, {b: _shifted(bmask, b) & full for b in targets}, targets)
+    return _TranslateTable(rows, {b: _shifted(bmask, b) & full for b in targets}, targets, values)
 
 
 # -- fractional-cover (LP-dual) bound -----------------------------------------
@@ -683,15 +686,21 @@ def _local_search(
     All of it is integers.  Each target keeps how many members cover it
     and their sum, which is the member itself when the count is 1, so each
     member's uniquely covered weight is updated in place as counts move
-    between 0, 1 and 2.  A candidate's uncovered weight is summed at the
-    step, over the bits of its coverage bitset ANDed with the uncovered
-    targets' bitset, a few bits near a cover.  The uncovered target is
-    drawn by index from the ascending uncovered targets by
-    ``random.Random(seed)``, so a run gives the same cover on every
-    machine."""
+    between 0, 1 and 2; the uncovered targets are the set of those at 0.
+    Candidate v - a covers the uncovered target t iff t - v + a is a base
+    value, so a step sums the candidates' uncovered weights through
+    shared[t - v], the base values a with a + (t - v) in the base, built
+    once: a few entries per uncovered target rather than a pass over each
+    candidate's targets.  The uncovered target is drawn by index from the
+    ascending uncovered targets by ``random.Random(seed)``, so a run gives
+    the same cover on every machine."""
     rng = random.Random(seed)
-    rows, covers, mask = table.rows, table.targets, table.coverage
+    rows, covers = table.rows, table.targets
     forced = {rows[v][0] for v in targets if len(rows[v]) == 1}
+    shared: dict[int, list[int]] = {}
+    for a in table.base:
+        for c in table.base:
+            shared.setdefault(c - a, []).append(a)
     # per target, indexed by its value
     weight = [1] * len(rows)
     count = [0] * len(rows)
@@ -701,19 +710,18 @@ def _local_search(
             count[v] += 1
             owner[v] += b
     unique = {b: 0 for b in cover}  # the weight each member alone covers
-    uncovered = 0  # a bitset over the targets
+    uncovered = set()
     for v in targets:
         if count[v] == 1:
             unique[owner[v]] += 1
         elif count[v] == 0:
-            uncovered |= 1 << v
+            uncovered.add(v)
     # when b last entered or left the cover, for the ties
     stamp = dict.fromkeys(covers, 0)
 
     def drop(added) -> Optional[int]:
         """Drop the member of least unique weight, forced ones and ``added``
         kept; None when there is none."""
-        nonlocal uncovered
         b = min(
             (b for b in unique if b != added and b not in forced),
             key=lambda b: (unique[b], stamp[b], b),
@@ -726,7 +734,7 @@ def _local_search(
                 count[v] -= 1
                 owner[v] -= b
                 if count[v] == 0:
-                    uncovered |= 1 << v
+                    uncovered.add(v)
                 elif count[v] == 1:
                     unique[owner[v]] += weight[v]
         return b
@@ -748,38 +756,27 @@ def _local_search(
         dropped = drop(added)
         if dropped is None:
             return taken
-        # the uncovered targets, ascending
-        open_targets, rest = [], uncovered
-        while rest:
-            low = rest & -rest
-            open_targets.append(low.bit_length() - 1)
-            rest ^= low
+        open_targets = sorted(uncovered)
         v = open_targets[rng.randrange(len(open_targets))]
-        best_key = None
-        for b in rows[v]:
-            if b != dropped:
-                gain, rest = 0, mask[b] & uncovered
-                while rest:
-                    low = rest & -rest
-                    gain += weight[low.bit_length() - 1]
-                    rest ^= low
-                key = (-gain, stamp[b], b)
-                if best_key is None or key < best_key:
-                    best_key = key
-        added = best_key[2]
+        gain = dict.fromkeys(rows[v], 0)
+        for t in open_targets:
+            for a in shared.get(t - v, ()):
+                if v - a in gain:
+                    gain[v - a] += weight[t]
+        added = min((-gain[b], stamp[b], b) for b in rows[v] if b != dropped)[2]
         stamp[added] = taken
         alone = 0
         for t in covers[added]:
             if count[t] == 0:
                 alone += weight[t]
+                uncovered.discard(t)
             elif count[t] == 1:
                 unique[owner[t]] -= weight[t]
             count[t] += 1
             owner[t] += added
         unique[added] = alone
-        uncovered &= ~mask[added]
         for t in open_targets:
-            if uncovered >> t & 1:
+            if count[t] == 0:
                 weight[t] += 1
 
 

@@ -937,6 +937,34 @@ def test_cli_decompose_refuses_a_depth_below_one_before_seeding(catalog, capsys)
     assert not catalog.root.exists() or not any(catalog.root.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("density", "--alpha", "0.8", "--n", "1000001"), "--n must be between 2 and 1000000, not 1000001"),
+        (
+            ("boxdim", "--alpha", "0.8", "--depth", "1000001"),
+            "--depth must be between 2 and 1000000 for --alpha, not 1000001",
+        ),
+        (
+            ("massratio", "--alpha", "0.8", "--samples", "1", "--levels", "5:1001"),
+            "--levels HI must be between 2 and 1000, not 1001",
+        ),
+        (
+            ("decompose", "--x", "0.1", "--spec", "uniform-k3", "--depth", "3001"),
+            "--depth must be between 1 and 3000, not 3001",
+        ),
+    ],
+)
+def test_cli_refuses_a_size_past_its_cap(catalog, capsys, argv, message):
+    # each of these grows linearly or faster in its size, unbounded until
+    # memory or patience runs out; one past the cap is refused before any
+    # work and before the catalog is seeded
+    assert run_cli(*argv, "--format", "json") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert not catalog.root.exists() or not any(catalog.root.iterdir())
+
+
 def test_cli_massratio_reads_a_negative_level_range_as_a_value(catalog, capsys):
     # "-2:3" is the --levels value, refused because levels start at 2
     assert run_cli("massratio", "--alpha", "0.8", "--levels", "-2:3") == 2

@@ -251,6 +251,10 @@ def test_local_search_matches_the_fresh_sum_oracle():
         CoverInstance(4, enumerate_pattern(zero_one_pattern(4))),
         CoverInstance.signed(4, enumerate_pattern(zero_one_pattern(4))),
         CoverInstance(4, enumerate_pattern(PatternSet.uniform(4, (0, 2)))),
+        CoverInstance(5, enumerate_pattern(zero_one_pattern(5))),
+        # custom ranges, where rows lose candidates at both ends
+        CoverInstance(4, enumerate_pattern(zero_one_pattern(4)), lo=-7, hi=60),
+        CoverInstance(4, enumerate_pattern(PatternSet.uniform(4, (0, 2))), lo=-20, hi=60),
     ]
     for _ in range(8):
         k = rng.randint(2, 3)

@@ -534,6 +534,11 @@ def test_local_search_returns_a_smaller_verified_cover():
     start = greedy_complement(c_instance(5)).solution.values
     cover, steps = _local(c_instance(5), start, 243, 12)
     assert (len(start), len(cover), steps) == (18, 14, 397)
+    # at k=6, one step per target from the greedy's 31: (steps, size) by seed
+    start = greedy_complement(c_instance(6)).solution.values
+    runs = [_local(c_instance(6), start, 729, 0, seed) for seed in range(4)]
+    assert len(start) == 31
+    assert [(steps, len(cover)) for cover, steps in runs] == [(1582, 24), (1922, 24), (834, 26), (1654, 24)]
 
 
 def test_local_search_stops_patience_steps_after_its_last_smaller_cover(monkeypatch):
