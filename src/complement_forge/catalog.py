@@ -32,9 +32,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .solver import CoverCertificate, CoverInstance, ProductProbeReport, is_zero_one_base
-from .solver import product_probe as _probe
-from .solver import verify_complement
+from .solver import CoverCertificate, CoverInstance, is_zero_one_base, verify_complement
 from .ternary import BlockCode, GammaValue, enumerate_pattern, zero_one_base, zero_one_pattern
 
 # the fractal and density layers are imported by the spec and density entry
@@ -269,18 +267,8 @@ class Catalog:
 
     def add_density(self, params: DensityParams, n: int, r: int, s: int, length: int) -> str:
         # the caller's r, s and length are stored, so wrong ones fail the round trip
-        entry = {**_density_entry(params, n), "r": r, "s": s, "encoding_length": length}
+        entry = {"kind": "density", "params": params.describe(), "n": n, "r": r, "s": s, "encoding_length": length}
         return self.save_entry({**entry, "provenance": _provenance("density")})
-
-    # -- probes --------------------------------------------------------------------------
-
-    def product_probe(self, k1: int, k2: int) -> ProductProbeReport:
-        """Compare the concatenation of the best stored codes at k1 and k2
-        against the best stored code at k1 + k2."""
-        _, cert1 = self.best_complement(k1)
-        _, cert2 = self.best_complement(k2)
-        ref_entry, ref = self.best_complement(k1 + k2)
-        return _probe(cert1.solution, cert2.solution, ref.solution, ref_entry["optimal"])
 
 
 def _provenance(source: str, budget: Optional[dict] = None) -> dict:

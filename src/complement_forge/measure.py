@@ -126,9 +126,6 @@ class Pow2Sum:
     def __sub__(self, other: "Pow2Sum") -> "Pow2Sum":
         return self._plus(other, -1)
 
-    def __neg__(self) -> "Pow2Sum":
-        return Pow2Sum._of(self.q, tuple(-n for n in self.nums), self.den)
-
     def scale(self, c: Fraction | int) -> "Pow2Sum":
         c = _as_rational(c)
         return Pow2Sum._of(self.q, tuple(n * c.numerator for n in self.nums), self.den * c.denominator)
@@ -350,10 +347,6 @@ class DyadicInterval:
             raise ValueError("dyadic interval outside the unit interval")
         if self.level > LEVEL_CAP:
             raise ValueError(f"level {self.level} beyond supported cap {LEVEL_CAP}")
-
-    @property
-    def length(self) -> Fraction:
-        return Fraction(1, 2**self.level)
 
     def contains(self, other: "DyadicInterval") -> bool:
         if other.level < self.level:

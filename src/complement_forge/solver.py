@@ -68,7 +68,7 @@ class CoverInstance:
     k: int
     base_set: BlockCode
     lo: int = 0
-    hi: int = -1  # sentinel, replaced by 3^k in __post_init__
+    hi: Optional[int] = None  # None means 3^k
 
     def __post_init__(self) -> None:
         if self.base_set.k != self.k:
@@ -77,7 +77,7 @@ class CoverInstance:
             raise ValueError("base_set must be nonempty")
         if self.base_set.values[0] < 0:
             raise ValueError(f"base_set value {self.base_set.values[0]} is negative")
-        if self.hi == -1:
+        if self.hi is None:
             object.__setattr__(self, "hi", BASE**self.k)
         bound = BASE**self.k
         if not (-bound <= self.lo < self.hi <= bound):
@@ -1014,8 +1014,6 @@ def is_zero_one_base(instance: CoverInstance) -> bool:
 
 @dataclass(frozen=True)
 class ProductProbeReport:
-    k1: int
-    k2: int
     product_size: int
     reference_size: int
     reference_optimal: str
@@ -1045,8 +1043,6 @@ def product_probe(
     inst = CoverInstance(k, zero_one_base(k))
     covers = not uncovered_values(inst, product)
     return ProductProbeReport(
-        k1=code_a.k,
-        k2=code_b.k,
         product_size=len(product),
         reference_size=len(reference),
         reference_optimal=reference_optimal,

@@ -220,7 +220,7 @@ class TernaryRational:
         s = s.strip()
         int_part, _, frac_part = s.removeprefix("-").partition(".")
         try:
-            num = ternary_to_int((int_part or "0") + frac_part)
+            num = ternary_to_int(int_part + frac_part)  # no digit on either side raises
         except ValueError:
             raise ValueError(f"not a ternary literal: {s!r}") from None
         return cls(-num if s.startswith("-") else num, len(frac_part))

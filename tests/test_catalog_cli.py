@@ -90,6 +90,16 @@ def test_load_reverifies_an_entry_with_a_consistent_id(catalog):
         catalog.load_entry(forged)
 
 
+def test_cli_verify_id_of_a_forged_entry_exits_3(catalog, capsys):
+    # the entry's id matches its content, so only the re-check refuses it
+    entry_id = catalog.ensure_seeded()[2]  # B3
+    forged = _forge(catalog, entry_id, lambda d: d.update(values=[0, 2, 7, 12]))
+    assert run_cli("verify", "--id", forged) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "verification failed: 3 uncovered target values: 18, 23, 26" in captured.err
+
+
 # The k=1 seed entry exactly as an earlier version wrote it, digest field included.
 EARLIER_K1_ENTRY = {
     "digest": "63add19b40f170a4d7f869da6f78c01bfae4903a53256f970e83ea8d951a61b8",
@@ -361,11 +371,13 @@ def test_best_complement_prefers_proofs(catalog):
     assert entry["optimal"] == "proven-optimal"
 
 
-def test_product_probe_via_catalog(catalog):
+def test_product_probe_via_catalog(catalog, capsys):
     catalog.ensure_seeded()
-    rep = catalog.product_probe(2, 3)
-    assert rep.product_size == 15 and rep.reference_size == 14
-    assert rep.verdict == "suboptimal" and rep.covers
+    assert run_cli("report", "--all", "--format", "json") == 0
+    rep = json.loads(capsys.readouterr().out)["probes"][1]
+    assert (rep["k1"], rep["k2"]) == (2, 3)
+    assert rep["product_size"] == 15 and rep["reference_size"] == 14
+    assert rep["verdict"] == "suboptimal" and rep["covers"]
 
 
 @pytest.mark.parametrize(
@@ -563,6 +575,11 @@ def test_cli_decompose_bad_x_leaves_catalog_untouched(catalog, capsys):
     assert run_cli("decompose", "--x", "0.13", "--spec", "uniform-k3", "--depth", "2") == 2
     assert "0.13" in capsys.readouterr().err
     assert sorted(catalog.root.rglob("*")) == before
+    # a literal with no digit is not 0
+    assert run_cli("decompose", "--x", "", "--spec", "uniform-k3", "--depth", "1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not a ternary literal" in captured.err
+    assert sorted(catalog.root.rglob("*")) == before
 
 
 def test_cli_density_json_deterministic(catalog, capsys):
@@ -622,7 +639,17 @@ def test_cli_netcheck_rejects_empty_inputs(catalog, capsys):
     assert "--trials" in capsys.readouterr().err
     for level in ("0", "1"):
         assert run_cli("netcheck", "--max-level", level, "--trials", "1") == 2
-        assert "max_level" in capsys.readouterr().err
+        assert "--max-level" in capsys.readouterr().err
+
+
+def test_cli_netcheck_refuses_a_max_level_past_16(catalog, capsys):
+    # a trial at level L holds up to 2^(L-1) atoms; seed 2's one trial draws
+    # level 3, so only the refusal keeps this from running
+    assert run_cli("netcheck", "--max-level", "16", "--trials", "1", "--seed", "2") == 0
+    capsys.readouterr()
+    assert run_cli("netcheck", "--max-level", "17", "--trials", "1", "--seed", "2") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--max-level must be between 2 and 16, not 17" in captured.err
 
 
 def test_cli_spec_build_rejects_flags_of_the_other_kind(catalog, capsys):

@@ -96,6 +96,16 @@ def test_instance_refuses_negative_base_values():
         CoverInstance.signed(2, BlockCode.from_iterable(2, [-4]))
 
 
+def test_instance_keeps_an_upper_bound_of_minus_one():
+    # hi=-1 is a range like any other, not "no bound given": translates in
+    # [-8, -1) cannot reach target 8
+    inst = CoverInstance(2, zero_one_base(2), lo=-8, hi=-1)
+    assert (inst.lo, inst.hi) == (-8, -1)
+    with pytest.raises(solver.InfeasibleCoverError):
+        greedy_complement(inst)
+    assert CoverInstance(2, zero_one_base(2), lo=-8).hi == 9
+
+
 def test_verify_failure_lists_uncovered():
     inst = CoverInstance(1, BlockCode.from_iterable(1, [0, 1]))
     with pytest.raises(CoverVerificationError) as ei:

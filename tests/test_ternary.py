@@ -162,7 +162,7 @@ def test_rational_digits_and_parse():
     assert str(TernaryRational.from_digit_string("0.021")) == "0.021"
     assert str(TernaryRational.from_digit_string("-12.001")) == "-12.001"
     assert str(TernaryRational(7, 0)) == "21"
-    for bad in ("0.13", "1_0.2", "0.+1", "--1", "0.1.2"):
+    for bad in ("0.13", "1_0.2", "0.+1", "--1", "0.1.2", "", " ", "-", ".", "-."):
         with pytest.raises(ValueError):
             TernaryRational.from_digit_string(bad)
     rng = random.Random(3)
