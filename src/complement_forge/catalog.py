@@ -147,16 +147,20 @@ class Catalog:
         return entry_id
 
     def load_entry(self, entry_id: str) -> dict:
-        """The stored entry ``entry_id``, read once and checked.  A missing
-        file raises CatalogError; one that cannot be read, such as a
-        directory in its place, CatalogIntegrityError, so a scan skips it."""
+        """The stored entry ``entry_id``, read once and checked.  An id that
+        is not 16 lowercase hex digits, which no entry has, is refused before
+        any path is built, and a missing file raises CatalogError; a file
+        that cannot be read (a directory in its place) or is not UTF-8 JSON
+        raises CatalogIntegrityError, so a scan skips it."""
+        # a character that strip leaves is not a lowercase hex digit
+        if len(entry_id) != 16 or entry_id.strip("0123456789abcdef"):
+            raise CatalogError(f"not a catalog entry id: {entry_id!r} (16 lowercase hex digits)")
         try:
-            text = self._path(entry_id).read_text()
+            entry = json.loads(self._path(entry_id).read_text())
         except FileNotFoundError:
             raise CatalogError(f"no catalog entry {entry_id}") from None
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise CatalogIntegrityError(f"entry {entry_id}: unreadable: {exc}") from None
-        entry = json.loads(text)
         if not (isinstance(entry, dict) and _hash(_core_fields(entry))[:16] == entry.get("id") == entry_id):
             raise CatalogIntegrityError(f"entry {entry_id}: content is not an object that matches its id")
         self._check(entry)
@@ -254,14 +258,12 @@ class Catalog:
         of the density parameters its stage patterns are thinned by."""
         return self.save_entry({**_spec_entry(spec, name, params), "provenance": _provenance("builder")})
 
-    def find_spec(self, name_or_id: str) -> Optional[dict]:
+    def find_spec(self, name_or_id: str) -> Optional[tuple[dict, FractalSpec]]:
+        """The first stored spec entry with this name or id, and its rebuilt spec."""
         for entry in self.entries("spec"):
             if entry["name"] == name_or_id or entry["id"] == name_or_id:
-                return entry
+                return entry, self._rebuilt[entry["id"]]
         return None
-
-    def spec_from_entry(self, entry: dict) -> FractalSpec:
-        return self._check(entry)
 
     # -- density runs -----------------------------------------------------------------
 

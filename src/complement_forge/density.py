@@ -544,26 +544,31 @@ def complement_enum(params: DensityParams, count: int) -> ComplementEnumeration:
     return ComplementEnumeration(elements=tuple([(x - 1) // gap for x in range(r, count * r + 1, r)]), empty=False)
 
 
-# -- finite box-dimension report for C_A ------------------------------------------
+# -- box-dimension estimates ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class BoxDimReport:
-    """Finite version of the covering estimate for C_A: with k_n the n-th
-    element of A, the n-th entry is n*log2 / ((k_n - 1)*log3)."""
+class BoxDimEstimates:
+    """A sequence of box-dimension estimates, one (n, count, estimate) entry
+    per n: cover counts S(3^-n) with exponents log S/(n log 3) from
+    ``measure.box_dim_estimate``, or (n, k_n, n*log2/((k_n - 1)*log3)) for
+    C_A from :func:`box_dim_bound_ca`."""
 
-    entries: tuple[tuple[int, int, float], ...]  # (n, k_n, estimate)
-    tail_sup: float  # max over the second half of the sequence
-    target: float  # 1 - alpha
-    complement_lower_bound: float  # dim C + alpha - 1, induced bound for C_(A-bar)
+    entries: tuple[tuple[int, int, float], ...]
 
     @property
-    def final_estimate(self) -> float:
+    def tail_sup(self) -> float:
+        """The largest estimate over the second half of the sequence."""
+        return max(e for _, _, e in self.entries[len(self.entries) // 2 :])
+
+    @property
+    def final(self) -> float:
         return self.entries[-1][2]
 
 
-def box_dim_bound_ca(params: DensityParams, depth: int) -> BoxDimReport:
-    """The covering estimates for n = 1..depth, read off a best rational.
+def box_dim_bound_ca(params: DensityParams, depth: int) -> BoxDimEstimates:
+    """The covering estimates for C_A at n = 1..depth, k_n the n-th element
+    of A, read off a best rational.
 
     With r/q = best_rational(params, depth), k_n = floor(n/D) = r*n // q for
     every n <= depth, by the argument of :func:`a_prefix`; so the sequence
@@ -574,11 +579,6 @@ def box_dim_bound_ca(params: DensityParams, depth: int) -> BoxDimReport:
     r, q = best_rational(params, depth)
     log2, log3 = math.log(2), math.log(3)
     # k_1 = 1 happens only at D = 1; skip the degenerate ratio
-    entries = [(n, k, n * log2 / ((k - 1) * log3)) for n in range(1, depth + 1) if (k := r * n // q) >= 2]
-    tail = [e for _, _, e in entries[len(entries) // 2 :]]
-    return BoxDimReport(
-        entries=tuple(entries),
-        tail_sup=max(tail),
-        target=1.0 - params.alpha_float,
-        complement_lower_bound=cantor_dimension() + params.alpha_float - 1.0,
+    return BoxDimEstimates(
+        tuple([(n, k, n * log2 / ((k - 1) * log3)) for n in range(1, depth + 1) if (k := r * n // q) >= 2])
     )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, TextIO, Union
 
-from .density import ComplementEnumeration, DensityParams, complement_enum
+from .density import BoxDimEstimates, ComplementEnumeration, DensityParams, complement_enum
 
 LEVEL_CAP = 24  # dyadic tree depth limit for exact net-measure work
 
@@ -292,22 +292,6 @@ def entropy3(v: FrequencyVector | Sequence[Fraction | float]) -> float:
 
 
 # -- box-counting estimates -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoxDimEstimates:
-    """Cover counts at scales 3^-n and the induced exponents log S/(n log 3)."""
-
-    entries: tuple[tuple[int, int, float], ...]  # (n, count, estimate)
-
-    @property
-    def tail_sup(self) -> float:
-        tail = [e for _, _, e in self.entries[len(self.entries) // 2 :]]
-        return max(tail)
-
-    @property
-    def final(self) -> float:
-        return self.entries[-1][2]
 
 
 def box_dim_estimate(counter: Callable[[int], int], scales: Iterable[int]) -> BoxDimEstimates:

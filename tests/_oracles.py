@@ -27,7 +27,7 @@ from mpmath import mp
 
 from complement_forge.density import (
     APrefix,
-    BoxDimReport,
+    BoxDimEstimates,
     ComplementEnumeration,
     DensityParams,
     _largest,
@@ -43,7 +43,7 @@ from complement_forge.measure import (
 )
 from complement_forge import solver
 from complement_forge.solver import _MWU_EPS, DUAL_SCALE, CoverInstance
-from complement_forge.ternary import TernaryRational, cantor_dimension
+from complement_forge.ternary import TernaryRational
 
 
 def brute_force_uncovered(k: int, base: Iterable[int], code: Iterable[int]) -> list[int]:
@@ -327,7 +327,7 @@ def oracle_complement_enum(params: DensityParams, count: int) -> ComplementEnume
     return ComplementEnumeration(elements=tuple(out), empty=False)
 
 
-def oracle_box_dim_bound_ca(params: DensityParams, depth: int) -> BoxDimReport:
+def oracle_box_dim_bound_ca(params: DensityParams, depth: int) -> BoxDimEstimates:
     """The covering estimates n*log2 / ((k_n - 1)*log3) with k_n taken from
     the walk of A, one exact comparison per element."""
     if depth < 2:
@@ -338,13 +338,7 @@ def oracle_box_dim_bound_ca(params: DensityParams, depth: int) -> BoxDimReport:
         if k < 2:
             continue
         entries.append((n, k, n * log2 / ((k - 1) * log3)))
-    tail = [e for _, _, e in entries[len(entries) // 2 :]]
-    return BoxDimReport(
-        entries=tuple(entries),
-        tail_sup=max(tail),
-        target=1.0 - params.alpha_float,
-        complement_lower_bound=cantor_dimension() + params.alpha_float - 1.0,
-    )
+    return BoxDimEstimates(tuple(entries))
 
 
 def all_dyadic_covers(

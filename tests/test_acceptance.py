@@ -308,12 +308,12 @@ def test_criterion_12_box_dimension_estimates():
     e3 = box_dim_estimate(lambda i: 5 ** (i // 3), [3 * i for i in range(1, 14)])
     e3_ok = all(abs(e - gamma3) < 1e-12 for _, _, e in e3.entries)
     report = box_dim_bound_ca(DensityParams.from_alpha("0.8"), 10_000)
-    ca_ok = abs(report.final_estimate - 0.2) < 1e-2
+    ca_ok = abs(report.final - 0.2) < 1e-2
     ok = cantor_ok and e3_ok and ca_ok
     _criterion(
         12,
         ok,
         f"Cantor prefix estimator pinned at log2/log3: {cantor_ok}; block-code estimator at "
-        f"gamma_3: {e3_ok}; C_A estimate at depth 10^4 = {report.final_estimate:.4f} "
+        f"gamma_3: {e3_ok}; C_A estimate at depth 10^4 = {report.final:.4f} "
         f"(target 0.2, tol 1e-2)",
     )

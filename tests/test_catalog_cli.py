@@ -133,7 +133,7 @@ def test_load_rederives_stored_gammas(catalog, capsys):
     assert "0.123" not in capsys.readouterr().out
     catalog._path(forged).unlink()
     run_cli("spec-build", "--kind", "uniform", "--k", "3")
-    spec_id = catalog.find_spec("uniform-k3")["id"]
+    spec_id = catalog.find_spec("uniform-k3")[0]["id"]
     forged = _forge(catalog, spec_id, lambda d: d["stages"][0]["gamma"].update(card=4))
     with pytest.raises(CatalogIntegrityError):
         catalog.load_entry(forged)
@@ -197,8 +197,8 @@ def test_spec_round_trip(catalog):
     params = DensityParams.from_alpha("0.8")
     spec = build_density_spec(params, 3)
     catalog.add_spec(spec, "quadratic-a4-5-s3", params=params.describe())
-    entry = catalog.find_spec("quadratic-a4-5-s3")
-    rebuilt = catalog.spec_from_entry(entry)
+    entry, rebuilt = catalog.find_spec("quadratic-a4-5-s3")
+    assert entry["name"] == "quadratic-a4-5-s3"
     assert [st.n for st in rebuilt.stages] == [1, 3, 5]
     assert [st.code.values for st in rebuilt.stages] == [st.code.values for st in spec.stages]
 
@@ -212,7 +212,7 @@ def _all_translates_over_zero(stage):
 
 def _uniform_k3(catalog):
     assert run_cli("spec-build", "--kind", "uniform", "--k", "3") == 0
-    return catalog.find_spec("uniform-k3")["id"]
+    return catalog.find_spec("uniform-k3")[0]["id"]
 
 
 def _quadratic_s3(catalog):
@@ -329,6 +329,47 @@ def test_scans_skip_an_entry_file_that_cannot_be_read(catalog, capsys):
         assert run_cli(*argv) == 0
         err = capsys.readouterr().err
         assert err.count("warning") == 1 and unreadable in err
+    assert run_cli("gamma", "--id", seeds[2]) == 0
+
+
+def test_an_id_that_is_no_entry_id_is_refused_before_any_read(catalog, capsys, monkeypatch):
+    # every stored id is 16 lowercase hex digits, so anything else is refused
+    # before a path is built: "../" never reaches a file outside the catalog
+    outside = catalog.root.parent / "outside"
+    outside.mkdir()
+    (outside / "x.json").write_text("{}")
+    reads = []
+    read_text = Path.read_text
+
+    def spy(path, *args, **kwargs):
+        reads.append(path)
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", spy)
+    for bad in ("../../outside/x", "0123456789ABCDEF", "0123456789abcde", "0123456789abcdef0", "0123456789abcdeg"):
+        with pytest.raises(CatalogError, match="not a catalog entry id"):
+            catalog.load_entry(bad)
+        for cmd in ("gamma", "verify"):
+            assert run_cli(cmd, "--id", bad) == 2
+            assert f"catalog error: not a catalog entry id: {bad!r}" in capsys.readouterr().err
+    assert reads == []
+
+
+def test_an_entry_file_that_is_not_utf8_json_is_named(catalog, capsys):
+    # by id it is refused as damaged, naming the entry; a scan skips it
+    seeds = catalog.ensure_seeded()
+    not_utf8, not_json = "00000000000000ff", "0000000000000abc"
+    catalog._path(not_utf8).write_bytes(b"\xff{}")
+    catalog._path(not_json).write_text("{'id': 1}")
+    for bad in (not_utf8, not_json):
+        with pytest.raises(CatalogIntegrityError, match=f"entry {bad}: unreadable"):
+            Catalog.default().load_entry(bad)
+        assert run_cli("verify", "--id", bad) == 2
+        assert f"catalog error: entry {bad}: unreadable: " in capsys.readouterr().err
+    for argv in (("gamma", "--k", "3"), ("report",)):
+        assert run_cli(*argv) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning") == 2 and not_utf8 in err and not_json in err
     assert run_cli("gamma", "--id", seeds[2]) == 0
 
 
@@ -465,7 +506,7 @@ def test_cli_gamma_and_verify_by_id(catalog, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert (doc["ok"], doc["k"], doc["size"]) == (True, 4, 9)
     assert run_cli("spec-build", "--kind", "uniform", "--k", "3") == 0
-    spec_id = catalog.find_spec("uniform-k3")["id"]
+    spec_id = catalog.find_spec("uniform-k3")[0]["id"]
     capsys.readouterr()
     for cmd in ("gamma", "verify"):
         assert run_cli(cmd, "--id", spec_id) == 2
@@ -774,14 +815,15 @@ print(json.dumps([on_import, code, loaded()]))
     [
         (["verify", "--k", "3", "--values", "0,2,7,12,14"], []),
         (["gamma", "--k", "3"], ["hashlib"]),
+        (["boxdim", "--alpha", "0.8", "--depth", "100"], ["complement_forge.density"]),
     ],
-    ids=["verify-inline", "gamma-k3"],
+    ids=["verify-inline", "gamma-k3", "boxdim-alpha"],
 )
 def test_a_cold_command_imports_only_the_layers_it_runs(catalog, argv, run_loads):
     # each layer is imported where it is used: importing the CLI loads no
     # numpy, logging, hashlib or measure layer; an inline cover check loads
-    # none of them nor the fractal and density layers, and a scan of
-    # complement entries only hashlib, for the ids
+    # none of them nor the fractal and density layers, a scan of complement
+    # entries only hashlib, for the ids, and the C_A estimates only density
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
@@ -1006,3 +1048,38 @@ def test_cli_density_prefix_match_checks_the_walk_of_a(catalog, capsys, monkeypa
     monkeypatch.setattr(density_module, "a_prefix_from_rational", lambda r, s, n: a_prefix_from_rational(r + 1, s, n))
     assert run_cli("density", "--alpha", "0.8", "--n", "100", "--format", "json") == 3
     assert json.loads(capsys.readouterr().out)["prefix_match"] is False
+
+
+QUADRATIC_S2 = ("spec-build", "--kind", "quadratic", "--alpha", "0.8", "--stages", "2")
+
+
+@pytest.mark.parametrize(
+    "setup, argv, code, message",
+    [
+        (None, ("density", "--alpha", "D=1/2", "--n", "200", "--format", "json"), 0, '"r": 2,\n  "s": 1,'),
+        (None, ("density", "--alpha", "1/0", "--n", "200"), 2, "bad alpha/density '1/0'"),
+        (None, ("boxdim", "--alpha", "abc", "--depth", "10"), 2, "bad alpha/density 'abc'"),
+        (None, ("verify", "--k", "3", "--values", " , "), 2, "empty value list"),
+        (None, ("verify",), 2, "need --id, or --k with --values"),
+        (None, ("verify", "--k", "3"), 2, "need --id, or --k with --values"),
+        (None, ("gamma",), 2, "need --k or --id"),
+        (None, ("spec-build", "--kind", "uniform"), 2, "uniform specs need --k"),
+        (None, ("spec-build", "--kind", "quadratic", "--alpha", "0.8"), 2, "quadratic specs need --alpha and --stages"),
+        (None, ("decompose", "--x", "0.1", "--spec", "nosuch", "--depth", "3"), 2, "unknown spec 'nosuch'"),
+        (
+            QUADRATIC_S2,
+            ("boxdim", "--spec", "quadratic-a4-5-s2", "--depth", "10"),
+            2,
+            "boxdim over a spec expects a uniform spec",
+        ),
+    ],
+)
+def test_cli_input_branches(catalog, capsys, setup, argv, code, message):
+    # the density-form alpha and the refusals of missing or malformed input:
+    # each exits 0 with its output, or 2 naming what is wrong
+    if setup:
+        assert run_cli(*setup) == 0
+        capsys.readouterr()
+    assert run_cli(*argv) == code
+    captured = capsys.readouterr()
+    assert message in (captured.err if code else captured.out)

@@ -343,11 +343,10 @@ def test_box_dim_report():
     dim_c = math.log(2) / math.log(3)
     # k_n = n: estimates are dim_C * n/(n-1), dropping toward dim C
     assert rep.entries[0] == (2, 2, pytest.approx(2 * dim_c))
-    assert rep.final_estimate == pytest.approx(dim_c * 100 / 99)
+    assert rep.final == pytest.approx(dim_c * 100 / 99)
     p8 = DensityParams.from_alpha("0.8")
     rep = box_dim_bound_ca(p8, 2000)
-    assert abs(rep.final_estimate - 0.2) < 1e-2
-    assert rep.complement_lower_bound == pytest.approx(dim_c + 0.8 - 1)
+    assert abs(rep.final - 0.2) < 1e-2
 
 
 # -- the stepwise walk of A against the per-y definition ---------------------------
@@ -517,7 +516,7 @@ def test_a_prefix_matches_the_walk_of_a():
 
 def test_complement_and_box_sequence_match_the_walks():
     # field for field against the walks the closed forms replaced: elements
-    # and empty, entries with their floats, tail_sup and the two constants
+    # and empty, and the entries with their floats
     rng = random.Random(18)
     sizes = (1, 2, 3, 10, 99, 1000, 10_000)
     fixed = [DensityParams.from_alpha(a) for a in ("0.37", "0.5", "2/3", *ALPHAS, "0.95", "0.99")]
