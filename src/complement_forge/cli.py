@@ -115,15 +115,23 @@ def _in_range(
         raise _CliError(f"{flag} must be between {minimum} and {maximum}{where}, not {value}")
 
 
+@contextlib.contextmanager
+def _refused_as(what: str, raw: str):
+    """Refuse a ValueError or a zero denominator raised inside as ``bad <what> '<raw>': <why>``."""
+    try:
+        yield
+    except (ValueError, ZeroDivisionError) as exc:
+        why = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
+        raise _CliError(f"bad {what} {raw!r}: {why}") from None
+
+
 def _alpha_params(raw: str) -> DensityParams:
     from .density import DensityParams
 
-    try:
+    with _refused_as("alpha/density", raw):
         if raw.startswith("D="):
             return DensityParams.from_density(Fraction(raw[2:]))
         return DensityParams.from_alpha(Fraction(raw))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _CliError(f"bad alpha/density {raw!r}: {exc}")
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -437,10 +445,8 @@ def _cmd_boxdim(args: argparse.Namespace) -> int:
 def _cmd_netcheck(args: argparse.Namespace) -> int:
     from .measure import random_marstrand_trial
 
-    try:
+    with _refused_as("--s", args.s):
         exps = [Fraction(part.strip()) for part in args.s.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _CliError(f"bad --s {args.s!r}: {exc}")
     _in_range("--trials", args.trials)
     # a trial at level L holds up to 2^(L-1) atoms: the worst trial at level
     # 16 took 0.4 s and 43 MiB on a 2-vCPU box, at 18 1.5 s and 120 MiB

@@ -9,18 +9,18 @@ Three entry points share one certificate type:
 
 The search state is a single arbitrary-precision integer used as a bitset over
 the target [0, 3^k): the coverage of a translate b is one shift, one AND and
-one popcount, which is what makes the exact search at k = 4..5 feasible in
-pure Python.  A translate b + base covers targets of one residue class mod g,
-g the gcd of a - a_min over the base, so the search covers each class on its
-own (a {0,1} base is one class; the {0,2} pattern's two parities are two).
-The search, its LP-dual weights and its local search read one translate
-table, built once per search by :func:`_translate_table`: the translates
-covering each target, each translate's targets and coverage bitset, and the
-base values.  Each function's docstring gives its own mechanism.  Bounds and
-covers are decided in integers, the dual loop's floats give the same counts
-on every machine, the local search draws from a seeded ``random.Random`` and
-all tie-breaking is fixed, so identical instances always yield identical
-certificates.
+one popcount, which is what makes the exact search at k = 4..5 feasible in pure
+Python.  The branch and bound, :func:`_search_cover`, searches any set of
+targets.  A translate b + base covers targets of one residue class mod g, g the
+gcd of a - a_min over the base, so it is called once per class (a {0,1} base is
+one class; the {0,2} pattern's two parities are two).  It, the dual weights and
+the local search read one translate table, built once per search by
+:func:`_translate_table`: the translates covering each target, each translate's
+targets and coverage bitset, and the base values.  Each function's docstring
+gives its own mechanism.  Bounds and covers are decided in integers, the dual
+loop's floats give the same counts on every machine, the local search draws
+from a seeded ``random.Random`` and all tie-breaking is fixed, so identical
+instances always yield identical certificates.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .ternary import BASE, BlockCode, concat_codes, zero_one_base
 
@@ -110,7 +110,6 @@ class SolveStats:
     clock ended."""
 
     nodes: int = 0
-    elapsed: float = 0.0
     budget_exhausted: bool = False
     local_steps: int = 0
     local_gain: int = 0
@@ -652,7 +651,7 @@ _LOCAL_SEED = 0
 
 
 def _local_search(
-    targets: range,
+    targets: Sequence[int],
     table: _TranslateTable,
     cover: list[int],
     patience: int,
@@ -661,9 +660,9 @@ def _local_search(
     deadline: Optional[float] = None,
 ) -> int:
     """Row-weighting local search with a one-step tabu for a smaller cover of
-    ``targets``, a union of residue classes (Gao, Weise & Li, EJOR 246,
-    2015; Yagiura, Kishida & Ibaraki, EJOR 172, 2006).  ``cover`` is a list
-    of translates covering every target, ``table`` the translate table of
+    any set of ``targets`` (Gao, Weise & Li, EJOR 246, 2015; Yagiura,
+    Kishida & Ibaraki, EJOR 172, 2006).  ``cover`` is a list of translates
+    covering every target, ``table`` the translate table of
     :func:`_translate_table`; each smaller cover found replaces ``cover`` in
     place, sorted.  Returns the number of steps taken; raises
     _BudgetExhausted once ``deadline`` passes, keeping what ``cover`` holds.
@@ -701,9 +700,11 @@ def _local_search(
     for a in table.base:
         for c in table.base:
             shared.setdefault(c - a, []).append(a)
-    # per target, indexed by its value
+    # per target, indexed by its value; a count off ``targets`` never falls to 0 or 1
     weight = [1] * len(rows)
-    count = [0] * len(rows)
+    count = [len(rows)] * len(rows)
+    for v in targets:
+        count[v] = 0
     owner = [0] * len(rows)  # the sum of the members covering v
     for b in cover:
         for v in covers[b]:
@@ -785,42 +786,48 @@ def _local_search(
 #: The removed-weight table is emptied when it reaches this many entries, so
 #: it stays small at every k.
 _REMOVED_CAP = 1 << 12
-#: How many nodes a class goes without a better cover before the search
-#: runs :func:`_local_search` from its incumbent, once per class.
+#: How many nodes a search goes without a better cover before it runs
+#: :func:`_local_search` from its incumbent, once per search.
 _STALL = 1 << 12
 
 
-def exact_min_complement(
-    instance: CoverInstance,
-    budget: SolverBudget | None = None,
-    initial: BlockCode | None = None,
-) -> CoverCertificate:
-    """Branch and bound for a minimum-size complement.
+def _search_cover(
+    table: _TranslateTable,
+    cands_of: list[tuple[tuple[int, int, int], ...]],
+    weights: list[int],
+    uncovered: int,
+    best: list[int],
+    stats: SolveStats,
+    node_cap: Optional[int],
+    deadline: Optional[float],
+) -> None:
+    """Branch and bound for a smallest cover of U, the targets in the bitset
+    ``uncovered``, from ``best``, a cover of U that each smaller cover found
+    replaces in place, sorted.  ``cands_of[v]`` holds (b, coverage bitset,
+    ban bit) for each translate b covering target v; ``weights`` are the
+    dual weights of :func:`gated_dual_weights`, feasible on any U.  Nodes add
+    to ``stats.nodes``, the root uncounted; raises _BudgetExhausted past
+    ``node_cap`` nodes or ``deadline``, keeping what ``best`` holds.
 
     Branches on the least uncovered target v: every solution must contain some
     b in {v - a : a in base_set} within range.  Candidates inside a branch are
     ordered by descending marginal coverage, then ascending value.  Pruning
     combines the counting bound ceil(|U| / |base_set|) on the uncovered set U
-    with the fractional-cover bound ceil(w(U) / W), w the dual weights of
-    :func:`gated_dual_weights` (computed once per call and gated in exact
-    integers), dominance elimination inside a branch, and sibling bans (a
-    candidate whose subtree is exhausted cannot reappear later at the same
-    node).  The greedy cover (or ``initial``, if smaller) is the first
-    incumbent.  The first time a class goes ``_STALL`` nodes without a
-    better cover, the node that ends that run calls :func:`_local_search`
-    on the class's incumbent before it is bounded (with the seed
-    ``_LOCAL_SEED``, down to the class's root bound, the clock still
-    running, until it goes one step per target of the class without a
-    smaller cover); a smaller cover it finds becomes the incumbent in
-    place, and the search resumes with the tighter room.  Its steps are
-    not nodes; a run takes at most (|incumbent| - root bound + 1) times
-    the class's target count of them.  A completed cover no smaller than
-    the incumbent, which a node pushed before that search can still
-    reach, is not recorded.  The search order is fixed, the dual weights are
-    machine-independent, the local search is seeded and budgets count
-    nodes, so results are reproducible.  The bounds only cut subtrees that
-    cannot beat the incumbent, so a tighter bound changes node counts but
-    never the size of the cover a completed search returns.
+    with the fractional-cover bound ceil(w(U) / W), dominance elimination
+    inside a branch, and sibling bans (a candidate whose subtree is exhausted
+    cannot reappear later at the same node); a root whose bound meets
+    ``best`` is not searched.  The first time the search goes ``_STALL``
+    nodes without a better cover, the node that ends that run calls
+    :func:`_local_search` on ``best`` before it is bounded (with the seed
+    ``_LOCAL_SEED``, down to the root bound, the clock still running, until
+    it goes one step per target of U without a smaller cover); a smaller
+    cover it finds becomes the incumbent in place, and the search resumes
+    with the tighter room.  Its steps are not nodes; a run takes at most
+    (|best| - root bound + 1) |U| of them.  A completed cover no smaller
+    than the incumbent, which a node pushed before that search can still
+    reach, is not recorded.  The bounds only cut subtrees that cannot beat
+    the incumbent, so a tighter bound changes node counts but never the
+    size of the cover a completed search returns.
 
     The search is one loop over an explicit stack: each node above the one
     being expanded is a frame (U, w(U), |U|, its remaining children, its
@@ -832,15 +839,103 @@ def exact_min_complement(
     w(U) is the parent's less the removed weight w(cu).  Most tests meet a
     cu seen before, so w(cu) is memoised per call in a table emptied
     whenever it reaches ``_REMOVED_CAP`` entries; only on a miss is it
-    summed, from the weights of cu's targets.
+    summed, from the weights of cu's targets.  No stack limit ends a
+    search: only its nodes, its clock or its completion."""
+    base_len = len(table.base)
+    targets = [v for v, bit in enumerate(bin(uncovered)[:1:-1]) if bit == "1"]
+    weight, banned = sum(map(weights.__getitem__, targets)), 0
+    # the root bound, below which the local search cannot go
+    floor = max(-(-len(targets) // base_len), -(-weight // DUAL_SCALE))
+    if floor >= len(best):
+        return
+    # the node that ends a run of _STALL without a better cover; 0 once the local search has run
+    stall = stats.nodes + _STALL
+    removed: dict[int, int] = {}  # w(cu) by cu
+    # one frame per node above the one being expanded, each resuming its children
+    parents: list[tuple] = []
+    children = None  # None: this node is entered, its children not yet listed
+    while True:
+        if children is None:
+            v = (uncovered & -uncovered).bit_length() - 1
+            cands = []
+            for b, c, bit in cands_of[v]:
+                if not banned & bit:
+                    cu = c & uncovered
+                    cands.append((-cu.bit_count(), b, cu, bit))
+            cands.sort()
+            # Drop dominated candidates: if b1's remaining coverage is contained
+            # in b2's, any cover using b1 maps to one using b2 of the same size.
+            kept = []
+            masks: list[int] = []
+            for cand in cands:
+                cu = cand[2]
+                for k in masks:
+                    if (cu & k) == cu:
+                        break
+                else:
+                    kept.append(cand)
+                    masks.append(cu)
+            left = uncovered.bit_count()
+            children = iter(kept)
+        # Inclusion-exclusion: once the subtree containing b is exhausted,
+        # every cover using b has been seen, so later siblings may ban it.
+        for minus, b, cu, bit in children:
+            stats.nodes += 1
+            if node_cap is not None and stats.nodes > node_cap:
+                raise _BudgetExhausted
+            if stats.nodes % 4096 == 0:
+                _check_clock(deadline)
+            if stats.nodes == stall:
+                stall, before = 0, len(best)
+                stats.local_steps += _local_search(targets, table, best, len(targets), floor, _LOCAL_SEED, deadline)
+                stats.local_gain += before - len(best)
+            if left == -minus:
+                # a cover the local search has since beaten is not recorded
+                if len(parents) + 1 < len(best):
+                    best[:] = sorted([frame[5] for frame in parents] + [b])
+                    if stall:
+                        stall = stats.nodes + _STALL
+            else:
+                # a bound ceil(x / d) falls below need iff x <= (need - 1) d
+                room = len(best) - len(parents) - 2
+                if left + minus <= room * base_len:
+                    w = removed.get(cu)
+                    if w is None:
+                        if len(removed) >= _REMOVED_CAP:
+                            removed.clear()
+                        w, rest = 0, cu
+                        while rest:
+                            t = rest.bit_length() - 1
+                            w += weights[t]
+                            rest ^= 1 << t
+                        removed[cu] = w
+                    if weight - w <= room * DUAL_SCALE:
+                        parents.append((uncovered, weight, left, children, banned | bit, b))
+                        uncovered, weight, children = uncovered ^ cu, weight - w, None
+                        break
+            banned |= bit
+        else:
+            if not parents:
+                return
+            uncovered, weight, left, children, banned, _ = parents.pop()
 
+
+def exact_min_complement(
+    instance: CoverInstance,
+    budget: SolverBudget | None = None,
+    initial: BlockCode | None = None,
+) -> CoverCertificate:
+    """Branch and bound for a minimum-size complement.
+
+    The greedy cover (or ``initial``, if smaller) is the first incumbent.
     The targets split into residue classes mod g, g the gcd of a - a_min
     over the base values (a one-element base is one class): b + base lies in
     the class of b + a_min, so no translate covers targets of two classes
     and a minimum cover is the union of each class's minimum cover.  The
-    loop runs once per class r = 0..g-1, in that order, from U = the targets
-    congruent to r, w(U) its weight and the incumbent cover's translates in
-    that class as the class incumbent.  The dual weights, computed once,
+    branch and bound of :func:`_search_cover` runs once per class r =
+    0..g-1, in that order, over the targets congruent to r, from the
+    incumbent cover's translates in that class.  The dual weights of
+    :func:`gated_dual_weights`, computed once and gated in exact integers,
     stay feasible on each class.  The classes share one node count, cap and
     clock, and the root counts once.  When the counting bound alone closes
     every class at its root, the search ends there without computing the
@@ -850,23 +945,20 @@ def exact_min_complement(
     solution found with optimal="unknown" and stats.budget_exhausted set;
     a class the budget left unfinished contributes its incumbent part.
     The time budget covers the translate table and the dual weights as well
-    as the search, so at large k it ends with the greedy cover.  No stack
-    limit ends a search: only its nodes, its clock or its completion.
+    as the search, so at large k it ends with the greedy cover.
     """
     budget = budget or SolverBudget()
     size = instance.target_size
     full = (1 << size) - 1
     values = instance.base_set.values
-    base_len = len(values)
     a_min = values[0]
     # every translate b + base lies in the residue class of b + a_min mod g;
     # a one-element base (g = 0) is one class
     g = math.gcd(*(a - a_min for a in values)) or 1
 
     stats = SolveStats()
-    t0 = time.perf_counter()
     node_cap = budget.max_nodes
-    deadline = None if budget.max_seconds is None else t0 + budget.max_seconds
+    deadline = None if budget.max_seconds is None else time.perf_counter() + budget.max_seconds
 
     incumbent = greedy_complement(instance).solution.values
     if initial is not None and len(initial) < len(incumbent):
@@ -879,18 +971,15 @@ def exact_min_complement(
     # bits 0, g, 2g, ... of the target, shifted by r to class r
     stripe = ((1 << g * -(-size // g)) - 1) // ((1 << g) - 1) & full
 
-    offset = -instance.lo  # banned-translate bitset index
-    removed: dict[int, int] = {}  # w(cu) by cu
-
     try:
         # the classes the counting bound leaves open at their roots; it
         # needs no dual weights, so when it closes every class they are
         # never computed
-        unclosed = [r for r in range(g) if len(range(r, size, g)) <= (len(parts[r]) - 1) * base_len]
+        unclosed = [r for r in range(g) if len(range(r, size, g)) <= (len(parts[r]) - 1) * len(values)]
         if unclosed:
             table = _translate_table(instance, deadline)
             # one (b, coverage bitset, ban bit) per translate, shared by the rows
-            entry = {b: (b, c, 1 << (b + offset)) for b, c in table.coverage.items()}
+            entry = {b: (b, c, 1 << (b - instance.lo)) for b, c in table.coverage.items()}
             cands_of = [tuple(entry[b] for b in row) for row in table.rows]
             weights = gated_dual_weights(instance, table, deadline)
         # the root is node 1, shared by the classes and bounded like every other node
@@ -898,89 +987,9 @@ def exact_min_complement(
         if node_cap is not None and node_cap < 1:
             raise _BudgetExhausted
         for r in unclosed:
-            best = parts[r]
-            room = len(best) - 1
-            uncovered, weight, banned = stripe << r & full, sum(weights[r::g]), 0
-            if weight > room * DUAL_SCALE:
-                continue
-            # the node at which the class has gone _STALL nodes without a
-            # better cover, 0 once the local search has run, and the class's
-            # root bound, below which that search cannot go
-            stall = stats.nodes + _STALL
-            targets = range(r, size, g)
-            floor = max(-(-len(targets) // base_len), -(-weight // DUAL_SCALE))
-            # one frame per node above the one being expanded, each resuming its children
-            parents: list[tuple] = []
-            children = None  # None: this node is entered, its children not yet listed
-            while True:
-                if children is None:
-                    v = (uncovered & -uncovered).bit_length() - 1
-                    cands = []
-                    for b, c, bit in cands_of[v]:
-                        if not banned & bit:
-                            cu = c & uncovered
-                            cands.append((-cu.bit_count(), b, cu, bit))
-                    cands.sort()
-                    # Drop dominated candidates: if b1's remaining coverage is contained
-                    # in b2's, any cover using b1 maps to one using b2 of the same size.
-                    kept = []
-                    masks: list[int] = []
-                    for cand in cands:
-                        cu = cand[2]
-                        for k in masks:
-                            if (cu & k) == cu:
-                                break
-                        else:
-                            kept.append(cand)
-                            masks.append(cu)
-                    left = uncovered.bit_count()
-                    children = iter(kept)
-                # Inclusion-exclusion: once the subtree containing b is exhausted,
-                # every cover using b has been seen, so later siblings may ban it.
-                for minus, b, cu, bit in children:
-                    stats.nodes += 1
-                    if node_cap is not None and stats.nodes > node_cap:
-                        raise _BudgetExhausted
-                    if stats.nodes % 4096 == 0:
-                        _check_clock(deadline)
-                    if stats.nodes == stall:
-                        stall, before = 0, len(best)
-                        stats.local_steps += _local_search(
-                            targets, table, best, len(targets), floor, _LOCAL_SEED, deadline
-                        )
-                        stats.local_gain += before - len(best)
-                    if left == -minus:
-                        # a cover the local search has since beaten is not recorded
-                        if len(parents) + 1 < len(best):
-                            best[:] = sorted([frame[5] for frame in parents] + [b])
-                            if stall:
-                                stall = stats.nodes + _STALL
-                    else:
-                        # a bound ceil(x / d) falls below need iff x <= (need - 1) d
-                        room = len(best) - len(parents) - 2
-                        if left + minus <= room * base_len:
-                            w = removed.get(cu)
-                            if w is None:
-                                if len(removed) >= _REMOVED_CAP:
-                                    removed.clear()
-                                w, rest = 0, cu
-                                while rest:
-                                    t = rest.bit_length() - 1
-                                    w += weights[t]
-                                    rest ^= 1 << t
-                                removed[cu] = w
-                            if weight - w <= room * DUAL_SCALE:
-                                parents.append((uncovered, weight, left, children, banned | bit, b))
-                                uncovered, weight, children = uncovered ^ cu, weight - w, None
-                                break
-                    banned |= bit
-                else:
-                    if not parents:
-                        break
-                    uncovered, weight, left, children, banned, _ = parents.pop()
+            _search_cover(table, cands_of, weights, stripe << r & full, parts[r], stats, node_cap, deadline)
     except _BudgetExhausted:
         stats.budget_exhausted = True
-    stats.elapsed = time.perf_counter() - t0
 
     optimal = "unknown" if stats.budget_exhausted else "proven-optimal"
     code = BlockCode.from_iterable(instance.k, [b for part in parts for b in part])

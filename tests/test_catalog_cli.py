@@ -1072,6 +1072,20 @@ QUADRATIC_S2 = ("spec-build", "--kind", "quadratic", "--alpha", "0.8", "--stages
             2,
             "boxdim over a spec expects a uniform spec",
         ),
+        # a zero denominator is named as one, under either flag's prefix
+        (None, ("density", "--alpha", "1/0", "--n", "200"), 2, "error: bad alpha/density '1/0': zero denominator\n"),
+        (None, ("density", "--alpha", "D=1/0", "--n", "200"), 2, "error: bad alpha/density 'D=1/0': zero denominator\n"),
+        (None, ("boxdim", "--alpha", "1/0", "--depth", "10"), 2, "error: bad alpha/density '1/0': zero denominator\n"),
+        (None, ("massratio", "--alpha", "D=1/0"), 2, "error: bad alpha/density 'D=1/0': zero denominator\n"),
+        (
+            None,
+            ("spec-build", "--kind", "quadratic", "--alpha", "1/0", "--stages", "2"),
+            2,
+            "error: bad alpha/density '1/0': zero denominator\n",
+        ),
+        (None, ("netcheck", "--s", "1/0", "--trials", "1"), 2, "error: bad --s '1/0': zero denominator\n"),
+        (None, ("netcheck", "--s", "1/2,1/0", "--trials", "1"), 2, "error: bad --s '1/2,1/0': zero denominator\n"),
+        (None, ("netcheck", "--s", "1/2,x", "--trials", "1"), 2, "error: bad --s '1/2,x': Invalid literal for Fraction: 'x'\n"),
     ],
 )
 def test_cli_input_branches(catalog, capsys, setup, argv, code, message):

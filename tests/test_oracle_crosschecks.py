@@ -282,6 +282,30 @@ def test_local_search_matches_the_fresh_sum_oracle():
     assert improved >= 4
 
 
+def test_local_search_over_a_set_of_targets_matches_the_fresh_sum_oracle():
+    # over a random set of targets, not a union of residue classes, only
+    # the set's targets count: a target off the set that a drop leaves
+    # uncovered is not covered again, and weighs nothing in a member's score
+    rng = random.Random(45)
+    differed = 0
+    for _ in range(30):
+        k = rng.randint(2, 3)
+        vals = rng.sample(range(3**k), rng.randint(2, 2 * k))
+        if rng.random() < 0.5:
+            inst = CoverInstance.signed(k, BlockCode.from_iterable(k, vals))
+        else:
+            inst = CoverInstance(k, BlockCode.from_iterable(k, {0, *vals}))
+        table = solver._translate_table(inst)
+        targets = sorted(rng.sample(range(3**k), rng.randint(3 * k, 3**k)))
+        start = sorted({b for v in targets for b in table.rows[v][:2]})
+        for seed in (0, 1):
+            cover = list(start)
+            steps = solver._local_search(targets, table, cover, 60, 0, seed)
+            assert (cover, steps) == oracle_local_search(targets, table.rows, start, 60, 0, seed), (inst, targets)
+            differed += cover != start
+    assert differed >= 10
+
+
 def cf_convergents(q, terms):
     """Continued-fraction convergents h/k of 2^(1/q), from 100-digit mpmath."""
     with mp.workdps(100):

@@ -480,6 +480,73 @@ def test_exact_node_counts_are_pinned():
         assert (cert.stats.local_steps, cert.stats.local_gain) == local
 
 
+def _search_inputs(inst):
+    """The translate table, candidate rows and dual weights the exact search
+    hands :func:`solver._search_cover`."""
+    table = solver._translate_table(inst)
+    entry = {b: (b, c, 1 << (b - inst.lo)) for b, c in table.coverage.items()}
+    return table, [tuple(entry[b] for b in row) for row in table.rows], gated_dual_weights(inst, table)
+
+
+def _fewest_translates(coverages, uncovered):
+    """The fewest coverage bitsets whose union holds ``uncovered``, by trying
+    every translate on the least uncovered target, one depth at a time."""
+
+    def fits(rest, depth):
+        low = rest & -rest
+        return not rest or depth > 0 and any(fits(rest & ~c, depth - 1) for c in coverages if c & low)
+
+    return next(depth for depth in range(len(coverages) + 1) if fits(uncovered, depth))
+
+
+@pytest.mark.parametrize("stall", [solver._STALL, 1])
+def test_search_cover_finds_the_minimum_of_any_target_set(monkeypatch, stall):
+    # a random set U of targets, not a residue class: from one translate per
+    # target of U the search returns a cover of U of the fewest translates;
+    # with _STALL = 1 its local search runs over U at the first node
+    monkeypatch.setattr(solver, "_STALL", stall)
+    rng = random.Random(42)
+    searched = local = 0
+    for _ in range(40):
+        k = rng.randint(1, 3)
+        vals = rng.sample(range(3**k), rng.randint(1, 2 * k))
+        if rng.random() < 0.5:
+            inst = CoverInstance.signed(k, BlockCode.from_iterable(k, vals))
+        else:
+            inst = CoverInstance(k, BlockCode.from_iterable(k, {0, *vals}))
+        table, cands_of, weights = _search_inputs(inst)
+        targets = rng.sample(range(3**k), rng.randint(1, min(3**k, 12)))
+        uncovered = sum(1 << v for v in targets)
+        best = sorted({table.rows[v][0] for v in targets})
+        stats = solver.SolveStats()
+        solver._search_cover(table, cands_of, weights, uncovered, best, stats, None, None)
+        assert best == sorted(best) and len(set(best)) == len(best)
+        assert set(targets) <= {a + b for a in inst.base_set.values for b in best}, (inst, targets, best)
+        assert len(best) == _fewest_translates(list(table.coverage.values()), uncovered), (inst, targets)
+        searched += stats.nodes > 0
+        local += stats.local_steps
+    assert searched >= 10 and (local > 0) == (stall == 1)
+
+
+def test_search_cover_over_each_class_is_the_exact_search():
+    # the exact search is a root node and one search per residue class,
+    # each from the greedy cover's share of that class
+    for inst in (c_instance(4), c_instance(4, signed=True), _pattern_instance(5, {j: (0, 2) for j in range(5)})):
+        table, cands_of, weights = _search_inputs(inst)
+        values = inst.base_set.values
+        g = math.gcd(*(a - values[0] for a in values)) or 1
+        stats = solver.SolveStats(nodes=1)
+        cover = []
+        for r in range(g):
+            part = [b for b in greedy_complement(inst).solution.values if (b + values[0]) % g == r]
+            uncovered = sum(1 << v for v in range(r, inst.target_size, g))
+            solver._search_cover(table, cands_of, weights, uncovered, part, stats, None, None)
+            cover += part
+        cert = exact_min_complement(inst, SolverBudget(max_nodes=None, max_seconds=None))
+        assert (tuple(sorted(cover)), stats.nodes) == (cert.solution.values, cert.stats.nodes)
+        assert (stats.local_steps, stats.local_gain) == (cert.stats.local_steps, cert.stats.local_gain)
+
+
 def test_the_stall_search_stops_at_the_class_root_bound(monkeypatch):
     # at k=3 the root bound is 5, the minimum: with _STALL = 1 the local
     # search runs at node 2 from the greedy's 6 and stops once it has a 5
