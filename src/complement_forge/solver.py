@@ -5,7 +5,9 @@ Three entry points share one certificate type:
 * :func:`verify_complement` checks a proposed code and produces witnesses;
 * :func:`greedy_complement` runs max-coverage greedy selection;
 * :func:`exact_min_complement` proves minimality by branch and bound,
-  improving its incumbent once by a local search when it stalls.
+  improving its incumbent once by a local search when it stalls; for the
+  {0,1} base it also starts from the digit-split floor
+  (:func:`digit_split_bound`), proven from the block lengths below.
 
 The search state is a single arbitrary-precision integer used as a bitset over
 the target [0, 3^k): the coverage of a translate b is one shift, one AND and
@@ -107,12 +109,17 @@ class SolveStats:
     search the exact search runs when it stalls (each run ends one step per
     target of its class after its last smaller cover), ``local_gain`` the
     translates those runs took off its incumbent; neither counts a run the
-    clock ended."""
+    clock ended.  ``floor`` is the lower bound the search started from, the
+    sum of its residue classes' root bounds; ``chain_nodes`` the nodes the
+    searches of the digit-split chain (:func:`_digit_split_floor`) took,
+    which neither ``nodes`` nor the node budget counts."""
 
     nodes: int = 0
     budget_exhausted: bool = False
     local_steps: int = 0
     local_gain: int = 0
+    floor: int = 0
+    chain_nodes: int = 0
 
 
 @dataclass
@@ -390,10 +397,13 @@ def greedy_complement(instance: CoverInstance) -> CoverCertificate:
       elements, where passes counts the nonzero digits over all places and
       span is the step's window of translates.
 
-    A scatter step costs O(|base|^2) per pick plus its share of the
-    rebuilds.  The scatter needs numpy >= 1.25, whose indexed ``ufunc.at``
-    loops run as fast as ``bincount``; older numpy gives the same covers,
-    many times slower.
+    A marginal never exceeds |base|, so the marginals are int16 when
+    |base| < 2^15 and int32 otherwise.  A scatter step costs O(|base|^2) per
+    pick plus its share of the rebuilds.  The scatter needs numpy >= 1.25,
+    whose indexed ``ufunc.at`` loops run as fast as ``bincount``, and a unit
+    of the marginals' own dtype: a Python int against int16 marginals takes
+    a slow casting loop, about 40 times slower at k=11.  Older numpy gives
+    the same covers, many times slower.
     """
     size = instance.target_size
     lo, hi = instance.lo, instance.hi
@@ -406,13 +416,14 @@ def greedy_complement(instance: CoverInstance) -> CoverCertificate:
 
     # every t - a with 0 <= t < 3^k lies in [ext_lo, ext_hi)
     ext_lo, ext_hi = min(lo, -a_max), max(hi, size - a_min)
-    ext = np.zeros(ext_hi - ext_lo, dtype=np.int64)
+    ext = np.zeros(ext_hi - ext_lo, dtype=np.int16 if nb < 1 << 15 else np.int32)
     marginals = ext[lo - ext_lo : hi - ext_lo]
     # marginal against the fully-uncovered target: #{a : 0 <= a + b < 3^k}
     b_arr = np.arange(lo, hi, dtype=np.int64)
     marginals[:] = np.searchsorted(base, size - b_arr) - np.searchsorted(base, -b_arr)
     del b_arr
     shift = base + ext_lo  # the slot of t - a is t - shift[a]
+    unit = ext.dtype.type(1)
 
     # a step's digit passes touch about passes * (t_max - t_min + pad) elements
     # and its scatter |T| |base|
@@ -456,7 +467,7 @@ def greedy_complement(instance: CoverInstance) -> CoverCertificate:
             _retire_by_digits(ext, ext_lo, t, a_min, a_max, places)
         else:
             for start in range(0, len(t), 512):
-                np.subtract.at(ext, (t[start : start + 512, None] - shift).ravel(), 1)
+                np.subtract.at(ext, (t[start : start + 512, None] - shift).ravel(), unit)
     code = BlockCode.from_iterable(instance.k, chosen)
     return verify_complement(instance, code, method="greedy", optimal="unknown")
 
@@ -800,13 +811,16 @@ def _search_cover(
     stats: SolveStats,
     node_cap: Optional[int],
     deadline: Optional[float],
+    floor: int,
 ) -> None:
     """Branch and bound for a smallest cover of U, the targets in the bitset
     ``uncovered``, from ``best``, a cover of U that each smaller cover found
     replaces in place, sorted.  ``cands_of[v]`` holds (b, coverage bitset,
     ban bit) for each translate b covering target v; ``weights`` are the
-    dual weights of :func:`gated_dual_weights`, feasible on any U.  Nodes add
-    to ``stats.nodes``, the root uncounted; raises _BudgetExhausted past
+    dual weights of :func:`gated_dual_weights`, feasible on any U; ``floor``
+    is a proven lower bound on any cover of U (0 when none is known).  Nodes
+    add to ``stats.nodes``, the root uncounted, and ``stats.floor`` rises by
+    what the root's bounds add to ``floor``; raises _BudgetExhausted past
     ``node_cap`` nodes or ``deadline``, keeping what ``best`` holds.
 
     Branches on the least uncovered target v: every solution must contain some
@@ -815,8 +829,10 @@ def _search_cover(
     combines the counting bound ceil(|U| / |base_set|) on the uncovered set U
     with the fractional-cover bound ceil(w(U) / W), dominance elimination
     inside a branch, and sibling bans (a candidate whose subtree is exhausted
-    cannot reappear later at the same node); a root whose bound meets
-    ``best`` is not searched.  The first time the search goes ``_STALL``
+    cannot reappear later at the same node).  The root bound is the largest
+    of ``floor`` and the two bounds on U: a root whose bound meets ``best``
+    is not searched, and the search ends as soon as its incumbent meets it,
+    as no cover of U is smaller.  The first time the search goes ``_STALL``
     nodes without a better cover, the node that ends that run calls
     :func:`_local_search` on ``best`` before it is bounded (with the seed
     ``_LOCAL_SEED``, down to the root bound, the clock still running, until
@@ -844,8 +860,10 @@ def _search_cover(
     base_len = len(table.base)
     targets = [v for v, bit in enumerate(bin(uncovered)[:1:-1]) if bit == "1"]
     weight, banned = sum(map(weights.__getitem__, targets)), 0
-    # the root bound, below which the local search cannot go
-    floor = max(-(-len(targets) // base_len), -(-weight // DUAL_SCALE))
+    # the root bound, below which no cover goes: at it the search ends
+    root = max(floor, -(-len(targets) // base_len), -(-weight // DUAL_SCALE))
+    stats.floor += root - floor
+    floor = root
     if floor >= len(best):
         return
     # the node that ends a run of _STALL without a better cover; 0 once the local search has run
@@ -889,10 +907,14 @@ def _search_cover(
                 stall, before = 0, len(best)
                 stats.local_steps += _local_search(targets, table, best, len(targets), floor, _LOCAL_SEED, deadline)
                 stats.local_gain += before - len(best)
+                if len(best) <= floor:
+                    return
             if left == -minus:
                 # a cover the local search has since beaten is not recorded
                 if len(parents) + 1 < len(best):
                     best[:] = sorted([frame[5] for frame in parents] + [b])
+                    if len(best) <= floor:
+                        return
                     if stall:
                         stall = stats.nodes + _STALL
             else:
@@ -920,34 +942,31 @@ def _search_cover(
             uncovered, weight, left, children, banned, _ = parents.pop()
 
 
-def exact_min_complement(
+def _branch_and_bound(
     instance: CoverInstance,
-    budget: SolverBudget | None = None,
-    initial: BlockCode | None = None,
-) -> CoverCertificate:
-    """Branch and bound for a minimum-size complement.
+    incumbent: Sequence[int],
+    floor: int,
+    stats: SolveStats,
+    node_cap: Optional[int],
+    deadline: Optional[float],
+) -> list[int]:
+    """The least cover :func:`_search_cover` finds from the cover
+    ``incumbent``, one search per residue class; ``floor`` is a proven lower
+    bound on every cover, read only when the instance is one class.  A
+    budget exit sets ``stats.budget_exhausted`` and returns the best cover
+    found.
 
-    The greedy cover (or ``initial``, if smaller) is the first incumbent.
     The targets split into residue classes mod g, g the gcd of a - a_min
     over the base values (a one-element base is one class): b + base lies in
     the class of b + a_min, so no translate covers targets of two classes
     and a minimum cover is the union of each class's minimum cover.  The
-    branch and bound of :func:`_search_cover` runs once per class r =
-    0..g-1, in that order, over the targets congruent to r, from the
-    incumbent cover's translates in that class.  The dual weights of
-    :func:`gated_dual_weights`, computed once and gated in exact integers,
-    stay feasible on each class.  The classes share one node count, cap and
-    clock, and the root counts once.  When the counting bound alone closes
-    every class at its root, the search ends there without computing the
-    dual weights.
-
-    Budget exhaustion is not an error: the certificate carries the best
-    solution found with optimal="unknown" and stats.budget_exhausted set;
-    a class the budget left unfinished contributes its incumbent part.
-    The time budget covers the translate table and the dual weights as well
-    as the search, so at large k it ends with the greedy cover.
-    """
-    budget = budget or SolverBudget()
+    search runs once per class r = 0..g-1, in that order, over the targets
+    congruent to r, from the incumbent's translates in that class.  The dual
+    weights of :func:`gated_dual_weights`, computed once and gated in exact
+    integers, stay feasible on each class.  The classes share one node
+    count, cap and clock, and the root counts once.  When the counting bound
+    or ``floor`` closes every class at its root, the search ends there
+    without computing the dual weights."""
     size = instance.target_size
     full = (1 << size) - 1
     values = instance.base_set.values
@@ -955,27 +974,20 @@ def exact_min_complement(
     # every translate b + base lies in the residue class of b + a_min mod g;
     # a one-element base (g = 0) is one class
     g = math.gcd(*(a - a_min for a in values)) or 1
-
-    stats = SolveStats()
-    node_cap = budget.max_nodes
-    deadline = None if budget.max_seconds is None else time.perf_counter() + budget.max_seconds
-
-    incumbent = greedy_complement(instance).solution.values
-    if initial is not None and len(initial) < len(incumbent):
-        verify_complement(instance, initial)
-        incumbent = initial.values
     # each class's incumbent part, replaced in place as the search improves it
     parts: list[list[int]] = [[] for _ in range(g)]
     for b in incumbent:
         parts[(b + a_min) % g].append(b)
     # bits 0, g, 2g, ... of the target, shifted by r to class r
     stripe = ((1 << g * -(-size // g)) - 1) // ((1 << g) - 1) & full
-
+    # each class's bound before the dual weights: the counting bound, or the
+    # floor on a one-class instance
+    bounds = [max(-(-len(range(r, size, g)) // len(values)), floor if g == 1 else 0) for r in range(g)]
+    stats.floor = sum(bounds)
     try:
-        # the classes the counting bound leaves open at their roots; it
-        # needs no dual weights, so when it closes every class they are
-        # never computed
-        unclosed = [r for r in range(g) if len(range(r, size, g)) <= (len(parts[r]) - 1) * len(values)]
+        # the classes these bounds leave open at their roots; when there is
+        # none, the dual weights are never computed
+        unclosed = [r for r in range(g) if bounds[r] < len(parts[r])]
         if unclosed:
             table = _translate_table(instance, deadline)
             # one (b, coverage bitset, ban bit) per translate, shared by the rows
@@ -987,12 +999,117 @@ def exact_min_complement(
         if node_cap is not None and node_cap < 1:
             raise _BudgetExhausted
         for r in unclosed:
-            _search_cover(table, cands_of, weights, stripe << r & full, parts[r], stats, node_cap, deadline)
+            _search_cover(table, cands_of, weights, stripe << r & full, parts[r], stats, node_cap, deadline, bounds[r])
     except _BudgetExhausted:
         stats.budget_exhausted = True
+    return [b for part in parts for b in part]
+
+
+def digit_split_bound(k: int, m_prev: int) -> int:
+    """ceil(3 m_prev / 2), a lower bound on the size of every cover of
+    [0, 3^k) by translates of the {0,1} base B_k when every cover of
+    [0, 3^(k-1)) by translates of B_(k-1) takes at least m_prev, the
+    translates of both levels taken from the same named range: [0, 3^j), or
+    the signed (-3^j, 3^j).
+
+    Proof.  Write each translate of a cover B at level k as b = 3c + e with
+    e in {0, 1, 2}, and let S_e hold the c's of low digit e.  As
+    B_k = 3 B_(k-1) + {0, 1}, a target 3u + f is b + 3x + d with x in
+    B_(k-1) and d in {0, 1}, and e + d is f or f + 3:
+
+    * f = 1 takes e + d = 1, so u = c + x with c in S_0 or S_1: S_0 u S_1
+      covers [0, 3^(k-1)) at level k-1;
+    * f = 2 takes e + d = 2, so S_1 u S_2 covers it;
+    * f = 0 takes e + d = 0, or e + d = 3 with a carry, u = (c + 1) + x:
+      S_0 u (S_2 + 1) covers it.
+
+    Every c lies in [0, 3^(k-1)) on the nonnegative range, in
+    [-3^(k-1), 3^(k-1)) on the signed one, and c + 1 is at most 3^(k-1).
+    The sub-translates at 3^(k-1) and -3^(k-1), the only ones off the
+    named range at level k-1, cover nothing in [0, 3^(k-1)), as
+    0 <= x < 3^(k-1) for every x in B_(k-1); dropping them leaves three
+    covers at level k-1 in range, each of at least m_prev translates.  Each
+    S_e is in two of them, so 2 |B| >= 3 m_prev."""
+    return -(-3 * m_prev // 2)
+
+
+#: The nodes each level's search in :func:`_digit_split_floor` may take:
+#: the counts measured are 5,301 at signed k=4, 4,112 at k=5 and 4,165 at
+#: signed k=5, each with the level below's floor.
+_CHAIN_NODES = 1 << 13
+
+
+def _digit_split_floor(instance: CoverInstance, stats: SolveStats, deadline: Optional[float]) -> int:
+    """A proven lower bound on every cover of ``instance``: the digit-split
+    bound (:func:`digit_split_bound`) over the least cover one level down,
+    for the {0,1} base on either named range, and 0 for any other instance.
+
+    The levels below are proven bottom up from block length 1, on the same
+    range: level j's exact search starts from its greedy cover, with level
+    j-1's floor, at most ``_CHAIN_NODES`` nodes (added to
+    ``stats.chain_nodes``) and ``deadline``, and its size, once proven, is
+    m_j.  From the first level whose search does not finish, the floor is
+    the bound that search started from, and past it the lemma alone: the
+    counting bound ceil(3^j / 2^j) never exceeds ceil(3 L / 2) when L is at
+    least ceil(3^(j-1) / 2^(j-1)).  A proven floor only cuts what cannot be
+    smaller, so it changes node counts but never the size of a cover a
+    completed search returns."""
+    k, size = instance.k, instance.target_size
+    signed = (instance.lo, instance.hi) == (1 - size, size)
+    if not is_zero_one_base(instance) or not (signed or (instance.lo, instance.hi) == (0, size)):
+        return 0
+    floor, proving = 0, True
+    for j in range(1, k):
+        bound = digit_split_bound(j, floor)
+        if not proving:
+            floor = bound
+            continue
+        base = zero_one_base(j)
+        level = CoverInstance.signed(j, base) if signed else CoverInstance(j, base)
+        level_stats = SolveStats()
+        cover = _branch_and_bound(
+            level, greedy_complement(level).solution.values, bound, level_stats, _CHAIN_NODES, deadline
+        )
+        stats.chain_nodes += level_stats.nodes
+        proving = not level_stats.budget_exhausted
+        floor = len(cover) if proving else level_stats.floor
+    return digit_split_bound(k, floor)
+
+
+def exact_min_complement(
+    instance: CoverInstance,
+    budget: SolverBudget | None = None,
+    initial: BlockCode | None = None,
+) -> CoverCertificate:
+    """Branch and bound for a minimum-size complement.
+
+    The greedy cover (or ``initial``, if smaller) is the first incumbent,
+    and :func:`_branch_and_bound` searches each residue class from it.  For
+    the {0,1} base on either named range, the search also starts from the
+    digit-split floor of :func:`_digit_split_floor`, proven from the levels
+    below: the {0,1} k=5 search ends once its local search reaches 14, and
+    the signed k=5 search proves 14.  The chain's nodes are not the search's.
+
+    Budget exhaustion is not an error: the certificate carries the best
+    solution found with optimal="unknown" and stats.budget_exhausted set;
+    a class the budget left unfinished contributes its incumbent part.
+    The time budget covers the chain, the translate table and the dual
+    weights as well as the search, so at large k it ends with the greedy
+    cover.
+    """
+    budget = budget or SolverBudget()
+    stats = SolveStats()
+    deadline = None if budget.max_seconds is None else time.perf_counter() + budget.max_seconds
+
+    incumbent = greedy_complement(instance).solution.values
+    if initial is not None and len(initial) < len(incumbent):
+        verify_complement(instance, initial)
+        incumbent = initial.values
+    floor = _digit_split_floor(instance, stats, deadline)
+    cover = _branch_and_bound(instance, incumbent, floor, stats, budget.max_nodes, deadline)
 
     optimal = "unknown" if stats.budget_exhausted else "proven-optimal"
-    code = BlockCode.from_iterable(instance.k, [b for part in parts for b in part])
+    code = BlockCode.from_iterable(instance.k, cover)
     cert = verify_complement(instance, code, method="exact", optimal=optimal)
     cert.stats = stats
 

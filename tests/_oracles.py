@@ -43,7 +43,7 @@ from complement_forge.measure import (
 )
 from complement_forge import solver
 from complement_forge.solver import _MWU_EPS, DUAL_SCALE, CoverInstance
-from complement_forge.ternary import TernaryRational
+from complement_forge.ternary import BlockCode, TernaryRational
 
 
 def brute_force_uncovered(k: int, base: Iterable[int], code: Iterable[int]) -> list[int]:
@@ -163,10 +163,50 @@ def oracle_exact_search(
     uncounted.  The node that ends a class's first run of
     ``solver._STALL`` nodes without a better cover runs the local search
     from the class's cover, down to the class's root bound and with one
-    step of patience per target of the class, before it is bounded.  It
-    shares the greedy incumbent, the translate table, the
-    multiplicative-weights counts and the local search with the solver,
-    which are checked on their own."""
+    step of patience per target of the class, before it is bounded.  For
+    the {0,1} base on a named range, each class's root bound also takes
+    the digit-split floor of :func:`oracle_digit_split_floor`, and a class
+    search ends once its cover meets its root bound.  It shares the greedy
+    incumbent, the translate table, the multiplicative-weights counts and
+    the local search with the solver, which are checked on their own."""
+    return _oracle_search(instance, max_nodes, split, oracle_digit_split_floor(instance))[:4]
+
+
+def _zero_one_values(k: int) -> tuple[int, ...]:
+    """The {0,1}-digit blocks of length k, one subset of the places each."""
+    return tuple(sorted(sum(3**i for i in range(k) if s >> i & 1) for s in range(2**k)))
+
+
+def oracle_digit_split_floor(instance: CoverInstance) -> int:
+    """The lower bound ceil(3 m / 2) from the least cover m one level down,
+    for the {0,1} base on [0, 3^k) or (-3^k, 3^k), 0 for any other
+    instance.  m is proven by this oracle's own search, one level at a time
+    from block length 1 on the same range, each level under
+    ``solver._CHAIN_NODES`` nodes and the floor of the level below; from
+    the first level that does not finish, m is that level's root bound, and
+    past it ceil(3 m / 2) of the level below."""
+    k, size = instance.k, instance.target_size
+    signed = (instance.lo, instance.hi) == (1 - size, size)
+    if instance.base_set.values != _zero_one_values(k) or not (signed or (instance.lo, instance.hi) == (0, size)):
+        return 0
+    m, proving = 0, True
+    for j in range(1, k):
+        floor = -(-3 * m // 2)
+        if proving:
+            level = CoverInstance(j, BlockCode(j, _zero_one_values(j)), lo=1 - 3**j if signed else 0, hi=3**j)
+            solution, _, _, exhausted, root = _oracle_search(level, solver._CHAIN_NODES, True, floor)
+            proving = not exhausted
+            m = root if exhausted else len(solution)
+        else:
+            m = floor
+    return -(-3 * m // 2)
+
+
+def _oracle_search(
+    instance: CoverInstance, max_nodes: int | None, split: bool, floor0: int
+) -> tuple[tuple[int, ...], str, int, bool, int]:
+    """:func:`oracle_exact_search` from the floor ``floor0``, returning the
+    sum of the classes' root bounds as well."""
     size = instance.target_size
     full = (1 << size) - 1
     base_len = len(instance.base_set)
@@ -207,6 +247,9 @@ def oracle_exact_search(
     class Exhausted(Exception):
         pass
 
+    class Met(Exception):
+        """The class's cover has met its root bound."""
+
     def search(uncovered: int, chosen: list[int], banned: int, counted: bool = True) -> None:
         nonlocal nodes, stall
         if counted:
@@ -216,9 +259,13 @@ def oracle_exact_search(
             if nodes == stall:
                 stall = 0
                 solver._local_search(targets, table, best, len(targets), floor, solver._LOCAL_SEED)
+                if len(best) <= floor:
+                    raise Met
         if not uncovered:
             if len(chosen) < len(best):
                 best[:] = sorted(chosen)
+                if len(best) <= floor:
+                    raise Met
                 if stall:
                     stall = nodes + solver._STALL
             return
@@ -242,20 +289,30 @@ def oracle_exact_search(
             chosen.pop()
             banned |= 1 << (b + offset)
 
+    # each class's root bound; the digit-split floor bounds the whole cover,
+    # so it bounds a class only when there is one
+    roots = []
+    for r in range(g):
+        targets = range(r, size, g)
+        dual = -(-weight_of(sum(1 << v for v in targets)) // DUAL_SCALE)
+        roots.append(max(-(-len(targets) // base_len), dual, floor0 if g == 1 else 0))
     try:
         if max_nodes is not None and nodes > max_nodes:
             raise Exhausted
         for r, best in enumerate(parts):
-            targets = range(r, size, g)
-            root = sum(1 << v for v in targets)
-            floor = max(-(-len(targets) // base_len), -(-weight_of(root) // DUAL_SCALE))
+            targets, floor = range(r, size, g), roots[r]
+            if floor >= len(best):
+                continue
             stall = nodes + solver._STALL
-            search(root, [], 0, counted=False)
+            try:
+                search(sum(1 << v for v in targets), [], 0, counted=False)
+            except Met:
+                pass
         exhausted = False
     except Exhausted:
         exhausted = True
     solution = tuple(sorted(b for part in parts for b in part))
-    return solution, "unknown" if exhausted else "proven-optimal", nodes, exhausted
+    return solution, "unknown" if exhausted else "proven-optimal", nodes, exhausted, sum(roots)
 
 
 def mp_floor_y_over_d(one_minus_alpha: Fraction, y: int, dps: int = 60) -> int:

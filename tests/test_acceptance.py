@@ -87,7 +87,7 @@ def test_criterion_01_exact_minimal_sizes():
         and k4_elapsed < 60.0
         and cert5.size == 14
         and cert5.optimal == "proven-optimal"
-        and cert5.stats.nodes == 20_421
+        and cert5.stats.nodes == 4_112
         and cert5.solution.values == (0, 2, 7, 14, 21, 52, 59, 66, 73, 107, 114, 126, 128, 202)
     )
     _criterion(

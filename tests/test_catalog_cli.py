@@ -523,6 +523,14 @@ def test_cli_exit_codes(catalog, capsys):
     assert ei.value.code == 2
 
 
+def test_cli_budgeted_k5_search_is_not_charged_for_the_chain(catalog, capsys):
+    # the digit-split chain's searches at k <= 4 take nodes of their own, so
+    # a 2,000-node k=5 search still stops at its cap, short of 14
+    assert run_cli("complement", "--k", "5", "--method", "exact", "--budget-nodes", "2000", "--format", "json") == 4
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["size"], doc["optimal"]) == (15, "unknown")
+
+
 @pytest.mark.parametrize(
     "argv, k_max",
     [

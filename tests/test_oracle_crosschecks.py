@@ -198,11 +198,14 @@ def test_exact_search_matches_the_bound_on_entry_oracle(monkeypatch):
 
     monkeypatch.setattr(solver, "_packing_counts", memoised)
     # the {0,1} k=5 search stalls at 15 from node 16 and runs the local
-    # search at node 16 + _STALL = 4112, which finds 14; caps on both sides
-    # of that node, and one past the proof at 20,421 nodes
+    # search at node 16 + _STALL = 4112, which finds 14, the digit-split
+    # floor, and so ends the proof; caps on both sides of that node
     stalled = CoverInstance(5, enumerate_pattern(zero_one_pattern(5)))
     runs = [(inst, cap) for inst in instances for cap in (1, 2, 10, 127, 2000, 4096, 5000)]
     runs += [(stalled, cap) for cap in (4096, 4097, 4111, 4112, 4200, 25000)]
+    # the signed k=5 search ends where its branch and bound reaches the
+    # floor 14, at node 4165
+    runs += [(CoverInstance.signed(5, stalled.base_set), cap) for cap in (4164, 4165)]
     exhausted = 0
     for inst, cap in runs:
         cert = exact_min_complement(inst, SolverBudget(max_nodes=cap, max_seconds=None))

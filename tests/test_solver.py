@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from _oracles import brute_force_uncovered, oracle_packing_counts, oracle_witness
+from _oracles import brute_force_uncovered, oracle_digit_split_floor, oracle_packing_counts, oracle_witness
 from complement_forge import fractal, solver
 from complement_forge.catalog import PAPER_BLOCKS
 from complement_forge.density import DensityParams
@@ -298,6 +298,19 @@ def test_greedy_signed_range():
     assert all(-27 < v < 27 for v in cert.solution.values)
 
 
+def test_greedy_marginals_hold_wide_bases():
+    # a marginal can reach |base|, so a base of 2^15 values or more needs
+    # int32 marginals: int16 ones wrap at k=10, and both bases below then
+    # take (0, 26282) on the nonnegative range
+    k = 10
+    for free, cover in ((10, (0,)), (9, (0, 3**9))):
+        pattern = PatternSet(k, tuple(frozenset((0, 1, 2) if j < free else (0, 1)) for j in range(k)))
+        base = enumerate_pattern(pattern)
+        assert len(base) == 2 * 3**9 if free == 9 else 3**10
+        for inst in (CoverInstance(k, base), CoverInstance.signed(k, base)):
+            assert greedy_complement(inst).solution.values == cover, (free, inst.lo)
+
+
 def _values_digest(code):
     return hashlib.sha256(",".join(map(str, code.values)).encode()).hexdigest()
 
@@ -459,8 +472,13 @@ def test_exact_node_counts_are_pinned():
         # smaller and stops after one step per target, 81
         (c_instance(4, signed=True), 5301, (0, 2, 7, 18, 23, 25, 34, 39, 41), (81, 0)),
         # holds 15 from node 16; at node 16 + _STALL the local search finds
-        # 14 at step 171 and stops 243 steps later
-        (c_instance(5), 20_421, (0, 2, 7, 14, 21, 52, 59, 66, 73, 107, 114, 126, 128, 202), (414, 1)),
+        # 14, the digit-split floor from m_4 = 9, at step 171, which ends
+        # the search
+        (c_instance(5), 4112, (0, 2, 7, 14, 21, 52, 59, 66, 73, 107, 114, 126, 128, 202), (171, 1)),
+        # holds 15 when it stalls, and its local search finds nothing
+        # smaller in one step per target, 243; the branch and bound reaches
+        # 14 at node 4,165, where the floor 14 from the signed m_4 = 9 ends it
+        (c_instance(5, signed=True), 4165, (-7, 0, 7, 14, 21, 55, 62, 69, 76, 99, 107, 114, 121, 128), (243, 0)),
         (_pattern_instance(5, {0: (0, 1, 2)}), 739, (0, 6, 21, 54, 69, 75, 102, 117, 123), (0, 0)),
         (
             _pattern_instance(5, {2: (0,)}),
@@ -475,7 +493,9 @@ def test_exact_node_counts_are_pinned():
             (0, 0),
         ),
     ):
-        cert = exact_min_complement(inst, SolverBudget(max_nodes=None, max_seconds=None))
+        # signed k=5 runs past 300,000 nodes without its floor: a cap ends
+        # such a search with a failure instead of a hang
+        cert = exact_min_complement(inst, SolverBudget(max_nodes=100_000, max_seconds=None))
         assert (cert.optimal, cert.stats.nodes, cert.solution.values) == ("proven-optimal", nodes, cover)
         assert (cert.stats.local_steps, cert.stats.local_gain) == local
 
@@ -519,7 +539,7 @@ def test_search_cover_finds_the_minimum_of_any_target_set(monkeypatch, stall):
         uncovered = sum(1 << v for v in targets)
         best = sorted({table.rows[v][0] for v in targets})
         stats = solver.SolveStats()
-        solver._search_cover(table, cands_of, weights, uncovered, best, stats, None, None)
+        solver._search_cover(table, cands_of, weights, uncovered, best, stats, None, None, 0)
         assert best == sorted(best) and len(set(best)) == len(best)
         assert set(targets) <= {a + b for a in inst.base_set.values for b in best}, (inst, targets, best)
         assert len(best) == _fewest_translates(list(table.coverage.values()), uncovered), (inst, targets)
@@ -530,17 +550,25 @@ def test_search_cover_finds_the_minimum_of_any_target_set(monkeypatch, stall):
 
 def test_search_cover_over_each_class_is_the_exact_search():
     # the exact search is a root node and one search per residue class,
-    # each from the greedy cover's share of that class
-    for inst in (c_instance(4), c_instance(4, signed=True), _pattern_instance(5, {j: (0, 2) for j in range(5)})):
+    # each from the greedy cover's share of that class, and from the
+    # digit-split floor on a {0,1} base (which is one class)
+    for inst in (
+        c_instance(4),
+        c_instance(4, signed=True),
+        c_instance(5),
+        _pattern_instance(5, {j: (0, 2) for j in range(5)}),
+    ):
         table, cands_of, weights = _search_inputs(inst)
         values = inst.base_set.values
         g = math.gcd(*(a - values[0] for a in values)) or 1
+        floor = solver._digit_split_floor(inst, solver.SolveStats(), None)
+        assert (g, floor) == (2, 0) if g > 1 else floor > 0
         stats = solver.SolveStats(nodes=1)
         cover = []
         for r in range(g):
             part = [b for b in greedy_complement(inst).solution.values if (b + values[0]) % g == r]
             uncovered = sum(1 << v for v in range(r, inst.target_size, g))
-            solver._search_cover(table, cands_of, weights, uncovered, part, stats, None, None)
+            solver._search_cover(table, cands_of, weights, uncovered, part, stats, None, None, floor)
             cover += part
         cert = exact_min_complement(inst, SolverBudget(max_nodes=None, max_seconds=None))
         assert (tuple(sorted(cover)), stats.nodes) == (cert.solution.values, cert.stats.nodes)
@@ -754,8 +782,10 @@ def test_translate_table_matches_brute_force():
 
 
 def test_an_exact_search_builds_at_most_one_translate_table(monkeypatch):
-    # the search, its dual weights and its local search read one table; a
-    # search the counting bound closes at its root builds none
+    # the search, its dual weights and its local search read one table, and
+    # so does each level of the digit-split chain that its root bounds leave
+    # open (k=1 and 2 close at the counting bound); a search the counting
+    # bound closes at its root builds none
     calls = []
     build = solver._translate_table
 
@@ -766,7 +796,8 @@ def test_an_exact_search_builds_at_most_one_translate_table(monkeypatch):
     monkeypatch.setattr(solver, "_translate_table", counting)
     unbounded = SolverBudget(max_nodes=None, max_seconds=None)
     cert = exact_min_complement(c_instance(4, signed=True), unbounded)
-    assert (cert.stats.nodes, cert.stats.local_steps, calls) == (5301, 81, [c_instance(4, signed=True)])
+    levels = [c_instance(3, signed=True), c_instance(4, signed=True)]
+    assert (cert.stats.nodes, cert.stats.local_steps, calls) == (5301, 81, levels)
     calls.clear()
     cert = exact_min_complement(CoverInstance(7, BlockCode(7, (0, 4))), unbounded)
     assert (cert.optimal, cert.stats.nodes, calls) == ("proven-optimal", 1, [])
@@ -889,8 +920,15 @@ def test_exact_clock_ends_the_weight_loop_and_the_search(monkeypatch, late):
     monkeypatch.setattr(solver.time, "perf_counter", lambda: now[0])
     late_call = "_local_search" if late == "local" else "_packing_counts"
     call = getattr(solver, late_call)
+    # the {0,1} k=5 search ends where its local search meets the digit-split
+    # floor, before the local search reads the clock; without the range's
+    # last translate the floor does not apply, and the search is as before
+    inst = CoverInstance(5, c_instance(5).base_set, hi=3**5 - 1) if late == "local" else c_instance(5)
 
     def jump(*args):
+        # the chain's searches at the levels below run first, on their own tables
+        if len(args[1].rows) < inst.target_size:
+            return call(*args)
         if late != "search":
             now[0] = 2.0
         out = call(*args)
@@ -898,7 +936,6 @@ def test_exact_clock_ends_the_weight_loop_and_the_search(monkeypatch, late):
         return out
 
     monkeypatch.setattr(solver, late_call, jump)
-    inst = c_instance(5)
     cert = exact_min_complement(inst, SolverBudget(max_nodes=None, max_seconds=1.0))
     assert cert.stats.budget_exhausted and cert.optimal == "unknown"
     assert cert.verify()
@@ -915,6 +952,45 @@ def test_exact_clock_ends_the_weight_loop_and_the_search(monkeypatch, late):
         assert (cert.stats.local_steps, cert.stats.local_gain) == (0, 0)
 
 
+def _exhaustive_minimum(inst):
+    """The least cover of ``inst``, by trying every translate on the least
+    uncovered target depth by depth, the coverages summed pair by pair."""
+    size = inst.target_size
+    coverages = {sum(1 << a + b for a in inst.base_set.values if 0 <= a + b < size) for b in range(inst.lo, inst.hi)}
+    return _fewest_translates(sorted(coverages - {0}), (1 << size) - 1)
+
+
+def test_digit_split_bound_against_exhaustive_minima(monkeypatch):
+    # ceil(3 m_(k-1) / 2) <= m_k for k <= 3 on both named ranges, and the
+    # chain's floor, proven level by level, is the minimum itself at k = 2
+    # and 3, as the oracle's own chain says; at k = 3 the floor closes the
+    # search at its root, from a minimum cover, with no translate table
+    for signed in (False, True):
+        minima = [1] + [_exhaustive_minimum(c_instance(k, signed)) for k in (1, 2, 3)]
+        assert minima == [1, 2, 3, 5]
+        for k in (1, 2, 3):
+            assert solver.digit_split_bound(k, minima[k - 1]) <= minima[k]
+        for k in (2, 3):
+            floor = solver._digit_split_floor(c_instance(k, signed), solver.SolveStats(), None)
+            assert floor == oracle_digit_split_floor(c_instance(k, signed)) == minima[k], (k, signed)
+        cert = exact_min_complement(c_instance(3, signed))
+        assert (cert.size, cert.optimal, cert.stats.floor) == (5, "proven-optimal", 5)
+    monkeypatch.setattr(solver, "_translate_table", lambda *args: pytest.fail("a translate table was built"))
+    for signed in (False, True):
+        cert = exact_min_complement(c_instance(3, signed), initial=BlockCode(3, PAPER_BLOCKS[3]))
+        assert (cert.optimal, cert.stats.nodes, cert.solution.values) == ("proven-optimal", 1, PAPER_BLOCKS[3])
+
+
+def test_the_chain_spends_none_of_the_node_budget():
+    # the levels below search on their own node allowance: a 5,000-node
+    # k=6 search still reaches 24 and a 2,000-node k=5 search stops at 15,
+    # each at its cap, while the chain's own nodes are counted apart
+    for k, cap, size in ((6, 5000, 24), (5, 2000, 15)):
+        cert = exact_min_complement(c_instance(k), SolverBudget(max_nodes=cap, max_seconds=None))
+        assert (cert.size, cert.optimal, cert.stats.nodes) == (size, "unknown", cap + 1)
+        assert cert.stats.chain_nodes > 0 and cert.stats.floor == {5: 14, 6: 21}[k]
+
+
 def test_exact_deterministic():
     a = exact_min_complement(c_instance(4), SolverBudget(max_nodes=5000, max_seconds=None))
     b = exact_min_complement(c_instance(4), SolverBudget(max_nodes=5000, max_seconds=None))
@@ -923,11 +999,15 @@ def test_exact_deterministic():
 
 def test_exact_accepts_initial_incumbent():
     # a caller can seed the search with a known cover; with a tiny budget the
-    # incumbent survives as best-found
-    initial = BlockCode(5, PAPER_BLOCKS[5])
-    cert = exact_min_complement(c_instance(5), SolverBudget(max_nodes=2000, max_seconds=None), initial=initial)
-    assert cert.size == 14
+    # incumbent survives as best-found.  At k=6 the digit-split floor is 21,
+    # below the 23-cover
+    budget = SolverBudget(max_nodes=2000, max_seconds=None)
+    cert = exact_min_complement(c_instance(6), budget, initial=BlockCode(6, K6_COVER_23))
+    assert (cert.size, cert.stats.floor) == (23, 21)
     assert cert.optimal == "unknown" and cert.stats.budget_exhausted
+    # the paper's 14-cover meets the k=5 floor, so the search ends at its root
+    cert = exact_min_complement(c_instance(5), budget, initial=BlockCode(5, PAPER_BLOCKS[5]))
+    assert (cert.solution.values, cert.optimal, cert.stats.nodes) == (PAPER_BLOCKS[5], "proven-optimal", 1)
 
 
 def test_product_probe():
